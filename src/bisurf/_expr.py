@@ -1,7 +1,8 @@
-"""Shared polynomial text format: tokenizer, recursive-descent parser, canonical printer.
+"""Term dicts {exponent quadruple: nonzero coefficient}: the one module that
+knows the format. It parses, prints, adds, multiplies and evaluates them for
+BiHomPoly, SegreElem and TPoly, which only validate their own invariants.
 
-The same syntax is used for input files and for printed output, so everything
-the package prints can be parsed back:
+Input files and printed output share one syntax, so all output parses back:
 
     poly   := ['-'] term (('+'|'-') term)*
     term   := atom ('*' atom)*
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+_ZERO_EXP = (0, 0, 0, 0)
 
 
 class ParseError(ValueError):
@@ -62,7 +64,6 @@ class _Parser:
         self.toks = tokens
         self.pos = 0
         self.vars = {name: k for k, name in enumerate(variables)}
-        self.nvars = len(variables)
         self.line = line_no
 
     def peek(self):
@@ -91,18 +92,17 @@ class _Parser:
             negate = self.take()[0] == "-"
         acc = self.term()
         if negate:
-            acc = _scale(acc, Fraction(-1))
+            acc = neg(acc)
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
-            t = self.term()
-            acc = _add(acc, t if op == "+" else _scale(t, Fraction(-1)))
+            acc = (add if op == "+" else sub)(acc, self.term())
         return acc
 
     def term(self):
         acc = self.atom()
         while self.peek()[0] == "*":
             self.take()
-            acc = _mul(acc, self.atom(), self.nvars)
+            acc = mul(acc, self.atom())
         return acc
 
     def atom(self):
@@ -110,21 +110,20 @@ class _Parser:
         if tok[0] == "num":
             self.take()
             num = int(tok[1])
+            den = 1
             if self.peek()[0] == "/":
                 self.take()
                 den_tok = self.take("num")
                 den = int(den_tok[1])
                 if den == 0:
                     self.fail("zero denominator", den_tok)
-                base = {(0,) * self.nvars: Fraction(num, den)}
-            else:
-                base = {(0,) * self.nvars: Fraction(num)}
+            base = {_ZERO_EXP: Fraction(num, den)} if num else {}
         elif tok[0] == "name":
             self.take()
             k = self.vars.get(tok[1])
             if k is None:
                 self.fail(f"unknown variable {tok[1]!r}", tok)
-            e = [0] * self.nvars
+            e = [0, 0, 0, 0]
             e[k] = 1
             base = {tuple(e): Fraction(1)}
         elif tok[0] == "(":
@@ -138,49 +137,91 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             etok = self.take("num")
-            base = _pow(base, int(etok[1]), self.nvars)
+            power = {_ZERO_EXP: Fraction(1)}
+            for _ in range(int(etok[1])):
+                power = mul(power, base)
+            base = power
         return base
 
 
-def _add(a, b):
+def lead_key(exp):
+    # graded lexicographic with the first variable largest
+    return (sum(exp),) + exp
+
+
+def collect(pairs):
+    """Term dict of the sum of (exponent, coefficient) pairs; zeros dropped."""
+    out = {}
+    for e, c in pairs:
+        s = out.get(e)
+        out[e] = c if s is None else s + c
+    return {e: c for e, c in out.items() if c}
+
+
+def add(a, b):
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, 0) + c
+        s = out.get(e)
+        s = c if s is None else s + c
         if s:
             out[e] = s
-        elif e in out:
+        else:
             del out[e]
     return out
 
 
-def _scale(a, c):
+def sub(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        s = -c if s is None else s - c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def scale(a, c):
     if not c:
         return {}
     return {e: x * c for e, x in a.items()}
 
 
-def _mul(a, b, nvars):
+def mul(a, b):
     out = {}
     for ea, ca in a.items():
+        a0, a1, a2, a3 = ea
         for eb, cb in b.items():
-            e = tuple(ea[k] + eb[k] for k in range(nvars))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
+            e = (a0 + eb[0], a1 + eb[1], a2 + eb[2], a3 + eb[3])
+            s = out.get(e)
+            out[e] = ca * cb if s is None else s + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
-def _pow(a, n, nvars):
-    out = {(0,) * nvars: Fraction(1)}
-    for _ in range(n):
-        out = _mul(out, a, nvars)
-    return out
+def evaluate(terms, point, field):
+    """Value at a 4-tuple, from one table of powers per variable."""
+    pows = []
+    for x, top in zip(map(field.coerce, point), map(max, zip(*terms))):
+        table = [field.one, x]
+        for _ in range(top - 1):
+            table.append(table[-1] * x)
+        pows.append(table)
+    acc = field.zero
+    for e, c in terms.items():
+        for table, k in zip(pows, e):
+            if k:
+                c = c * table[k]
+        acc = acc + c
+    return acc
 
 
 def parse_expression(src: str, variables, line_no: int = 1, col_base: int = 0):
-    """Parse one polynomial expression into {exponent tuple: Fraction}."""
+    """Parse one polynomial in four variables into {exponent quadruple: Fraction}."""
     return _Parser(_tokenize(src, line_no, col_base), variables, line_no).parse()
 
 
@@ -199,14 +240,17 @@ def _is_negative(c) -> bool:
     return isinstance(c, (Fraction, int)) and c < 0
 
 
-def format_polynomial(pairs) -> str:
-    """Render (coefficient, monomial text) pairs, already in canonical order."""
-    if not pairs:
+def format_terms(terms, names) -> str:
+    """Canonical text, terms in descending graded lex order; on forms of one
+    bidegree or degree that is lex order on (s,t) or on (X1,X2,X3)."""
+    if not terms:
         return "0"
     chunks = []
-    for i, (c, mono) in enumerate(pairs):
-        neg = _is_negative(c)
-        mag = -c if neg else c
+    ordered = sorted(terms.items(), key=lambda kv: lead_key(kv[0]), reverse=True)
+    for i, (e, c) in enumerate(ordered):
+        mono = monomial_text(e, names)
+        minus = _is_negative(c)
+        mag = -c if minus else c
         if mono and mag == 1:
             body = mono
         elif mono:
@@ -214,7 +258,7 @@ def format_polynomial(pairs) -> str:
         else:
             body = str(mag)
         if i == 0:
-            chunks.append(f"-{body}" if neg else body)
+            chunks.append(f"-{body}" if minus else body)
         else:
-            chunks.append(f" - {body}" if neg else f" + {body}")
+            chunks.append(f" - {body}" if minus else f" + {body}")
     return "".join(chunks)

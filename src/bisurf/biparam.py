@@ -34,23 +34,14 @@ class BiHomPoly:
         d1, d2 = bidegree
         if d1 < 0 or d2 < 0:
             raise InputError(f"negative bidegree {bidegree!r}")
-        clean = {}
-        for exp, c in terms.items():
-            if not c:
-                continue
-            a, b, cc, e = exp
+        for a, b, cc, e in terms:
             if min(a, b, cc, e) < 0 or a + b != d1 or cc + e != d2:
                 raise InputError(
-                    f"term {exp!r} violates bidegree ({d1},{d2})"
+                    f"term {(a, b, cc, e)!r} violates bidegree ({d1},{d2})"
                 )
-            clean[exp] = c
         self.bidegree = (d1, d2)
-        self.terms = clean
+        self.terms = {e: c for e, c in terms.items() if c}
         self.field = field
-
-    @classmethod
-    def zero(cls, bidegree, field=QQ):
-        return cls(bidegree, {}, field)
 
     @classmethod
     def monomial(cls, exp, c, field=QQ):
@@ -70,42 +61,23 @@ class BiHomPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, self.field.zero) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return BiHomPoly(self.bidegree, out, self.field)
+        return BiHomPoly(self.bidegree, _expr.add(self.terms, other.terms), self.field)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return BiHomPoly(self.bidegree, _expr.sub(self.terms, other.terms), self.field)
 
     def __neg__(self):
-        return BiHomPoly(
-            self.bidegree, {e: -c for e, c in self.terms.items()}, self.field
-        )
+        return BiHomPoly(self.bidegree, _expr.neg(self.terms), self.field)
 
     def __mul__(self, other):
         self._check(other, same_bidegree=False)
-        bid = (
-            self.bidegree[0] + other.bidegree[0],
-            self.bidegree[1] + other.bidegree[1],
-        )
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                s = out.get(e)
-                out[e] = ca * cb if s is None else s + ca * cb
-        return BiHomPoly(bid, {e: c for e, c in out.items() if c}, self.field)
+        (a1, a2), (b1, b2) = self.bidegree, other.bidegree
+        return BiHomPoly((a1 + b1, a2 + b2), _expr.mul(self.terms, other.terms), self.field)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        return BiHomPoly(
-            self.bidegree, {e: x * c for e, x in self.terms.items()}, self.field
-        )
+        terms = _expr.scale(self.terms, self.field.coerce(c))
+        return BiHomPoly(self.bidegree, terms, self.field)
 
     def substitute_powers(self, k1: int, k2: int) -> "BiHomPoly":
         """Replace s,u by their k1-th powers and t,v by their k2-th powers."""
@@ -120,15 +92,7 @@ class BiHomPoly:
 
     def eval(self, point):
         """Value at (s,u,t,v) field elements."""
-        vals = [self.field.coerce(x) for x in point]
-        acc = self.field.zero
-        for e, c in self.terms.items():
-            term = c
-            for k in range(4):
-                if e[k]:
-                    term = term * vals[k] ** e[k]
-            acc = acc + term
-        return acc
+        return _expr.evaluate(self.terms, point, self.field)
 
     def to_tpoly(self) -> tpoly.TPoly:
         return tpoly.TPoly(dict(self.terms), self.field, "P")
@@ -144,13 +108,8 @@ class BiHomPoly:
             bidegree = (e[0] + e[1], e[2] + e[3])
         return cls(bidegree, dict(p.terms), p.field)
 
-    def sorted_terms(self):
-        # canonical order: (s-exponent, t-exponent) descending
-        return sorted(self.terms.items(), key=lambda item: (item[0][0], item[0][2]), reverse=True)
-
     def __str__(self):
-        pairs = [(c, _expr.monomial_text(e, PARAM_VARS)) for e, c in self.sorted_terms()]
-        return _expr.format_polynomial(pairs)
+        return _expr.format_terms(self.terms, PARAM_VARS)
 
     def __repr__(self):
         return f"BiHomPoly({self})"
@@ -217,20 +176,15 @@ class Parametrization:
 def _bi_homogenize(raw: dict, bidegree, field, which: str) -> BiHomPoly:
     """Pad parsed terms with u,v powers up to the declared bidegree."""
     d1, d2 = bidegree
-    out = {}
-    for (a, b, c, e), coeff in raw.items():
+    for a, b, c, e in raw:
         if a + b > d1 or c + e > d2:
             raise InputError(
                 f"{which}: term of bidegree ({a + b},{c + e}) exceeds declared ({d1},{d2})"
             )
-        exp = (a, d1 - a, c, d2 - c)
-        val = field.coerce(coeff)
-        cur = out.get(exp, field.zero) + val
-        if cur:
-            out[exp] = cur
-        elif exp in out:
-            del out[exp]
-    return BiHomPoly(bidegree, out, field)
+    padded = _expr.collect(
+        ((a, d1 - a, c, d2 - c), field.coerce(coeff)) for (a, _, c, _), coeff in raw.items()
+    )
+    return BiHomPoly(bidegree, padded, field)
 
 
 def parse_parametrization(text: str, field_override=None) -> Parametrization:

@@ -2,8 +2,9 @@
 
 Subcommands: info, matrix, membership, implicit, verify, lift. Exit status
 is 0 on success, 1 on errors (parsing, validation, usage), and 2 when a
-hypothesis-violation diagnostic fires (non-constant input gcd, rank-deficient
-matrix, failed verification).
+hypothesis-violation diagnostic fires (non-constant input gcd, nonzero Euler
+characteristic at the working degree, minors gcd of the wrong degree,
+rank-deficient matrix, failed verification).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .matrixrep import (
     verify_substitution,
 )
 from .tpoly import parse_tpoly
-from .zcomplex import SegreIdeal, choose_nu, strand_report
+from .zcomplex import SegreIdeal, StrandError, working_strand
 
 OK, DIAGNOSTIC, ERROR = 0, 2, 1
 
@@ -45,7 +46,10 @@ def _build_arg_parser():
 
     def common(p, point=False, equation=False, strategy=False):
         p.add_argument("input", help="parametrization input file")
-        p.add_argument("--nu", type=int, default=None, help="override the working degree")
+        p.add_argument(
+            "--nu", type=int, default=None,
+            help="override the working degree (its strand must have Euler characteristic 0)",
+        )
         p.add_argument("--saturate", action="store_true", help="lower nu via the saturation index")
         p.add_argument("--mod", type=int, default=None, metavar="P", help="work over GF(P)")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomized internals")
@@ -131,10 +135,7 @@ def _prepared(args):
 def cmd_info(args) -> int:
     P, lifted, code = _prepared(args)
     I = SegreIdeal.from_parametrization(lifted)
-    if args.nu is not None:
-        rep = strand_report(I, args.nu)
-    else:
-        _, rep = choose_nu(I, args.saturate)
+    _, rep = working_strand(I, args.nu, args.saturate)
     if args.json:
         payload = rep.as_dict()
         payload["bidegree"] = list(P.bidegree)
@@ -160,9 +161,7 @@ def cmd_info(args) -> int:
 def cmd_matrix(args) -> int:
     P, lifted, code = _prepared(args)
     I = SegreIdeal.from_parametrization(lifted)
-    nu = args.nu
-    if nu is None:
-        nu, _ = choose_nu(I, args.saturate)
+    nu, _ = working_strand(I, args.nu, args.saturate)
     M = representation_matrix(I, nu)
     if args.json:
         print(json.dumps(M.to_json_dict(), indent=2))
@@ -178,9 +177,7 @@ def cmd_membership(args) -> int:
     P, lifted, code = _prepared(args)
     point = _parse_point(args.point)
     I = SegreIdeal.from_parametrization(lifted)
-    nu = args.nu
-    if nu is None:
-        nu, _ = choose_nu(I, args.saturate)
+    nu, _ = working_strand(I, args.nu, args.saturate)
     M = representation_matrix(I, nu)
     on_surface, r = membership(M, point)
     if args.json:
@@ -282,7 +279,7 @@ def main(argv=None) -> int:
     except (ParseError, InputError, InterpolationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
-    except RankDeficientError as exc:
+    except (RankDeficientError, StrandError) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return DIAGNOSTIC
     except OSError as exc:

@@ -27,7 +27,7 @@ from .tpoly import (
     mvgcd,
     polydet,
 )
-from .zcomplex import SegreIdeal, choose_nu, linear_syzygies
+from .zcomplex import SegreIdeal, StrandError, linear_syzygies, working_strand
 
 
 class RankDeficientError(RuntimeError):
@@ -484,14 +484,18 @@ def equation_report(
     oracle: bool = True,
     oracle_max_degree: int | None = None,
 ) -> EquationReport:
-    """Full pipeline: lift if needed, build M, extract the minors gcd, and
-    cross-check against the interpolated implicit equation."""
-    lifted = lift_mixed(P)
-    I = SegreIdeal.from_parametrization(lifted)
-    if nu is None:
-        nu, _ = choose_nu(I, saturate)
+    """Full pipeline: lift if needed, build M, extract the minors gcd, check
+    its degree against the strand bookkeeping, and cross-check against the
+    interpolated implicit equation."""
+    I = SegreIdeal.from_parametrization(lift_mixed(P))
+    nu, strand = working_strand(I, nu, saturate)
     M = representation_matrix(I, nu)
     D = minors_gcd(M, strategy, sample_size, Random(seed))
+    if D.total_degree() != strand.expected_det_degree:
+        raise StrandError(
+            f"the minors gcd has degree {D.total_degree()}, but the strand at "
+            f"nu={nu} expects {strand.expected_det_degree}"
+        )
     if not oracle:
         return EquationReport(nu, M.rows, M.cols, D)
     bound = oracle_max_degree or max(D.total_degree(), 1)

@@ -34,21 +34,11 @@ class SegreElem:
     def __init__(self, degree, terms, field=QQ):
         if degree < 0:
             raise ValueError("negative degree")
-        clean = {}
-        for exp, c in terms.items():
-            if not c:
-                continue
+        for exp in terms:
             if min(exp) < 0 or sum(exp) != degree:
                 raise ValueError(f"exponents {exp!r} are not of degree {degree}")
-            q = normal_quad(exp)
-            cur = clean.get(q)
-            cur = c if cur is None else cur + c
-            if cur:
-                clean[q] = cur
-            elif q in clean:
-                del clean[q]
         self.degree = degree
-        self.terms = clean
+        self.terms = _expr.collect(zip(map(normal_quad, terms), terms.values()))
         self.field = field
 
     @classmethod
@@ -70,47 +60,31 @@ class SegreElem:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, self.field.zero) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return SegreElem(self.degree, out, self.field)
+        return SegreElem(self.degree, _expr.add(self.terms, other.terms), self.field)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return SegreElem(self.degree, _expr.sub(self.terms, other.terms), self.field)
 
     def __neg__(self):
-        return SegreElem(self.degree, {e: -c for e, c in self.terms.items()}, self.field)
+        return SegreElem(self.degree, _expr.neg(self.terms), self.field)
 
     def __mul__(self, other):
-        """Product reduced to normal form; degrees add."""
+        """Product reduced to normal form (by the constructor); degrees add."""
         self._check(other, same_degree=False)
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                q = normal_quad((ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3]))
-                s = out.get(q)
-                out[q] = ca * cb if s is None else s + ca * cb
         return SegreElem(
-            self.degree + other.degree, {e: c for e, c in out.items() if c}, self.field
+            self.degree + other.degree, _expr.mul(self.terms, other.terms), self.field
         )
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        return SegreElem(self.degree, {e: x * c for e, x in self.terms.items()}, self.field)
+        terms = _expr.scale(self.terms, self.field.coerce(c))
+        return SegreElem(self.degree, terms, self.field)
 
     def coefficient(self, quad):
         return self.terms.get(tuple(quad), self.field.zero)
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0][:3], reverse=True)
-
     def __str__(self):
-        pairs = [(c, _expr.monomial_text(e, SEGRE_VARS)) for e, c in self.sorted_terms()]
-        return _expr.format_polynomial(pairs)
+        return _expr.format_terms(self.terms, SEGRE_VARS)
 
     def __repr__(self):
         return f"SegreElem({self})"
@@ -179,9 +153,7 @@ def to_segre(f: BiHomPoly) -> SegreElem:
     n = d1
     out = {}
     for (i, _, j, _), c in f.terms.items():
-        k = n - i - j
-        if k < 0:
-            k = 0
+        k = max(0, n - i - j)
         out[(i + j - n + k, n - j - k, n - i - k, k)] = c
     return SegreElem(n, out, f.field)
 
@@ -189,12 +161,7 @@ def to_segre(f: BiHomPoly) -> SegreElem:
 def to_biform(x: SegreElem) -> BiHomPoly:
     """Substitute X1->s*t, X2->s*v, X3->u*t, X4->u*v."""
     n = x.degree
-    out = {}
-    for (a, b, c, e), coeff in x.terms.items():
-        exp = (a + b, c + e, a + c, b + e)
-        s = out.get(exp, x.field.zero) + coeff
-        if s:
-            out[exp] = s
-        elif exp in out:
-            del out[exp]
-    return BiHomPoly((n, n), out, x.field)
+    terms = _expr.collect(
+        ((a + b, c + e, a + c, b + e), coeff) for (a, b, c, e), coeff in x.terms.items()
+    )
+    return BiHomPoly((n, n), terms, x.field)

@@ -9,6 +9,7 @@ determinants of polynomial matrices, and evaluation.
 from __future__ import annotations
 
 from . import _expr
+from ._expr import lead_key
 from .fields import QQ
 
 RING_VARS = {
@@ -17,15 +18,11 @@ RING_VARS = {
 }
 
 _ZERO_EXP = (0, 0, 0, 0)
+_UNIT_EXPS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division leaves a remainder."""
-
-
-def _lead_key(exp):
-    # graded lexicographic with T1 > T2 > T3 > T4
-    return (sum(exp),) + exp
 
 
 class TPoly:
@@ -36,13 +33,10 @@ class TPoly:
     def __init__(self, terms, field=QQ, ring="T"):
         if ring not in RING_VARS:
             raise ValueError(f"unknown ring tag {ring!r}")
-        clean = {}
-        for exp, c in terms.items():
-            if len(exp) != 4 or any(e < 0 for e in exp):
+        for exp in terms:
+            if len(exp) != 4 or min(exp) < 0:
                 raise ValueError(f"bad exponent quadruple {exp!r}")
-            if c:
-                clean[exp] = c
-        self.terms = clean
+        self.terms = {e: c for e, c in terms.items() if c}
         self.field = field
         self.ring = ring
 
@@ -57,12 +51,6 @@ class TPoly:
     @classmethod
     def monomial(cls, exp, c, field=QQ, ring="T"):
         return cls({tuple(exp): field.coerce(c)}, field, ring)
-
-    @classmethod
-    def variable(cls, k, field=QQ, ring="T"):
-        e = [0, 0, 0, 0]
-        e[k] = 1
-        return cls({tuple(e): field.one}, field, ring)
 
     def _check(self, other):
         if self.ring != other.ring:
@@ -92,45 +80,21 @@ class TPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, self.field.zero) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return TPoly(out, self.field, self.ring)
+        return TPoly(_expr.add(self.terms, other.terms), self.field, self.ring)
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, self.field.zero) - c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return TPoly(out, self.field, self.ring)
+        return TPoly(_expr.sub(self.terms, other.terms), self.field, self.ring)
 
     def __neg__(self):
-        return TPoly({e: -c for e, c in self.terms.items()}, self.field, self.ring)
+        return TPoly(_expr.neg(self.terms), self.field, self.ring)
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
-                s = out.get(e)
-                s = ca * cb if s is None else s + ca * cb
-                out[e] = s
-        return TPoly({e: c for e, c in out.items() if c}, self.field, self.ring)
+        return TPoly(_expr.mul(self.terms, other.terms), self.field, self.ring)
 
     def scale(self, c):
-        c = self.field.coerce(c)
-        if not c:
-            return TPoly.zero(self.field, self.ring)
-        return TPoly({e: x * c for e, x in self.terms.items()}, self.field, self.ring)
+        return TPoly(_expr.scale(self.terms, self.field.coerce(c)), self.field, self.ring)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -149,7 +113,7 @@ class TPoly:
         """The (exponent, coefficient) pair that is largest in graded lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_lead_key)
+        e = max(self.terms, key=lead_key)
         return e, self.terms[e]
 
     def monic(self):
@@ -163,30 +127,10 @@ class TPoly:
 
     def eval(self, point):
         """Value at a 4-tuple of field elements."""
-        vals = [self.field.coerce(x) for x in point]
-        maxes = [0, 0, 0, 0]
-        for e in self.terms:
-            for k in range(4):
-                if e[k] > maxes[k]:
-                    maxes[k] = e[k]
-        pows = []
-        for k in range(4):
-            table = [self.field.one]
-            for _ in range(maxes[k]):
-                table.append(table[-1] * vals[k])
-            pows.append(table)
-        acc = self.field.zero
-        for e, c in self.terms.items():
-            acc = acc + c * pows[0][e[0]] * pows[1][e[1]] * pows[2][e[2]] * pows[3][e[3]]
-        return acc
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: _lead_key(item[0]), reverse=True)
+        return _expr.evaluate(self.terms, point, self.field)
 
     def __str__(self):
-        names = RING_VARS[self.ring]
-        pairs = [(c, _expr.monomial_text(e, names)) for e, c in self.sorted_terms()]
-        return _expr.format_polynomial(pairs)
+        return _expr.format_terms(self.terms, RING_VARS[self.ring])
 
     def __repr__(self):
         return f"TPoly({self})"
@@ -226,13 +170,13 @@ def exact_div(a: TPoly, b: TPoly) -> TPoly:
     rem = dict(a.terms)
     quot = {}
     while rem:
-        e = max(rem, key=_lead_key)
+        e = max(rem, key=lead_key)
         c = rem[e]
         qe = (e[0] - b_exp[0], e[1] - b_exp[1], e[2] - b_exp[2], e[3] - b_exp[3])
         if any(x < 0 for x in qe):
             raise ExactDivisionError("division is not exact")
         qc = c / b_lc
-        quot[qe] = quot.get(qe, a.field.zero) + qc
+        quot[qe] = qc  # leading terms strictly decrease, so qe is new
         for be, bc in b_items:
             te = (qe[0] + be[0], qe[1] + be[1], qe[2] + be[2], qe[3] + be[3])
             s = rem.get(te, a.field.zero) - qc * bc
@@ -267,9 +211,7 @@ def _univar(p: TPoly, k: int):
         rest = list(e)
         deg = rest[k]
         rest[k] = 0
-        key = tuple(rest)
-        bucket = coeffs.setdefault(deg, {})
-        bucket[key] = bucket.get(key, p.field.zero) + c
+        coeffs.setdefault(deg, {})[tuple(rest)] = c
     return {
         d: TPoly(bucket, p.field, p.ring) for d, bucket in coeffs.items()
     }
@@ -375,35 +317,21 @@ def _gcd_rec(a: TPoly, b: TPoly, k: int) -> TPoly:
 
 def _monomial_part(p: TPoly):
     """Componentwise minimum exponent vector and the poly with it divided out."""
-    mins = [None, None, None, None]
-    for e in p.terms:
-        for i in range(4):
-            if mins[i] is None or e[i] < mins[i]:
-                mins[i] = e[i]
-    mins = [m or 0 for m in mins]
+    mins = tuple(min(e[i] for e in p.terms) for i in range(4))
     if not any(mins):
-        return (0, 0, 0, 0), p
-    out = {tuple(e[i] - mins[i] for i in range(4)): c for e, c in p.terms.items()}
-    return tuple(mins), TPoly(out, p.field, p.ring)
+        return mins, p
+    out = {tuple(x - m for x, m in zip(e, mins)): c for e, c in p.terms.items()}
+    return mins, TPoly(out, p.field, p.ring)
 
 
 def _dehomogenize_last(p: TPoly) -> TPoly:
-    out = {}
-    for e, c in p.terms.items():
-        t = (e[0], e[1], e[2], 0)
-        s = out.get(t, p.field.zero) + c
-        if s:
-            out[t] = s
-        elif t in out:
-            del out[t]
-    return TPoly(out, p.field, p.ring)
+    terms = _expr.collect(((e[0], e[1], e[2], 0), c) for e, c in p.terms.items())
+    return TPoly(terms, p.field, p.ring)
 
 
 def _rehomogenize_last(p: TPoly) -> TPoly:
     n = p.total_degree()
-    out = {}
-    for e, c in p.terms.items():
-        out[(e[0], e[1], e[2], n - sum(e))] = c
+    out = {(e[0], e[1], e[2], n - sum(e)): c for e, c in p.terms.items()}
     return TPoly(out, p.field, p.ring)
 
 
@@ -513,13 +441,7 @@ class LinearForm:
         return not any(self.coeffs)
 
     def to_tpoly(self) -> TPoly:
-        terms = {}
-        for k, c in enumerate(self.coeffs):
-            if c:
-                e = [0, 0, 0, 0]
-                e[k] = 1
-                terms[tuple(e)] = c
-        return TPoly(terms, self.field, "T")
+        return TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field, "T")
 
     def eval(self, point):
         acc = self.field.zero

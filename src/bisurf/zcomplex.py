@@ -19,6 +19,10 @@ from .segre import SegreElem, basis, normal_quad, to_segre
 _SUBSETS = {i: tuple(combinations(range(4), i)) for i in range(5)}
 
 
+class StrandError(RuntimeError):
+    """The strand at the working degree contradicts the method's hypotheses."""
+
+
 class SegreIdeal:
     """Four generators of one common degree d >= 1 in the quotient ring."""
 
@@ -372,3 +376,22 @@ def choose_nu(I: SegreIdeal, saturate: bool = False, e_max: int | None = None):
     if valid:
         return opt, replace(rep_opt, nu_optimized=opt, sat_indeg=ind)
     return cons, replace(rep_cons, nu_optimized=cons, sat_indeg=ind)
+
+
+def working_strand(I: SegreIdeal, nu: int | None = None, saturate: bool = False):
+    """(nu, report at nu) for a given working degree, or choose_nu's when nu is None.
+
+    The matrix and its minors gcd are only meaningful where the strand has
+    Euler characteristic 0, so any other degree raises StrandError. Degrees
+    below the conservative 2d-1 pass when their strand does.
+    """
+    if nu is None:
+        nu, rep = choose_nu(I, saturate)
+    else:
+        rep = strand_report(I, nu)
+    if rep.euler_char:
+        raise StrandError(
+            f"the strand at nu={nu} has Euler characteristic {rep.euler_char}, not 0; "
+            "the representation matrix is not valid in this degree"
+        )
+    return nu, rep

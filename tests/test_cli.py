@@ -137,3 +137,29 @@ def test_bad_strategy(capsys, inputs_dir):
         capsys, "implicit", str(inputs_dir / "segre.ex"), "--strategy", "sampled:x"
     )
     assert code == 1
+
+
+def test_nu_with_nonzero_euler_is_a_diagnostic(capsys, inputs_dir):
+    # at nu=1 the d2_example matrix is 4x1, so every point would read ON
+    d2 = str(inputs_dir / "d2_example.ex")
+    for argv in (
+        ("membership", d2, "--nu", "1", "--point", "1,2,3,4"),
+        ("info", d2, "--nu", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "nu=1" in err and "Euler characteristic 3" in err
+
+
+def test_nu_below_conservative_degree_accepted(capsys, inputs_dir):
+    # mixed23 lifts to bidegree (6,6): nu=5 is below 2d-1 = 11, but its strand is exact
+    code, out, _ = run(capsys, "info", str(inputs_dir / "mixed23.ex"), "--nu", "5", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["euler_char"] == 0 and payload["expected_det_degree"] == 30
+
+
+def test_implicit_checks_degree_of_minors_gcd(capsys, inputs_dir):
+    code, out, err = run(capsys, "implicit", str(inputs_dir / "common_factor.ex"))
+    assert code == 2 and out == ""
+    assert "degree 16" in err and "expects 2" in err
