@@ -173,6 +173,22 @@ def _forward_gf(rows, cols, p):
     return pivots
 
 
+def _rref_gf(rows, cols, p):
+    """In-place reduced echelon form of plain ints mod p; returns the pivot
+    columns, and the first len(pivots) rows hold the nonzero rows."""
+    pivots = _forward_gf(rows, cols, p)
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        rk = rows[k]
+        for a in range(k):
+            v = rows[a][c]
+            if v:
+                ra = rows[a]
+                for j in range(c, cols):
+                    ra[j] = (ra[j] - v * rk[j]) % p
+    return pivots
+
+
 def rank(m: ExactMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
@@ -189,17 +205,8 @@ def rref(m: ExactMatrix):
     if isinstance(m.field, PrimeField):
         p = m.field.p
         rows = [[x.value for x in row] for row in m.entries]
-        pivots = _forward_gf(rows, m.cols, p)
+        pivots = _rref_gf(rows, m.cols, p)
         r = len(pivots)
-        for k in range(r - 1, -1, -1):
-            c = pivots[k]
-            rk = rows[k]
-            for a in range(k):
-                v = rows[a][c]
-                if v:
-                    ra = rows[a]
-                    for j in range(c, m.cols):
-                        ra[j] = (ra[j] - v * rk[j]) % p
         out = [[GFElem(x, p) for x in rows[i]] for i in range(r)]
         z = [m.field.zero] * m.cols
         out.extend([list(z) for _ in range(m.rows - r)])

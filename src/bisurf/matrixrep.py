@@ -4,19 +4,23 @@ The matrix M has one row per degree-nu monomial of the quotient ring and one
 column per linear syzygy; its entries are linear forms in T1..T4. Its rank
 drops exactly on the surface (for isolated, locally complete intersection
 base points), the gcd of its maximal minors is the strand determinant, and an
-independent interpolation routine recovers the irreducible implicit equation
-for cross-checking.
+independent oracle, the exact kernel of F -> F(f1..f4), recovers the
+irreducible implicit equation for cross-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd, isqrt, lcm
 from random import Random
 
+from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import ExactMatrix, _forward_gf, nullspace, rank, rref
+from .exactla import ExactMatrix, _rref_gf, rank, rref
+from .fields import is_prime
 from .segre import basis
 from .tpoly import (
     ExactDivisionError,
@@ -36,7 +40,8 @@ class RankDeficientError(RuntimeError):
 
 
 class InterpolationError(RuntimeError):
-    """The interpolation search found no equation within the degree bound."""
+    """The oracle found no single equation within the degree bound: none
+    exists, the image is not a surface, or the kernel did not lift."""
 
 
 class RepMatrix:
@@ -268,7 +273,7 @@ def minors_gcd(
 
 
 # ---------------------------------------------------------------------------
-# independent interpolation of the irreducible implicit equation
+# independent oracle for the irreducible implicit equation
 
 def _degree_monomials(deg: int):
     out = []
@@ -279,120 +284,164 @@ def _degree_monomials(deg: int):
     return out
 
 
-def _parameter_points(P: Parametrization, count: int, rng: Random):
-    """Seeded affine parameter samples (s,1,t,1) with nonzero image."""
-    pts = []
-    seen = set()
-    field = P.field
-    attempts = 0
-    while len(pts) < count and attempts < 200 * count:
-        attempts += 1
-        if field.characteristic == 0:
-            s = rng.randint(-30, 30)
-            t = rng.randint(-30, 30)
-        else:
-            s = rng.randrange(field.p)
-            t = rng.randrange(field.p)
-        if (s, t) in seen:
-            continue
-        seen.add((s, t))
-        img = P.eval((s, 1, t, 1))
-        if any(img):
-            pts.append(img)
-    if len(pts) < count:
-        raise InterpolationError("could not sample enough surface points")
-    return pts
+@cache
+def _lift_primes():
+    """The 64 largest primes below 2^62, in descending order; found on first
+    use, so importing the package stays cheap."""
+    out = []
+    n = (1 << 62) - 1
+    while len(out) < 64:
+        if is_prime(n):
+            out.append(n)
+        n -= 2
+    return tuple(out)
 
 
-def _vandermonde_rows(points, monos, field):
+def _integer_coordinates(P: Parametrization):
+    """Term dicts of f1..f4 with plain int coefficients: residues in [0, p)
+    over GF(p); over QQ all four scaled by one common denominator, which
+    leaves the image, hence the implicit equation, unchanged."""
+    if P.field.characteristic:
+        return [{e: c.value for e, c in f.terms.items()} for f in P.fs]
+    den = lcm(*(c.denominator for f in P.fs for c in f.terms.values()))
+    return [{e: int(c * den) for e, c in f.terms.items()} for f in P.fs]
+
+
+def _next_layer(layer, fs, deg, p):
+    """The expansions of f^e for every degree-deg monomial e, each one
+    product of a degree-(deg-1) expansion with one coordinate."""
+    out = {}
+    for e in _degree_monomials(deg):
+        k = next(i for i in range(4) if e[i])
+        prev = e[:k] + (e[k] - 1,) + e[k + 1:]
+        prod = _expr.mul(layer[prev], fs[k])
+        if p:
+            prod = {m: c % p for m, c in prod.items() if c % p}
+        out[e] = prod
+    return out
+
+
+def _substitution_rows(layer, monos):
+    """Matrix of F -> F(f1..f4) in one degree: one row per (s,u,t,v)
+    monomial, one column per monomial of F."""
+    index = {}
     rows = []
-    maxes = [max(e[k] for e in monos) for k in range(4)]
-    for pt in points:
-        pows = []
-        for k in range(4):
-            table = [field.one]
-            for _ in range(maxes[k]):
-                table.append(table[-1] * pt[k])
-            pows.append(table)
-        rows.append(
-            [pows[0][e[0]] * pows[1][e[1]] * pows[2][e[2]] * pows[3][e[3]] for e in monos]
-        )
+    for j, e in enumerate(monos):
+        for m, c in layer[e].items():
+            i = index.get(m)
+            if i is None:
+                i = index[m] = len(rows)
+                rows.append([0] * len(monos))
+            rows[i][j] = c
     return rows
 
 
-_PRESCREEN_PRIME = (1 << 31) - 1
+def _kernel_mod(rows, cols, p):
+    """(dimension, kernel vector) of the int matrix reduced mod p; the vector
+    is given only for dimension 1, scaled so its first nonzero entry is 1."""
+    reduced = [[x % p for x in row] for row in rows]
+    pivots = _rref_gf(reduced, cols, p)
+    dim = cols - len(pivots)
+    if dim != 1:
+        return dim, None
+    free = next(c for c in range(cols) if c not in pivots)
+    vec = [0] * cols
+    vec[free] = 1
+    for k, c in enumerate(pivots):
+        vec[c] = -reduced[k][free] % p
+    inv = pow(next(x for x in vec if x), p - 2, p)
+    return 1, [x * inv % p for x in vec]
 
 
-def _prescreen_kernel_dim(rows, field):
-    """Kernel dimension modulo a fixed prime; zero is a sound rejection."""
-    if field.characteristic != 0:
-        m = ExactMatrix(rows, field, cols=len(rows[0]))
-        return m.cols - rank(m)
-    p = _PRESCREEN_PRIME
-    mod_rows = []
-    for row in rows:
-        out = []
-        for x in row:
-            den = x.denominator % p
-            if den == 0:
-                return None
-            out.append(x.numerator * pow(den, p - 2, p) % p)
-        mod_rows.append(out)
-    return len(rows[0]) - len(_forward_gf(mod_rows, len(rows[0]), p))
+def _rational_reconstruction(u: int, m: int):
+    """The fraction a/b = u mod m with |a|, |b| <= sqrt(m/2), or None (Wang)."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
-def implicit_by_interpolation(
-    P: Parametrization, max_degree: int, seed: int = 0
-) -> TPoly:
-    """Search for the lowest-degree homogeneous equation vanishing on the image.
+def _lifted_kernel(rows, monos, P: Parametrization):
+    """The monic F spanning the kernel over QQ, from its images mod the lift
+    primes; None when the kernel is zero. Primes whose kernel is larger, or
+    whose leading entry lies further right, than the best seen are unlucky
+    and skipped. Two equal successive lifts are certified by substitution."""
+    best = None
+    primes = _lift_primes()
+    for p in primes:
+        dim, vec = _kernel_mod(rows, len(monos), p)
+        if dim == 0:
+            return None
+        key = (dim, vec.index(1) if vec else 0)
+        if best is None or key < best:
+            best, modulus, residues, previous = key, 1, [0] * len(monos), None
+        if key != best or vec is None:
+            continue
+        step = pow(modulus, -1, p)
+        residues = [a + modulus * ((b - a) * step % p) for a, b in zip(residues, vec)]
+        modulus *= p
+        lifted = [_rational_reconstruction(x, modulus) for x in residues]
+        if None in lifted:
+            continue
+        if lifted == previous:
+            terms = {e: c for e, c in zip(monos, lifted) if c}
+            candidate = TPoly(terms, P.field, "T")
+            if verify_substitution(candidate, P):
+                return candidate
+        previous = lifted
+    raise InterpolationError(
+        f"the kernel in degree {sum(monos[0])} did not lift "
+        f"over {len(primes)} primes (smallest dimension seen: {best[0]})"
+    )
 
-    For each candidate degree the routine samples twice as many parameter
-    points as there are monomials, builds the evaluation matrix, and accepts
-    exactly a one-dimensional kernel. The returned polynomial is monic in the
-    canonical term order and certified by exact substitution.
+
+def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
+    """The lowest-degree homogeneous equation vanishing on the image.
+
+    For deg = 1, 2, ... the routine forms the exact matrix of the linear map
+    F -> F(f1..f4) on degree-deg forms (one column per monomial of F, the
+    expansion of f^e built from the previous degree by one multiplication,
+    one row per (s,u,t,v) monomial). Its kernel is the degree-deg part of the
+    ideal of the image, so the first nonzero kernel is spanned by the
+    implicit equation. Over GF(p) one elimination mod p finds it, and a kernel
+    of dimension above 1 raises InterpolationError (the image mod p is not a
+    surface). Over QQ the kernel is computed modulo the fixed primes of
+    _lift_primes() and lifted by CRT and rational reconstruction; any zero
+    kernel mod p rejects the degree, which is sound because the kernel
+    only grows mod p, and the lift is returned once two successive
+    reconstructions agree and exact substitution certifies it. The result is
+    monic in the canonical term order.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    rng = Random(seed)
-    field = P.field
-
-    def kernel_poly(rows, monos):
-        ns = nullspace(ExactMatrix(rows, field, cols=len(monos)))
-        if ns.cols != 1:
-            return None, ns.cols
-        terms = {
-            monos[i]: ns.entries[i][0] for i in range(len(monos)) if ns.entries[i][0]
-        }
-        return TPoly(terms, field, "T").monic(), 1
-
+    p = P.field.characteristic
+    fs = _integer_coordinates(P)
+    layer = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
     for deg in range(1, max_degree + 1):
+        layer = _next_layer(layer, fs, deg, p)
+        # descending graded lex, so monos[0] leads and a vector whose first
+        # nonzero entry is 1 gives a monic polynomial
         monos = _degree_monomials(deg)
-        npts = 2 * len(monos)
-        points = _parameter_points(P, npts, rng)
-        rows = _vandermonde_rows(points, monos, field)
-        pre = _prescreen_kernel_dim(rows, field)
-        if pre == 0:
+        rows = _substitution_rows(layer, monos)
+        if not p:
+            F = _lifted_kernel(rows, monos, P)
+            if F is not None:
+                return F
             continue
-        # a row subset usually suffices; any candidate it produces is only
-        # accepted after exact substitution, so this cannot go wrong
-        subset = rows[: len(monos) + 16]
-        if len(subset) < len(rows):
-            candidate, dim = kernel_poly(subset, monos)
-            if candidate is not None and verify_substitution(candidate, P):
-                return candidate
-        for _ in range(3):
-            candidate, dim = kernel_poly(rows, monos)
-            if dim == 0:
-                break
-            if candidate is not None and verify_substitution(candidate, P):
-                return candidate
-            # undersampled or degenerate: add more points and retry
-            extra = _parameter_points(P, len(monos), rng)
-            rows.extend(_vandermonde_rows(extra, monos, field))
-        else:
+        dim, vec = _kernel_mod(rows, len(monos), p)
+        if dim > 1:
             raise InterpolationError(
-                f"sampling stayed degenerate at degree {deg}"
+                f"the kernel of the substitution map in degree {deg} has "
+                f"dimension {dim} over {P.field.name}: the image is not a surface"
             )
+        if dim == 1:
+            terms = {e: P.field.coerce(c) for e, c in zip(monos, vec) if c}
+            return TPoly(terms, P.field, "T")
     raise InterpolationError(f"no equation of degree at most {max_degree}")
 
 
@@ -486,7 +535,7 @@ def equation_report(
 ) -> EquationReport:
     """Full pipeline: lift if needed, build M, extract the minors gcd, check
     its degree against the strand bookkeeping, and cross-check against the
-    interpolated implicit equation."""
+    oracle's implicit equation."""
     I = SegreIdeal.from_parametrization(lift_mixed(P))
     nu, strand = working_strand(I, nu, saturate)
     M = representation_matrix(I, nu)
@@ -499,7 +548,7 @@ def equation_report(
     if not oracle:
         return EquationReport(nu, M.rows, M.cols, D)
     bound = oracle_max_degree or max(D.total_degree(), 1)
-    F = implicit_by_interpolation(P, bound, seed)
-    ok = verify_substitution(F, P)
+    # the oracle returns only a certified F, so substitution holds
+    F = implicit_by_interpolation(P, bound)
     power, residual, lci = lci_diagnostic(D, F)
-    return EquationReport(nu, M.rows, M.cols, D, F, power, residual, lci, ok)
+    return EquationReport(nu, M.rows, M.cols, D, F, power, residual, lci, True)

@@ -1,7 +1,9 @@
 import json
 
 from bisurf.cli import main
-from bisurf.tpoly import parse_tpoly
+from bisurf.fields import PrimeField
+from bisurf.matrixrep import implicit_by_interpolation
+from bisurf.tpoly import TPoly, parse_tpoly
 
 
 def run(capsys, *argv):
@@ -163,3 +165,33 @@ def test_implicit_checks_degree_of_minors_gcd(capsys, inputs_dir):
     code, out, err = run(capsys, "implicit", str(inputs_dir / "common_factor.ex"))
     assert code == 2 and out == ""
     assert "degree 16" in err and "expects 2" in err
+
+
+def _reduced(F, p):
+    field = PrimeField(p)
+    return TPoly({e: field.coerce(c) for e, c in F.terms.items()}, field, "T")
+
+
+def test_implicit_small_primes(capsys, inputs_dir, segre_param, d2_equation):
+    # the oracle used to sample 2*C(deg+3,3) affine points out of p^2 and
+    # exit 1 with "could not sample enough surface points"
+    cases = (
+        (("d2_example.ex", "--mod", "7", "--saturate"), d2_equation, 7),
+        (("segre.ex", "--mod", "2"), implicit_by_interpolation(segre_param, 2), 2),
+    )
+    for (name, *flags), F, p in cases:
+        code, out, _ = run(capsys, "implicit", str(inputs_dir / name), *flags, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert parse_tpoly(payload["implicit_equation"], PrimeField(p)) == _reduced(F, p)
+        assert payload["substitution_ok"] is True
+
+
+def test_implicit_mod_p_image_not_a_surface(capsys, inputs_dir):
+    # mod 2 the coordinates of mixed23 share a factor; three independent
+    # linear forms vanish on the image
+    code, out, err = run(
+        capsys, "implicit", str(inputs_dir / "mixed23.ex"), "--nu", "5", "--mod", "2"
+    )
+    assert code == 1 and out == ""
+    assert "error:" in err and "degree 1" in err and "dimension 3" in err

@@ -3,8 +3,9 @@ from random import Random
 
 import pytest
 
-from bisurf.biparam import lift_mixed
+from bisurf.biparam import lift_mixed, parse_parametrization
 from bisurf.matrixrep import (
+    _lift_primes,
     InterpolationError,
     RankDeficientError,
     _components,
@@ -17,7 +18,7 @@ from bisurf.matrixrep import (
     verify_substitution,
 )
 from bisurf.segre import SegreElem
-from bisurf.tpoly import parse_tpoly
+from bisurf.tpoly import TPoly, parse_tpoly
 from bisurf.zcomplex import SegreIdeal
 
 QUADRIC = parse_tpoly("T1*T4 - T2*T3")
@@ -187,3 +188,44 @@ def test_json_export_schema(d2_matrix_rep):
     assert all(len(cell) == 4 for row in payload["entries"] for cell in row)
     # coefficients are exact rational strings
     Fraction(payload["entries"][0][0][0])
+
+
+def _scaled_segre(a, b, c):
+    return parse_parametrization(
+        f"degree: 1 1\nf1: {a}*s*t\nf2: {b}*s*v\nf3: {c}*u*t\nf4: u*v\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "a,b,c",
+    [
+        (10**20 + 39, 10**20 + 3, 10**20 + 7),
+        # the first lift prime kills f3: modulo it the kernel is nonzero in
+        # degree 1 and four-dimensional in degree 2, so that prime is unlucky
+        (10**20 + 39, 10**20 + 3, _lift_primes()[0]),
+    ],
+)
+def test_oracle_lifts_over_several_primes(a, b, c):
+    ratio = Fraction(a, b * c)
+    assert ratio.numerator > 2**62 and ratio.denominator > 2**62
+    F = implicit_by_interpolation(_scaled_segre(a, b, c), 2)
+    assert F == TPoly({(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): -ratio})
+
+
+def test_oracle_skips_prime_dividing_leading_coefficient():
+    # F = p*T1*T3 + T1*T4 - T2*T3 with p the first lift prime: modulo p the
+    # kernel is still one-dimensional but starts at T1*T4, so it is skipped
+    p = _lift_primes()[0]
+    P = parse_parametrization(f"degree: 1 1\nf1: s*t\nf2: {p}*s*t + s*v\nf3: u*t\nf4: u*v\n")
+    F = implicit_by_interpolation(P, 2)
+    assert F == TPoly(
+        {(1, 0, 1, 0): Fraction(1), (1, 0, 0, 1): Fraction(1, p), (0, 1, 1, 0): Fraction(-1, p)}
+    )
+
+
+def test_oracle_rejects_a_curve_over_qq():
+    # the image is the line T1 = T2, T3 = T4: two linear forms vanish on it
+    # modulo every prime, so no single equation lifts
+    P = parse_parametrization("degree: 1 1\nf1: s*t\nf2: s*t\nf3: u*v\nf4: u*v\n")
+    with pytest.raises(InterpolationError, match="dimension seen: 2"):
+        implicit_by_interpolation(P, 2)
