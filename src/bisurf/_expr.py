@@ -203,6 +203,14 @@ def mul(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+def modp(terms, p):
+    """terms with int coefficients reduced to residues in [0, p), zeros
+    dropped; p == 0 (the integers) leaves them as they are."""
+    if not p:
+        return terms
+    return {e: r for e, c in terms.items() if (r := c % p)}
+
+
 def evaluate(terms, point, field):
     """Value at a 4-tuple, from one table of powers per variable."""
     pows = []

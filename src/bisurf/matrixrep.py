@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt
 from random import Random
 
 from . import _expr
@@ -26,6 +26,9 @@ from .tpoly import (
     ExactDivisionError,
     LinearForm,
     TPoly,
+    _ints,
+    _monic_product,
+    _scale_of,
     divides,
     exact_div,
     mvgcd,
@@ -259,7 +262,7 @@ def minors_gcd(
             f"matrix has more rows ({M.rows}) than columns ({M.cols})"
         )
     rng = rng or Random(0)
-    result = TPoly.constant(M.field.one, M.field, "T")
+    gcds = []
     for rows, cols in _components(M):
         if not rows:
             continue
@@ -268,8 +271,8 @@ def minors_gcd(
                 "a block has fewer columns than rows; every maximal minor vanishes"
             )
         block = [[M.entries[i][j] for j in cols] for i in rows]
-        result = result * _block_gcd(block, strategy, sample_size, rng, M.field)
-    return result.monic()
+        gcds.append(_block_gcd(block, strategy, sample_size, rng, M.field))
+    return _monic_product(gcds, M.field, "T")
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +304,8 @@ def _integer_coordinates(P: Parametrization):
     """Term dicts of f1..f4 with plain int coefficients: residues in [0, p)
     over GF(p); over QQ all four scaled by one common denominator, which
     leaves the image, hence the implicit equation, unchanged."""
-    if P.field.characteristic:
-        return [{e: c.value for e, c in f.terms.items()} for f in P.fs]
-    den = lcm(*(c.denominator for f in P.fs for c in f.terms.values()))
-    return [{e: int(c * den) for e, c in f.terms.items()} for f in P.fs]
+    den = _scale_of(P.fs)
+    return [_ints(f, den) for f in P.fs]
 
 
 def _next_layer(layer, fs, deg, p):
@@ -314,10 +315,7 @@ def _next_layer(layer, fs, deg, p):
     for e in _degree_monomials(deg):
         k = next(i for i in range(4) if e[i])
         prev = e[:k] + (e[k] - 1,) + e[k + 1:]
-        prod = _expr.mul(layer[prev], fs[k])
-        if p:
-            prod = {m: c % p for m, c in prod.items() if c % p}
-        out[e] = prod
+        out[e] = _expr.modp(_expr.mul(layer[prev], fs[k]), p)
     return out
 
 
@@ -446,26 +444,30 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
 
 
 def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
-    """True iff eq(f1,f2,f3,f4) expands to the zero polynomial in s,u,t,v."""
-    fs = [f.to_tpoly() for f in P.fs]
-    one = TPoly.constant(P.field.one, P.field, "P")
-    memo = {(0, 0, 0, 0): one}
+    """True iff eq(f1,f2,f3,f4) expands to the zero polynomial in s,u,t,v.
+
+    The expansion runs on plain ints: eq times the common denominator of its
+    coefficients, and the coordinates of _integer_coordinates. Over QQ those
+    are scaled by one factor c, which multiplies the degree-k part of
+    eq(f1..f4) by c^k; parts of different degrees land in different
+    bidegrees, so the test holds for non-homogeneous eq as well."""
+    p = P.field.characteristic
+    fs = _integer_coordinates(P)
+    memo = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
 
     def product_for(exp):
         cached = memo.get(exp)
         if cached is not None:
             return cached
         k = next(i for i in range(4) if exp[i])
-        prev = list(exp)
-        prev[k] -= 1
-        val = product_for(tuple(prev)) * fs[k]
-        memo[exp] = val
+        prev = exp[:k] + (exp[k] - 1,) + exp[k + 1:]
+        val = memo[exp] = _expr.modp(_expr.mul(product_for(prev), fs[k]), p)
         return val
 
-    acc = TPoly.zero(P.field, "P")
-    for exp, c in sorted(eq.terms.items(), key=lambda kv: sum(kv[0])):
-        acc = acc + product_for(exp).scale(c)
-    return acc.is_zero()
+    acc = {}
+    for exp, c in sorted(_ints(eq).items(), key=lambda kv: sum(kv[0])):
+        acc = _expr.add(acc, _expr.scale(product_for(exp), c))
+    return not _expr.modp(acc, p)
 
 
 def lci_diagnostic(D: TPoly, F: TPoly):

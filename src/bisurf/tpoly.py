@@ -4,13 +4,21 @@ Two rings share the implementation: the image-space ring in T1..T4 (where
 implicit equations live) and the parameter ring in s,u,t,v. Provides ring
 arithmetic, exact division, a subresultant-PRS multivariate gcd, fraction-free
 determinants of polynomial matrices, and evaluation.
+
+TPoly stores Fraction or GFElem coefficients. Exact division, the gcd and the
+determinant run on plain int coefficients instead: over the integers, with
+QQ inputs scaled by their denominators, or modulo p.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+
 from . import _expr
 from ._expr import lead_key
-from .fields import QQ
+from .fields import QQ, GFElem
 
 RING_VARS = {
     "T": ("T1", "T2", "T3", "T4"),
@@ -48,10 +56,6 @@ class TPoly:
     def constant(cls, c, field=QQ, ring="T"):
         return cls({_ZERO_EXP: field.coerce(c)}, field, ring)
 
-    @classmethod
-    def monomial(cls, exp, c, field=QQ, ring="T"):
-        return cls({tuple(exp): field.coerce(c)}, field, ring)
-
     def _check(self, other):
         if self.ring != other.ring:
             raise ValueError(f"mixed rings {self.ring!r} and {other.ring!r}")
@@ -74,10 +78,6 @@ class TPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def __add__(self, other):
         self._check(other)
         return TPoly(_expr.add(self.terms, other.terms), self.field, self.ring)
@@ -95,19 +95,6 @@ class TPoly:
 
     def scale(self, c):
         return TPoly(_expr.scale(self.terms, self.field.coerce(c)), self.field, self.ring)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = TPoly.constant(self.field.one, self.field, self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
 
     def leading(self):
         """The (exponent, coefficient) pair that is largest in graded lex order."""
@@ -158,33 +145,168 @@ def parse_tpoly(text: str, field=QQ, ring: str = "T") -> TPoly:
     return TPoly({e: field.coerce(c) for e, c in raw_terms.items()}, field, ring)
 
 
+# ---------------------------------------------------------------------------
+# the int kernel: term dicts {exponent quadruple: int} and a modulus p, where
+# p == 0 means the integers and otherwise the coefficients are residues in
+# [0, p). The public functions below convert only at entry and exit.
+
+def _add(a, b, p):
+    return _expr.modp(_expr.add(a, b), p)
+
+
+def _sub(a, b, p):
+    return _expr.modp(_expr.sub(a, b), p)
+
+
+def _mul(a, b, p):
+    return _expr.modp(_expr.mul(a, b), p)
+
+
+def _neg(a, p):
+    return _expr.modp(_expr.neg(a), p)
+
+
+def _pow(a, n, p):
+    result = {_ZERO_EXP: 1}
+    while n:
+        if n & 1:
+            result = _mul(result, a, p)
+        n >>= 1
+        if n:
+            a = _mul(a, a, p)
+    return result
+
+
+def _is_unit(t, p) -> bool:
+    """Over GF(p) every nonzero constant is a unit, over the integers only +-1."""
+    return t.keys() == {_ZERO_EXP} and (bool(p) or abs(t[_ZERO_EXP]) == 1)
+
+
+def _scale_of(polys) -> int:
+    """Common denominator of the coefficients of polys (1 over GF(p))."""
+    if polys[0].field.characteristic:
+        return 1
+    return lcm(*(c.denominator for f in polys for c in f.terms.values()))
+
+
+def _ints(poly, scale=None):
+    """Coefficients of poly as plain ints: residues over GF(p), and over QQ
+    the coefficients times scale (by default their common denominator),
+    which must clear every denominator. Reads only .terms and .field, so
+    BiHomPoly works too."""
+    if poly.field.characteristic:
+        return {e: c.value for e, c in poly.terms.items()}
+    if scale is None:
+        scale = _scale_of([poly])
+    return {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
+
+
+def _from_ints(t, field, ring, num=1, den=1) -> TPoly:
+    """The TPoly num/den * t of an int-kernel result over field."""
+    if field.characteristic:
+        p = field.p
+        factor = num * pow(den, -1, p) % p
+        return TPoly({e: GFElem(c * factor, p) for e, c in t.items()}, field, ring)
+    return TPoly({e: Fraction(c * num, den) for e, c in t.items()}, field, ring)
+
+
+def _monic(t, field, ring) -> TPoly:
+    return _from_ints(t, field, ring, den=t[max(t, key=lead_key)])
+
+
+def _monic_product(polys, field, ring) -> TPoly:
+    """The product of polys, made monic once, multiplied in the int kernel."""
+    p = field.characteristic
+    acc = {_ZERO_EXP: 1}
+    for f in polys:
+        acc = _mul(acc, _ints(f), p)
+    return _monic(acc, field, ring)
+
+
+def _div(a, b, p):
+    """Exact quotient a/b in the int kernel; ExactDivisionError when b does
+    not divide a, which over the integers includes a leading coefficient
+    that does not divide.
+
+    Inside, every exponent is packed into one int: the total degree, then
+    the four exponents, each in a field of deg(a).bit_length() bits. Every
+    term met has total degree at most deg(a), so the fields never carry, the
+    order of packed ints is lead_key's, and a product of monomials is a sum
+    of packed ints (Monagan and Pearce, CASC 2007). The remainder's packed
+    exponents wait in a heap; one whose term has cancelled since it was
+    pushed is skipped when popped."""
+    if not a:
+        return {}
+    deg = max(map(sum, a))
+    if max(map(sum, b)) > deg:
+        raise ExactDivisionError("division is not exact")
+    w = deg.bit_length()
+    mask = (1 << w) - 1
+
+    def pack(e):
+        return ((((e[0] + e[1] + e[2] + e[3]) << w | e[0]) << w | e[1]) << w | e[2]) << w | e[3]
+
+    b_exp = max(b, key=lead_key)
+    b_lc = b[b_exp]
+    b_key = pack(b_exp)
+    b_rest = [(pack(e), c) for e, c in b.items() if e != b_exp]
+    inv = pow(b_lc, -1, p) if p else 0
+    rem = {pack(e): c for e, c in a.items()}
+    heap = [-k for k in rem]
+    heapify(heap)
+    quot = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        qe = (
+            (k >> 3 * w & mask) - b_exp[0],
+            (k >> 2 * w & mask) - b_exp[1],
+            (k >> w & mask) - b_exp[2],
+            (k & mask) - b_exp[3],
+        )
+        if min(qe) < 0:
+            raise ExactDivisionError("division is not exact")
+        if p:
+            qc = c * inv % p
+        else:
+            qc, r = divmod(c, b_lc)
+            if r:
+                raise ExactDivisionError("division is not exact")
+        quot[qe] = qc  # leading terms strictly decrease, so qe is new
+        qk = k - b_key
+        for bk, bc in b_rest:
+            tk = qk + bk
+            s = rem.get(tk)
+            if s is None:
+                rem[tk] = -qc * bc % p if p else -qc * bc
+                heappush(heap, -tk)
+                continue
+            s = (s - qc * bc) % p if p else s - qc * bc
+            if s:
+                rem[tk] = s
+            else:
+                del rem[tk]
+    return quot
+
+
 def exact_div(a: TPoly, b: TPoly) -> TPoly:
-    """Quotient q with q*b == a; raises ExactDivisionError if b does not divide a."""
+    """Quotient q with q*b == a; raises ExactDivisionError if b does not divide a.
+
+    Over QQ both are scaled to integer polynomials and the divisor is made
+    primitive; by Gauss's lemma the quotient is then integral whenever it
+    exists, so the division runs over the integers."""
     a._check(b)
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return TPoly.zero(a.field, a.ring)
-    b_exp, b_lc = b.leading()
-    b_items = list(b.terms.items())
-    rem = dict(a.terms)
-    quot = {}
-    while rem:
-        e = max(rem, key=lead_key)
-        c = rem[e]
-        qe = (e[0] - b_exp[0], e[1] - b_exp[1], e[2] - b_exp[2], e[3] - b_exp[3])
-        if any(x < 0 for x in qe):
-            raise ExactDivisionError("division is not exact")
-        qc = c / b_lc
-        quot[qe] = qc  # leading terms strictly decrease, so qe is new
-        for be, bc in b_items:
-            te = (qe[0] + be[0], qe[1] + be[1], qe[2] + be[2], qe[3] + be[3])
-            s = rem.get(te, a.field.zero) - qc * bc
-            if s:
-                rem[te] = s
-            elif te in rem:
-                del rem[te]
-    return TPoly(quot, a.field, a.ring)
+    p = a.field.characteristic
+    sa, sb = _scale_of([a]), _scale_of([b])
+    A, B = _ints(a, sa), _ints(b, sb)
+    content = 1 if p else gcd(*B.values())
+    if content != 1:
+        B = {e: c // content for e, c in B.items()}
+    return _from_ints(_div(A, B, p), a.field, a.ring, sb, sa * content)
 
 
 def divides(b: TPoly, a: TPoly) -> bool:
@@ -197,200 +319,215 @@ def divides(b: TPoly, a: TPoly) -> bool:
 
 # ---------------------------------------------------------------------------
 # multivariate gcd: recursive content/primitive-part splitting with a
-# subresultant pseudo-remainder sequence in the innermost (last) variable
+# subresultant pseudo-remainder sequence in the innermost (last) variable,
+# exact over the integers (Brown and Traub, JACM 1971) and over GF(p)
 
-def _deg_in(p: TPoly, k: int) -> int:
-    if not p.terms:
-        return 0
-    return max(e[k] for e in p.terms)
+def _deg_in(t, k: int) -> int:
+    return max((e[k] for e in t), default=0)
 
-def _univar(p: TPoly, k: int):
-    """View p as univariate in variable k: {power: coefficient TPoly}."""
+
+def _coeffs_in(t, k: int):
+    """The coefficients of t viewed as univariate in variable k."""
     coeffs = {}
-    for e, c in p.terms.items():
-        rest = list(e)
-        deg = rest[k]
-        rest[k] = 0
-        coeffs.setdefault(deg, {})[tuple(rest)] = c
-    return {
-        d: TPoly(bucket, p.field, p.ring) for d, bucket in coeffs.items()
-    }
+    for e, c in t.items():
+        coeffs.setdefault(e[k], {})[e[:k] + (0,) + e[k + 1:]] = c
+    return list(coeffs.values())
 
 
-def _shift(p: TPoly, k: int, n: int) -> TPoly:
-    if n == 0 or p.is_zero():
-        return p
-    out = {}
-    for e, c in p.terms.items():
-        t = list(e)
-        t[k] += n
-        out[tuple(t)] = c
-    return TPoly(out, p.field, p.ring)
+def _shift(t, k: int, n: int):
+    if n == 0:
+        return t
+    return {e[:k] + (e[k] + n,) + e[k + 1:]: c for e, c in t.items()}
 
 
-def _lead_in(p: TPoly, k: int):
-    """(degree, leading coefficient poly) of p viewed in variable k."""
-    d = _deg_in(p, k)
-    bucket = {}
-    for e, c in p.terms.items():
-        if e[k] == d:
-            t = list(e)
-            t[k] = 0
-            bucket[tuple(t)] = c
-    return d, TPoly(bucket, p.field, p.ring)
+def _lead_in(t, k: int):
+    """(degree, leading coefficient) of t viewed in variable k."""
+    d = _deg_in(t, k)
+    return d, {e[:k] + (0,) + e[k + 1:]: c for e, c in t.items() if e[k] == d}
 
 
-def _prem(f: TPoly, g: TPoly, k: int) -> TPoly:
+def _prem(f, g, k: int, p):
     """Pseudo-remainder of f by g in variable k: lc(g)^(df-dg+1)*f mod g."""
     dg, lg = _lead_in(g, k)
-    df = _deg_in(f, k)
-    e = df - dg + 1
+    e = _deg_in(f, k) - dg + 1
     r = f
-    while not r.is_zero():
+    while r:
         dr, lr = _lead_in(r, k)
         if dr < dg:
             break
-        r = lg * r - _shift(lr * g, k, dr - dg)
+        r = _sub(_mul(lg, r, p), _shift(_mul(lr, g, p), k, dr - dg), p)
         e -= 1
     if e > 0:
-        r = (lg ** e) * r
+        r = _mul(_pow(lg, e, p), r, p)
     return r
 
 
-def _content_in(p: TPoly, k: int) -> TPoly:
-    coeffs = list(_univar(p, k).values())
+def _content_in(t, k: int, p):
+    coeffs = _coeffs_in(t, k)
     acc = coeffs[0]
     for c in coeffs[1:]:
-        if acc.is_constant():
+        if _is_unit(acc, p):
             break
-        acc = _gcd_rec(acc, c, k - 1)
+        acc = _gcd_rec(acc, c, k - 1, p)
     return acc
 
 
-def _gcd_rec(a: TPoly, b: TPoly, k: int) -> TPoly:
+def _gcd_rec(a, b, k: int, p):
     """gcd of polynomials that only involve variables 0..k; result up to a unit."""
-    one = TPoly.constant(a.field.one, a.field, a.ring)
-    if a.is_zero():
+    if not a:
         return b
-    if b.is_zero():
+    if not b:
         return a
     if k < 0:
-        return one
+        return {_ZERO_EXP: 1 if p else gcd(a[_ZERO_EXP], b[_ZERO_EXP])}
     da, db = _deg_in(a, k), _deg_in(b, k)
     if da == 0 and db == 0:
-        return _gcd_rec(a, b, k - 1)
+        return _gcd_rec(a, b, k - 1, p)
     if da == 0:
-        return _gcd_rec(a, _content_in(b, k), k - 1)
+        return _gcd_rec(a, _content_in(b, k, p), k - 1, p)
     if db == 0:
-        return _gcd_rec(_content_in(a, k), b, k - 1)
-    ca = _content_in(a, k)
-    cb = _content_in(b, k)
-    pa = exact_div(a, ca)
-    pb = exact_div(b, cb)
-    cg = _gcd_rec(ca, cb, k - 1)
+        return _gcd_rec(_content_in(a, k, p), b, k - 1, p)
+    ca = _content_in(a, k, p)
+    cb = _content_in(b, k, p)
+    pa = _div(a, ca, p)
+    pb = _div(b, cb, p)
+    cg = _gcd_rec(ca, cb, k - 1, p)
     if _deg_in(pa, k) < _deg_in(pb, k):
         pa, pb = pb, pa
     # subresultant pseudo-remainder sequence on the primitive parts
     f, g = pa, pb
     delta = _deg_in(f, k) - _deg_in(g, k)
-    minus_one = TPoly.constant(-1, a.field, a.ring)
-    beta = minus_one ** (delta + 1)
+    minus_one = {_ZERO_EXP: p - 1 if p else -1}
+    beta = _pow(minus_one, delta + 1, p)
     psi = minus_one
     while True:
-        r = _prem(f, g, k)
-        if r.is_zero():
+        r = _prem(f, g, k, p)
+        if not r:
             break
-        r = exact_div(r, beta)
+        r = _div(r, beta, p)
         _, lf = _lead_in(g, k)
-        neg_lc = -lf
+        neg_lc = _neg(lf, p)
         if delta >= 1:
-            psi = exact_div(neg_lc ** delta, psi ** (delta - 1))
+            psi = _div(_pow(neg_lc, delta, p), _pow(psi, delta - 1, p), p)
         # delta == 0 keeps psi unchanged
         delta = _deg_in(g, k) - _deg_in(r, k)
-        beta = neg_lc * (psi ** delta)
+        beta = _mul(neg_lc, _pow(psi, delta, p), p)
         f, g = g, r
     if _deg_in(g, k) == 0:
         return cg
-    pp = exact_div(g, _content_in(g, k))
-    return cg * pp
+    return _mul(cg, _div(g, _content_in(g, k, p), p), p)
 
 
-def _monomial_part(p: TPoly):
-    """Componentwise minimum exponent vector and the poly with it divided out."""
-    mins = tuple(min(e[i] for e in p.terms) for i in range(4))
+def _monomial_part(t):
+    """Componentwise minimum exponent vector and t with it divided out."""
+    mins = tuple(min(e[i] for e in t) for i in range(4))
     if not any(mins):
-        return mins, p
-    out = {tuple(x - m for x, m in zip(e, mins)): c for e, c in p.terms.items()}
-    return mins, TPoly(out, p.field, p.ring)
+        return mins, t
+    return mins, {tuple(x - m for x, m in zip(e, mins)): c for e, c in t.items()}
 
 
-def _dehomogenize_last(p: TPoly) -> TPoly:
-    terms = _expr.collect(((e[0], e[1], e[2], 0), c) for e, c in p.terms.items())
-    return TPoly(terms, p.field, p.ring)
+def _is_homogeneous(t) -> bool:
+    return len({sum(e) for e in t}) <= 1
 
 
-def _rehomogenize_last(p: TPoly) -> TPoly:
-    n = p.total_degree()
-    out = {(e[0], e[1], e[2], n - sum(e)): c for e, c in p.terms.items()}
-    return TPoly(out, p.field, p.ring)
+def _dehomogenize_last(t, p):
+    return _expr.modp(_expr.collect(((e[0], e[1], e[2], 0), c) for e, c in t.items()), p)
 
 
-def mvgcd(a: TPoly, b: TPoly) -> TPoly:
-    """A gcd of a and b, canonicalized to leading coefficient 1."""
-    a._check(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
+def _rehomogenize_last(t):
+    n = max(map(sum, t))
+    return {(e[0], e[1], e[2], n - sum(e)): c for e, c in t.items()}
+
+
+def _gcd(a, b, p):
+    """A gcd of int-kernel polynomials, not both zero; up to a unit."""
+    if not a:
+        return b
+    if not b:
+        return a
     ma, ra = _monomial_part(a)
     mb, rb = _monomial_part(b)
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    if ra.is_constant() or rb.is_constant():
-        g = TPoly.monomial(mg, a.field.one, a.field, a.ring)
-        return g.monic()
-    if ra.is_homogeneous() and rb.is_homogeneous() and (_deg_in(ra, 3) or _deg_in(rb, 3)):
+    mg = {tuple(min(x, y) for x, y in zip(ma, mb)): 1}
+    if ra.keys() == {_ZERO_EXP} or rb.keys() == {_ZERO_EXP}:
+        return mg
+    if _is_homogeneous(ra) and _is_homogeneous(rb) and (_deg_in(ra, 3) or _deg_in(rb, 3)):
         # homogeneous inputs: gcd commutes with dehomogenizing the last
         # variable once no variable divides both, which drops the PRS one
         # variable down
-        core = _rehomogenize_last(_gcd_rec(_dehomogenize_last(ra), _dehomogenize_last(rb), 2))
+        core = _rehomogenize_last(
+            _gcd_rec(_dehomogenize_last(ra, p), _dehomogenize_last(rb, p), 2, p)
+        )
     else:
-        core = _gcd_rec(ra, rb, 3)
-    g = TPoly.monomial(mg, a.field.one, a.field, a.ring) * core
-    return g.monic()
+        core = _gcd_rec(ra, rb, 3, p)
+    return _mul(mg, core, p)
+
+
+def mvgcd(a: TPoly, b: TPoly) -> TPoly:
+    """A gcd of a and b, canonicalized to leading coefficient 1. Over QQ the
+    arguments are scaled to integer polynomials first."""
+    a._check(b)
+    if a.is_zero() and b.is_zero():
+        raise ValueError("gcd(0, 0) is undefined")
+    g = _gcd(_ints(a), _ints(b), a.field.characteristic)
+    return _monic(g, a.field, a.ring)
 
 
 # ---------------------------------------------------------------------------
 # determinants of polynomial matrices
 
-def _det_expand(grid):
+def _det_expand(grid, p):
     n = len(grid)
     if n == 1:
         return grid[0][0]
     if n == 2:
-        return grid[0][0] * grid[1][1] - grid[0][1] * grid[1][0]
-    first = grid[0][0]
-    acc = None
+        return _sub(_mul(grid[0][0], grid[1][1], p), _mul(grid[0][1], grid[1][0], p), p)
+    acc = {}
     for j in range(n):
         entry = grid[0][j]
-        if entry.is_zero():
+        if not entry:
             continue
         minor = [[row[c] for c in range(n) if c != j] for row in grid[1:]]
-        piece = entry * _det_expand(minor)
-        if j % 2:
-            piece = -piece
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        return TPoly.zero(first.field, first.ring)
+        piece = _mul(entry, _det_expand(minor, p), p)
+        acc = _sub(acc, piece, p) if j % 2 else _add(acc, piece, p)
     return acc
+
+
+def _det(grid, p):
+    """Determinant of a square grid of int-kernel polynomials: cofactor
+    expansion up to 4x4, fraction-free Bareiss elimination above that."""
+    n = len(grid)
+    if n <= 4:
+        return _det_expand(grid, p)
+    m = [list(row) for row in grid]
+    prev = None
+    sign = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return {}
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                num = _sub(_mul(pivot, row_i[j], p), _mul(lead, m[k][j], p), p)
+                row_i[j] = num if prev is None else _div(num, prev, p)
+            row_i[k] = {}
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return det if sign == 1 else _neg(det, p)
 
 
 def polydet(grid) -> TPoly:
     """Exact determinant of a square grid of TPoly entries.
 
     Uses cofactor expansion up to 4x4 and fraction-free Bareiss elimination
-    (with exact polynomial division) above that.
+    (with exact polynomial division) above that. Over QQ each row is scaled
+    by the common denominator of its entries, the determinant is taken over
+    the integers and divided by the product of the scales.
     """
     n = len(grid)
     if n == 0:
@@ -399,30 +536,13 @@ def polydet(grid) -> TPoly:
         if len(row) != n:
             raise ValueError("matrix is not square")
     field, ring = grid[0][0].field, grid[0][0].ring
-    if n <= 4:
-        return _det_expand(grid)
-    m = [list(row) for row in grid]
-    one = TPoly.constant(field.one, field, ring)
-    prev = one
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if swap is None:
-                return TPoly.zero(field, ring)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                num = pivot * row_i[j] - lead * m[k][j]
-                row_i[j] = num if prev is one else exact_div(num, prev)
-            row_i[k] = TPoly.zero(field, ring)
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    rows = []
+    den = 1
+    for row in grid:
+        scale = _scale_of(row)
+        den *= scale
+        rows.append([_ints(entry, scale) for entry in row])
+    return _from_ints(_det(rows, field.characteristic), field, ring, den=den)
 
 
 class LinearForm:

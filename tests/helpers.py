@@ -3,17 +3,21 @@
 The oracles here deliberately avoid the package's quotient-ring arithmetic
 and matrix assembly: syzygy and cycle dimensions are recomputed on the
 parameter side (s,u,t,v) with plain dictionaries and a local Gaussian
-elimination, so agreement with the library is a genuine cross-check.
+elimination, so agreement with the library is a genuine cross-check. The
+scalar Bareiss determinant and the modular rank check are reference oracles
+for the polynomial determinants and the exact ranks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from random import Random
 
 from bisurf.biparam import BiHomPoly, Parametrization
-from bisurf.fields import QQ
+from bisurf.exactla import ExactMatrix, rank
+from bisurf.fields import QQ, GFElem, PrimeField, is_prime
 
 
 def fraction_rank(rows) -> int:
@@ -140,3 +144,105 @@ def cofactor_det(rows):
         piece = rows[0][j] * cofactor_det(minor)
         total += piece if j % 2 == 0 else -piece
     return total
+
+
+class BadPrimeError(ValueError):
+    """A denominator vanishes modulo the requested prime."""
+
+
+def det_bareiss(m: ExactMatrix):
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if m.rows != m.cols:
+        raise ValueError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
+    n = m.rows
+    if n == 0:
+        return m.field.one
+    if isinstance(m.field, PrimeField):
+        p = m.field.p
+        rows = [[x.value for x in row] for row in m.entries]
+        sign = 1
+        det = 1
+        for c in range(n):
+            pr = next((i for i in range(c, n) if rows[i][c]), None)
+            if pr is None:
+                return m.field.zero
+            if pr != c:
+                rows[c], rows[pr] = rows[pr], rows[c]
+                sign = -sign
+            pv = rows[c][c]
+            det = det * pv % p
+            inv = pow(pv, p - 2, p)
+            for i in range(c + 1, n):
+                v = rows[i][c] * inv % p
+                if v:
+                    ri, rc = rows[i], rows[c]
+                    for j in range(c, n):
+                        ri[j] = (ri[j] - v * rc[j]) % p
+        return GFElem(sign * det, p)
+    scale = Fraction(1)
+    rows = []
+    for row in m.entries:
+        den = 1
+        for x in row:
+            den = lcm(den, x.denominator)
+        scale *= den
+        rows.append([int(x.numerator * (den // x.denominator)) for x in row])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pk = rows[k]
+        pv = pk[k]
+        for i in range(k + 1, n):
+            ri = rows[i]
+            lead = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pv * ri[j] - lead * pk[j]) // prev
+            ri[k] = 0
+        prev = pv
+    return Fraction(sign * rows[n - 1][n - 1]) / scale
+
+
+def reduce_mod(m: ExactMatrix, p: int) -> ExactMatrix:
+    """Image of a rational matrix in GF(p); raises BadPrimeError when a
+    denominator is divisible by p."""
+    field = PrimeField(p)
+    rows = []
+    for row in m.entries:
+        out = []
+        for x in row:
+            if x.denominator % p == 0:
+                raise BadPrimeError(f"denominator of {x} vanishes mod {p}")
+            out.append(field.coerce(x))
+        rows.append(out)
+    return ExactMatrix(rows, field, cols=m.cols)
+
+
+def random_prime(rng: Random, bits: int = 31) -> int:
+    while True:
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(n):
+            return n
+
+
+def modular_rank_agrees(m: ExactMatrix, num_primes: int = 3, rng: Random | None = None) -> bool:
+    """Cross-check: the GF(p) rank must match the rational rank for several
+    independently chosen random primes."""
+    rng = rng or Random(0)
+    r_exact = rank(m)
+    checked = 0
+    while checked < num_primes:
+        p = random_prime(rng)
+        try:
+            mp = reduce_mod(m, p)
+        except BadPrimeError:
+            continue
+        if rank(mp) != r_exact:
+            return False
+        checked += 1
+    return True

@@ -14,7 +14,6 @@ from fractions import Fraction
 from random import Random
 
 from bisurf.biparam import lift_mixed
-from bisurf.exactla import modular_rank_agrees
 from bisurf.matrixrep import (
     implicit_by_interpolation,
     lci_diagnostic,
@@ -34,7 +33,7 @@ from bisurf.zcomplex import (
     syzygy_matrix,
 )
 
-from helpers import random_biform, random_dense
+from helpers import modular_rank_agrees, random_biform, random_dense
 
 
 def _emit(line: str) -> None:

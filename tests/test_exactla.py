@@ -3,19 +3,17 @@ from random import Random
 
 import pytest
 
-from bisurf.exactla import (
-    BadPrimeError,
-    ExactMatrix,
-    det_bareiss,
-    modular_rank_agrees,
-    nullspace,
-    rank,
-    reduce_mod,
-    rref,
-)
+from bisurf.exactla import ExactMatrix, nullspace, rank, rref
 from bisurf.fields import PrimeField
 
-from helpers import cofactor_det, fraction_rank
+from helpers import (
+    BadPrimeError,
+    cofactor_det,
+    det_bareiss,
+    fraction_rank,
+    modular_rank_agrees,
+    reduce_mod,
+)
 
 
 def random_matrix(rng, rows, cols, lo=-9, hi=9):

@@ -1,16 +1,19 @@
 """Property tests of the term-dict kernel behind BiHomPoly, SegreElem and
-TPoly, over the rationals and over GF(32003)."""
+TPoly, over the rationals and over GF(32003), and of tpoly's division and
+gcd on int coefficients, also over GF(7)."""
+
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bisurf._expr import parse_expression
 from bisurf.biparam import PARAM_VARS, BiHomPoly
 from bisurf.fields import QQ, PrimeField
 from bisurf.segre import SEGRE_VARS, SegreElem, to_segre
-from bisurf.tpoly import TPoly, parse_tpoly
+from bisurf.tpoly import ExactDivisionError, TPoly, divides, exact_div, mvgcd, parse_tpoly
 
 FIELDS = [QQ, PrimeField(32003)]
 COEFFS = st.one_of(st.just(0), st.fractions(-40, 40, max_denominator=7))
@@ -71,3 +74,29 @@ def test_print_parse_round_trip(field, data):
     assert SegreElem(x.degree, parsed(str(x), SEGRE_VARS, field), field) == x
     for t in (a.to_tpoly(), TPoly(a.terms, field, "T")):
         assert parse_tpoly(str(t), field, t.ring) == t
+
+
+def tpoly(data, field, max_terms=4):
+    """Random nonzero polynomial with rational coefficients and exponents up
+    to 2, times a random non-unit constant."""
+    content = field.coerce(data.draw(st.sampled_from([1, 2, 6, Fraction(4, 3)])))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 4),
+        st.fractions(-40, 40, max_denominator=6),  # no denominator vanishes mod 7
+        min_size=1, max_size=max_terms))
+    p = TPoly({e: field.coerce(c) * content for e, c in terms.items()}, field)
+    assume(not p.is_zero())
+    return p
+
+
+@pytest.mark.parametrize("field", FIELDS + [PrimeField(7)], ids=str)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_division_and_gcd_on_int_coefficients(field, data):
+    a, b, c = tpoly(data, field), tpoly(data, field), tpoly(data, field)
+    assert exact_div(a * b, b) == a
+    if not b.is_constant():
+        with pytest.raises(ExactDivisionError):
+            exact_div(a * b + TPoly.constant(1, field), b)
+    g = mvgcd(a * c, b * c)
+    assert g == g.monic() and divides(c.monic(), g)

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from bisurf.biparam import lift_mixed, parse_parametrization
+from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
     _lift_primes,
     InterpolationError,
@@ -114,6 +115,19 @@ def test_oracle_d2(d2_param, d2_equation):
 def test_verify_substitution_examples(segre_param):
     assert verify_substitution(QUADRIC, segre_param)
     assert not verify_substitution(parse_tpoly("T1"), segre_param)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_verify_substitution_with_denominators(field):
+    # f = (1/2*s*t, s*v, u*t, u*v): the certificate scales the coordinates
+    # and eq to integers; eq need not be homogeneous, since parts of
+    # different degrees land in different bidegrees of s,u,t,v
+    P = parse_parametrization("degree: 1 1\nf1: 1/2*s*t\nf2: s*v\nf3: u*t\nf4: u*v\n", field)
+    F = parse_tpoly("2*T1*T4 - T2*T3", field)
+    for eq in ("F", "2/3*F", "F*(T1+1)"):
+        assert verify_substitution(parse_tpoly(eq.replace("F", f"({F})"), field), P), eq
+    for eq in ("F + T1", "F + T1^2"):
+        assert not verify_substitution(parse_tpoly(eq.replace("F", f"({F})"), field), P), eq
 
 
 def test_lci_diagnostic_identity(identity_matrix_rep, segre_param):

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from bisurf.exactla import ExactMatrix, det_bareiss
+from bisurf.exactla import ExactMatrix
 from bisurf.fields import QQ, PrimeField
 from bisurf.tpoly import (
     ExactDivisionError,
@@ -15,6 +15,8 @@ from bisurf.tpoly import (
     parse_tpoly,
     polydet,
 )
+
+from helpers import det_bareiss
 
 
 def tp(text, field=QQ):
@@ -128,6 +130,77 @@ def test_eval_commutes_with_det():
         direct = polydet(grid).eval(point)
         evaluated = ExactMatrix([[e.eval(point) for e in row] for row in grid])
         assert direct == det_bareiss(evaluated)
+
+
+# The division, gcd and determinant run on int coefficients (over the
+# integers for QQ, or mod p); denominators and non-unit contents are where
+# that conversion can go wrong, so the polynomials below have both.
+
+FIELDS = [QQ, PrimeField(32003), PrimeField(7)]
+
+
+def rational_tpoly(rng, deg, nterms, field):
+    """Random polynomial with rational coefficients sharing a non-unit factor."""
+    content = Fraction(rng.choice([1, 2, 6, 10]), rng.choice([1, 3, 4]))
+    terms = {}
+    for _ in range(nterms):
+        e = [0, 0, 0, 0]
+        for _ in range(rng.randint(0, deg)):
+            e[rng.randint(0, 3)] += 1
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 5)) * content
+        terms[tuple(e)] = field.coerce(c)
+    return TPoly(terms, field)
+
+
+def test_int_kernel_regressions():
+    assert exact_div(tp("T1^2"), tp("2*T1")) == tp("1/2*T1")
+    assert mvgcd(tp("6*T1*T3 + 4*T2*T3"), tp("9*T1*T4 + 6*T2*T4")) == tp("T1 + 2/3*T2")
+    assert mvgcd(tp("1/3*T1^2 - 1/3*T2^2"), tp("2*T1 + 2*T2")) == tp("T1 + T2")
+    gf7 = PrimeField(7)
+    assert exact_div(tp("T1^2", gf7), tp("2*T1", gf7)) == tp("4*T1", gf7)
+    # over the integers, 2 does not divide the leading coefficient 1
+    assert not divides(tp("2*T1 + T2"), tp("T1^2"))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_exact_div_with_denominators(field):
+    rng = Random(12)
+    checked = 0
+    while checked < 25:
+        a = rational_tpoly(rng, 3, 5, field)
+        b = rational_tpoly(rng, 2, 4, field)
+        if a.is_zero() or b.is_constant():
+            continue
+        assert exact_div(a * b, b) == a
+        with pytest.raises(ExactDivisionError):
+            exact_div(a * b + TPoly.constant(1, field), b)
+        checked += 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_mvgcd_with_denominators(field):
+    rng = Random(13)
+    checked = 0
+    while checked < 12:
+        a, b, c = (rational_tpoly(rng, 2, 3, field) for _ in range(3))
+        if a.is_zero() or b.is_zero() or c.is_zero():
+            continue
+        g = mvgcd(a * c, b * c)
+        assert g.monic() == g
+        assert divides(c.monic(), g)
+        checked += 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_bareiss_polydet_at_points(field):
+    rng = Random(14)
+    for n in (5, 6):
+        grid = [[rational_tpoly(rng, 1, 3, field) for _ in range(n)] for _ in range(n)]
+        det = polydet(grid)
+        for _ in range(3):
+            point = [field.coerce(rng.randint(-5, 5)) for _ in range(4)]
+            evaluated = ExactMatrix([[e.eval(point) for e in row] for row in grid], field)
+            assert det.eval(point) == det_bareiss(evaluated)
 
 
 def test_eval_examples():

@@ -3,7 +3,6 @@ from random import Random
 import pytest
 
 from bisurf.biparam import InputError, Parametrization, parse_parametrization
-from bisurf.exactla import modular_rank_agrees
 from bisurf.segre import SegreElem, to_biform
 from bisurf.zcomplex import (
     SegreIdeal,
@@ -17,7 +16,7 @@ from bisurf.zcomplex import (
     syzygy_matrix,
 )
 
-from helpers import biform_cycle_dim, biform_syzygy_dim, random_dense
+from helpers import biform_cycle_dim, biform_syzygy_dim, modular_rank_agrees, random_dense
 
 
 def to_param(I):
