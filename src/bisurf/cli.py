@@ -4,7 +4,8 @@ Subcommands: info, matrix, membership, implicit, verify, lift. Exit status
 is 0 on success, 1 on errors (parsing, validation, usage), and 2 when a
 hypothesis-violation diagnostic fires (non-constant input gcd, nonzero Euler
 characteristic at the working degree, minors gcd of the wrong degree,
-rank-deficient matrix, failed verification).
+rank-deficient matrix, implicit equation not dividing the minors gcd, failed
+verification).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .matrixrep import (
     representation_matrix,
     verify_substitution,
 )
-from .tpoly import parse_tpoly
+from .tpoly import ExactDivisionError, parse_tpoly
 from .zcomplex import SegreIdeal, StrandError, working_strand
 
 OK, DIAGNOSTIC, ERROR = 0, 2, 1
@@ -44,7 +45,7 @@ def _build_arg_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, point=False, equation=False, strategy=False):
+    def common(p, point=False, equation=False):
         p.add_argument("input", help="parametrization input file")
         p.add_argument(
             "--nu", type=int, default=None,
@@ -58,17 +59,11 @@ def _build_arg_parser():
             p.add_argument("--point", required=True, help="projective point a,b,c,d")
         if equation:
             p.add_argument("--equation", required=True, help="file with a polynomial in T1..T4")
-        if strategy:
-            p.add_argument(
-                "--strategy",
-                default="sampled:12",
-                help="minor extraction: 'all' or 'sampled:N' (default sampled:12)",
-            )
 
     common(sub.add_parser("info", help="strand dimensions, Euler characteristic, degrees"))
     common(sub.add_parser("matrix", help="emit the representation matrix"))
     common(sub.add_parser("membership", help="point membership by rank drop"), point=True)
-    common(sub.add_parser("implicit", help="implicit equation via gcd of minors"), strategy=True)
+    common(sub.add_parser("implicit", help="implicit equation via gcd of minors"))
     common(sub.add_parser("verify", help="check an equation vanishes on the input"), equation=True)
     common(sub.add_parser("lift", help="rewrite mixed bidegree input to equal bidegree"))
     return ap
@@ -83,20 +78,6 @@ def _load(args) -> Parametrization:
             raise InputError(f"--mod {args.mod}: not a prime")
         override = PrimeField(args.mod)
     return parse_parametrization(text, field_override=override)
-
-
-def _strategy(args):
-    choice = getattr(args, "strategy", "sampled:12")
-    if choice == "all":
-        return "all", 0
-    if choice == "sampled":
-        return "sampled", 12
-    if choice.startswith("sampled:"):
-        n = choice.split(":", 1)[1]
-        if not n.isdigit() or int(n) < 1:
-            raise InputError(f"bad sample count in --strategy {choice!r}")
-        return "sampled", int(n)
-    raise InputError(f"unknown --strategy {choice!r}")
 
 
 def _parse_point(text):
@@ -201,15 +182,7 @@ def cmd_membership(args) -> int:
 
 def cmd_implicit(args) -> int:
     P, lifted, code = _prepared(args)
-    strategy, n = _strategy(args)
-    rep = equation_report(
-        P,
-        nu=args.nu,
-        saturate=args.saturate,
-        strategy=strategy,
-        sample_size=n or 12,
-        seed=args.seed,
-    )
+    rep = equation_report(P, nu=args.nu, saturate=args.saturate, seed=args.seed)
     if args.json:
         print(json.dumps(rep.as_dict(), indent=2))
     else:
@@ -224,8 +197,6 @@ def cmd_implicit(args) -> int:
         print(f"power: {rep.power}")
         print(f"residual constant: {'yes' if rep.lci else 'no'}")
         print(f"verified by substitution: {'yes' if rep.substitution_ok else 'no'}")
-    if rep.substitution_ok is False:
-        code = max(code, DIAGNOSTIC)
     return code
 
 
@@ -273,13 +244,16 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    try:
+        args = _build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error, which argparse exits 2 on
+        return ERROR if exc.code else OK
     try:
         return _HANDLERS[args.command](args)
     except (ParseError, InputError, InterpolationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
-    except (RankDeficientError, StrandError) as exc:
+    except (RankDeficientError, StrandError, ExactDivisionError) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return DIAGNOSTIC
     except OSError as exc:

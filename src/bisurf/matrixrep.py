@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import comb, gcd, isqrt
 from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import ExactMatrix, _rref_gf, rank, rref
+from .exactla import ExactMatrix, _rref_gf, rank
 from .fields import is_prime
 from .segre import basis
 from .tpoly import (
@@ -29,7 +28,6 @@ from .tpoly import (
     _ints,
     _monic_product,
     _scale_of,
-    divides,
     exact_div,
     mvgcd,
     polydet,
@@ -152,117 +150,60 @@ def _components(M: RepMatrix):
     return comps
 
 
-def _minor(sub, col_subset) -> TPoly:
-    return polydet([[row[c] for c in col_subset] for row in sub])
+# Cap on the minors drawn by one minors_gcd call.
+_MAX_DRAWS = 2000
 
 
-def _sample_subsets(rng: Random, m: int, r: int, count: int, exclude=()):
-    seen = set(exclude)
+def _unrank(index: int, m: int, r: int):
+    """The index-th r-subset of range(m) in lexicographic order."""
     out = []
-    attempts = 0
-    limit = 40 * count + 40
-    while len(out) < count and attempts < limit:
-        attempts += 1
-        cs = tuple(sorted(rng.sample(range(m), r)))
-        if cs not in seen:
-            seen.add(cs)
-            out.append(cs)
+    c = 0
+    while r:
+        count = comb(m - c - 1, r - 1)
+        if index < count:
+            out.append(c)
+            r -= 1
+        else:
+            index -= count
+        c += 1
     return out
 
 
-def _pivot_subset_hint(sub, rng: Random, field):
-    """Column subset picked from the pivots of a random scalar evaluation."""
-    if field.characteristic == 0:
-        point = [field.coerce(rng.randint(-50, 50)) for _ in range(4)]
-    else:
-        point = [field.coerce(rng.randrange(field.p)) for _ in range(4)]
-    rows = [[e.eval(point) for e in row] for row in sub]
-    _, r, pivots = rref(ExactMatrix(rows, field, cols=len(sub[0])))
-    return tuple(pivots) if r == len(sub) else None
-
-
-def _block_gcd(block_entries, strategy, sample_size, rng, field):
-    """gcd of the maximal minors of one connected block."""
-    r = len(block_entries)
-    m = len(block_entries[0])
-    sub = [[e.to_tpoly() for e in row] for row in block_entries]
+def _block_gcds(sub, rng: Random):
+    """The running gcd of the maximal minors of one block, yielded once per
+    minor drawn; the column subsets come without replacement in seeded random
+    order, so the stream ends once every subset has been drawn."""
+    r, m = len(sub), len(sub[0])
     total = comb(m, r)
-    exhaustive = strategy == "all" or total <= max(2 * sample_size, 8)
-    g = TPoly.zero(field, "T")
-    if exhaustive:
-        for cs in combinations(range(m), r):
-            det = _minor(sub, cs)
-            if det.is_zero():
-                continue
+    g = TPoly.zero(sub[0][0].field, "T")
+    for index in rng.sample(range(total), min(total, _MAX_DRAWS)):
+        det = polydet([[row[c] for c in _unrank(index, m, r)] for row in sub])
+        if not det.is_zero():
             g = det.monic() if g.is_zero() else mvgcd(g, det)
-            if g.is_constant():
-                break
-        if g.is_zero():
-            raise RankDeficientError(
-                "all maximal minors vanish; the matrix does not have full row rank"
-            )
-        return g
-    # sampled strategy: fold a first batch, then verify divisibility on fresh
-    # batches, refining the candidate whenever a minor escapes it
-    first = _sample_subsets(rng, m, r, sample_size)
-    used = set(first)
-    for cs in first:
-        det = _minor(sub, cs)
-        if det.is_zero():
-            continue
-        g = det.monic() if g.is_zero() else mvgcd(g, det)
-        if g.is_constant():
-            return g
-    if g.is_zero():
-        hint = _pivot_subset_hint(block_entries, rng, field)
-        if hint is not None and hint not in used:
-            det = _minor(sub, hint)
-            if not det.is_zero():
-                g = det.monic()
-        if g.is_zero():
-            raise RankDeficientError(
-                "all sampled maximal minors vanish; hypotheses violated "
-                "(non-finite base locus or rank-deficient matrix)"
-            )
-    while True:
-        fresh = _sample_subsets(rng, m, r, sample_size, exclude=used)
-        used.update(fresh)
-        clean = True
-        for cs in fresh:
-            det = _minor(sub, cs)
-            if det.is_zero():
-                continue
-            if not divides(g, det):
-                g = mvgcd(g, det)
-                clean = False
-                if g.is_constant():
-                    return g
-        if clean or not fresh:
-            return g
+        yield g
 
 
-def minors_gcd(
-    M: RepMatrix,
-    strategy: str = "sampled",
-    sample_size: int = 12,
-    rng: Random | None = None,
-) -> TPoly:
-    """gcd of the k x k minors of M, canonicalized to leading coefficient 1.
+def minors_gcd(M: RepMatrix, degree: int, rng: Random | None = None) -> TPoly:
+    """gcd D of the k x k minors of M, canonicalized to leading coefficient 1,
+    checked against the strand's expected degree.
 
-    strategy "all" enumerates every column subset; "sampled" folds
-    sample_size random minors per connected block and then verifies the
-    candidate divides a fresh random batch, refining on failure. The matrix
-    splits into independent blocks whenever its support graph is
-    disconnected, and the gcd is the product of per-block gcds.
+    Maximal minors factor across the connected blocks of M's support graph,
+    so D is the product of per-block gcds. Each block folds minors drawn
+    without replacement in seeded random order, the blocks taking turns. The
+    gcd of any set of minors is a multiple of the block's D, so the loop
+    stops, certified, as soon as the block degrees sum to `degree`. It also
+    stops when every block is exhausted (exact) or constant, or after
+    _MAX_DRAWS minors. Raises StrandError unless deg D = `degree`: a sum
+    below it is certified, and a sum above it at the cap is an upper bound.
+    The stop trusts `degree`: given one above deg D, the loop returns the
+    first gcd that reaches it.
     """
-    if strategy not in ("all", "sampled"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if M.cols < M.rows:
         raise RankDeficientError(
             f"matrix has more rows ({M.rows}) than columns ({M.cols})"
         )
     rng = rng or Random(0)
-    gcds = []
+    streams = []
     for rows, cols in _components(M):
         if not rows:
             continue
@@ -270,9 +211,45 @@ def minors_gcd(
             raise RankDeficientError(
                 "a block has fewer columns than rows; every maximal minor vanishes"
             )
-        block = [[M.entries[i][j] for j in cols] for i in rows]
-        gcds.append(_block_gcd(block, strategy, sample_size, rng, M.field))
-    return _monic_product(gcds, M.field, "T")
+        sub = [[M.entries[i][j].to_tpoly() for j in cols] for i in rows]
+        streams.append(_block_gcds(sub, rng))
+    gcds = [TPoly.zero(M.field, "T")] * len(streams)
+    live = list(range(len(streams)))
+    draws = 0
+
+    def settled():
+        if any(g.is_zero() for g in gcds):
+            return False
+        return sum(g.total_degree() for g in gcds) <= degree
+
+    while live and draws < _MAX_DRAWS and not settled():
+        b = live.pop(0)
+        g = next(streams[b], None)
+        if g is None:
+            continue
+        draws += 1
+        gcds[b] = g
+        if g.is_zero() or not g.is_constant():
+            live.append(b)
+    if any(g.is_zero() for g in gcds):
+        raise RankDeficientError(
+            "every drawn maximal minor of a block vanishes; hypotheses "
+            "violated (non-finite base locus or rank-deficient matrix)"
+        )
+    D = _monic_product(gcds, M.field, "T")
+    found = D.total_degree()
+    if found == degree:
+        return D
+    if not live:
+        claim = f"the minors gcd has degree {found}"
+    elif found < degree:
+        claim = f"the minors gcd has degree at most {found}"
+    else:
+        claim = (
+            f"the gcd of {draws} sampled maximal minors has degree {found} "
+            "(an upper bound on deg D)"
+        )
+    raise StrandError(f"{claim}, but the strand at nu={M.nu} expects {degree}")
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +466,7 @@ def lci_diagnostic(D: TPoly, F: TPoly):
             break
         power += 1
     if power == 0:
-        raise ArithmeticError(
+        raise ExactDivisionError(
             "the implicit equation does not divide the minors gcd; inconsistent pipeline state"
         )
     return power, residual, residual.is_constant()
@@ -529,28 +506,20 @@ def equation_report(
     P: Parametrization,
     nu: int | None = None,
     saturate: bool = False,
-    strategy: str = "sampled",
-    sample_size: int = 12,
     seed: int = 0,
     oracle: bool = True,
     oracle_max_degree: int | None = None,
 ) -> EquationReport:
-    """Full pipeline: lift if needed, build M, extract the minors gcd, check
-    its degree against the strand bookkeeping, and cross-check against the
-    oracle's implicit equation."""
+    """Full pipeline: lift if needed, build M, extract the minors gcd of the
+    strand's expected degree, and cross-check against the oracle's implicit
+    equation."""
     I = SegreIdeal.from_parametrization(lift_mixed(P))
     nu, strand = working_strand(I, nu, saturate)
     M = representation_matrix(I, nu)
-    D = minors_gcd(M, strategy, sample_size, Random(seed))
-    if D.total_degree() != strand.expected_det_degree:
-        raise StrandError(
-            f"the minors gcd has degree {D.total_degree()}, but the strand at "
-            f"nu={nu} expects {strand.expected_det_degree}"
-        )
+    D = minors_gcd(M, strand.expected_det_degree, Random(seed))
     if not oracle:
         return EquationReport(nu, M.rows, M.cols, D)
     bound = oracle_max_degree or max(D.total_degree(), 1)
-    # the oracle returns only a certified F, so substitution holds
     F = implicit_by_interpolation(P, bound)
     power, residual, lci = lci_diagnostic(D, F)
     return EquationReport(nu, M.rows, M.cols, D, F, power, residual, lci, True)

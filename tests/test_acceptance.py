@@ -81,7 +81,7 @@ def test_criterion_2_implicit_equation(d2_param):
     from bisurf.matrixrep import equation_report
 
     with criterion(2, "degree-7 implicit equation with power 1 and constant residual", 600):
-        rep = equation_report(d2_param, saturate=True, strategy="sampled", sample_size=10, seed=0)
+        rep = equation_report(d2_param, saturate=True, seed=0)
         assert rep.implicit_poly is not None
         assert rep.implicit_poly.total_degree() == 7
         assert rep.substitution_ok is True
@@ -93,7 +93,7 @@ def test_criterion_3_segre_identity(identity_ideal, segre_param):
     with criterion(3, "standard embedding: 4x7 matrix, quadric gcd, strand (4,7,4,1)", 5):
         M = representation_matrix(identity_ideal, 1)
         assert (M.rows, M.cols) == (4, 7)
-        D = minors_gcd(M, "all")
+        D = minors_gcd(M, 2)
         assert D == parse_tpoly("T1*T4 - T2*T3")
         rep = strand_report(identity_ideal, 1)
         dims = (rep.dim_coefficients, rep.dim_syzygies, rep.dim_cycles2, rep.dim_cycles3)
@@ -111,7 +111,7 @@ def test_criterion_4_mixed_degree_lift(mixed_param):
         assert {M.rows, M.cols} == {36, 42}
         rep = strand_report(I, 5)
         assert rep.euler_char == 0
-        D = minors_gcd(M, "sampled", 12, Random(0))
+        D = minors_gcd(M, rep.expected_det_degree, Random(0))
         assert D.total_degree() == rep.expected_det_degree
         F = implicit_by_interpolation(mixed_param, rep.expected_det_degree)
         assert verify_substitution(F, mixed_param)

@@ -1,5 +1,6 @@
 import json
 
+from bisurf import matrixrep
 from bisurf.cli import main
 from bisurf.fields import PrimeField
 from bisurf.matrixrep import implicit_by_interpolation
@@ -134,11 +135,12 @@ def test_unreadable_file(capsys, tmp_path):
     assert code == 1
 
 
-def test_bad_strategy(capsys, inputs_dir):
-    code, _, err = run(
-        capsys, "implicit", str(inputs_dir / "segre.ex"), "--strategy", "sampled:x"
-    )
-    assert code == 1
+def test_usage_errors_exit_1(capsys, inputs_dir):
+    # argparse's own exit status 2 would read as a diagnostic
+    for argv in (("implicit", str(inputs_dir / "segre.ex"), "--strategy", "all"), ("implicit",)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "usage:" in err
 
 
 def test_nu_with_nonzero_euler_is_a_diagnostic(capsys, inputs_dir):
@@ -162,9 +164,32 @@ def test_nu_below_conservative_degree_accepted(capsys, inputs_dir):
 
 
 def test_implicit_checks_degree_of_minors_gcd(capsys, inputs_dir):
+    # the inputs share the factor s*t; at seed 0 the gcd of the drawn minors
+    # still carries an extra linear factor when the draws run out
     code, out, err = run(capsys, "implicit", str(inputs_dir / "common_factor.ex"))
     assert code == 2 and out == ""
-    assert "degree 16" in err and "expects 2" in err
+    assert "not finite" in err
+    assert "2000 sampled maximal minors has degree 3" in err and "expects 2" in err
+
+
+def test_implicit_d2_default_nu(capsys, inputs_dir):
+    # at nu=3 about 85% of the 16-column minors vanish; the gcd of the drawn
+    # minors used to stop at degree 12 and exit 2
+    d2 = str(inputs_dir / "d2_example.ex")
+    code, out, _ = run(capsys, "implicit", d2, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nu"] == 3 and payload["minors_gcd_degree"] == 7
+    code, out, _ = run(capsys, "implicit", d2, "--saturate", "--json")
+    assert code == 0
+    assert payload["implicit_equation"] == json.loads(out)["implicit_equation"]
+
+
+def test_implicit_equation_not_dividing_minors_gcd(capsys, inputs_dir, monkeypatch):
+    monkeypatch.setattr(matrixrep, "minors_gcd", lambda M, degree, rng: parse_tpoly("T1^2"))
+    code, out, err = run(capsys, "implicit", str(inputs_dir / "segre.ex"))
+    assert code == 2 and out == ""
+    assert "diagnostic: the implicit equation does not divide the minors gcd" in err
 
 
 def _reduced(F, p):

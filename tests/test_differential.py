@@ -32,7 +32,7 @@ def test_modp_run_matches_qq(inputs_dir, name, nu, saturate):
         nu_run, rep = working_strand(I, nu, saturate)
         M = representation_matrix(I, nu_run)
         F = implicit_by_interpolation(P, rep.expected_det_degree)
-        runs.append((rep, M, minors_gcd(M), F))
+        runs.append((rep, M, minors_gcd(M, rep.expected_det_degree), F))
     (rep_qq, M_qq, D_qq, F_qq), (rep_p, M_p, D_p, F_p) = runs
     assert rep_p == rep_qq
     reduced = [[tuple(GF.coerce(c) for c in e.coeffs) for e in row] for row in M_qq.entries]

@@ -20,7 +20,7 @@ from bisurf.matrixrep import (
 )
 from bisurf.segre import SegreElem
 from bisurf.tpoly import TPoly, parse_tpoly
-from bisurf.zcomplex import SegreIdeal
+from bisurf.zcomplex import SegreIdeal, StrandError
 
 QUADRIC = parse_tpoly("T1*T4 - T2*T3")
 
@@ -75,17 +75,28 @@ def test_membership_scale_invariant(identity_matrix_rep):
 
 
 def test_minors_gcd_identity(identity_matrix_rep):
-    assert minors_gcd(identity_matrix_rep, "all") == QUADRIC
+    assert minors_gcd(identity_matrix_rep, 2) == QUADRIC
 
 
-def test_minors_gcd_strategies_agree(identity_matrix_rep):
-    full = minors_gcd(identity_matrix_rep, "all")
-    for seed in (0, 1, 7):
-        assert minors_gcd(identity_matrix_rep, "sampled", 12, Random(seed)) == full
+def test_minors_gcd_seeds_agree(identity_matrix_rep, d2_matrix_rep):
+    for M, degree in ((identity_matrix_rep, 2), (d2_matrix_rep, 7)):
+        first = minors_gcd(M, degree, Random(0))
+        for seed in (1, 7):
+            assert minors_gcd(M, degree, Random(seed)) == first
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_minors_gcd_rejects_wrong_strand_degree(identity_matrix_rep, degree):
+    # the 35 maximal minors of the 4 x 7 matrix have gcd T1*T4 - T2*T3: asking
+    # for degree 1 exhausts them; asking for degree 3 stops once the gcd falls
+    # below it, which Random(2) does in one step, from 4 to 2 (a gcd passing
+    # through degree 3 would be returned, since the stop trusts the degree)
+    with pytest.raises(StrandError, match=f"degree (at most )?2, but the strand at nu=1 expects {degree}"):
+        minors_gcd(identity_matrix_rep, degree, Random(2))
 
 
 def test_minors_gcd_d2_degree(d2_matrix_rep, d2_equation):
-    D = minors_gcd(d2_matrix_rep, "sampled", 10, Random(0))
+    D = minors_gcd(d2_matrix_rep, 7, Random(0))
     assert D.total_degree() == 7
     assert D == d2_equation
 
@@ -93,7 +104,7 @@ def test_minors_gcd_d2_degree(d2_matrix_rep, d2_equation):
 def test_minors_gcd_rejects_rank_deficient(identity_ideal):
     M = representation_matrix(identity_ideal, 0)  # 1 x 0 matrix: no syzygies
     with pytest.raises(RankDeficientError):
-        minors_gcd(M)
+        minors_gcd(M, 0)
 
 
 def test_oracle_segre(segre_param):
@@ -131,14 +142,14 @@ def test_verify_substitution_with_denominators(field):
 
 
 def test_lci_diagnostic_identity(identity_matrix_rep, segre_param):
-    D = minors_gcd(identity_matrix_rep, "all")
+    D = minors_gcd(identity_matrix_rep, 2)
     F = implicit_by_interpolation(segre_param, 2)
     power, residual, lci = lci_diagnostic(D, F)
     assert power == 1 and lci and residual.is_constant()
 
 
 def test_lci_diagnostic_d2(d2_matrix_rep, d2_equation):
-    D = minors_gcd(d2_matrix_rep, "sampled", 10, Random(0))
+    D = minors_gcd(d2_matrix_rep, 7, Random(0))
     power, residual, lci = lci_diagnostic(D, d2_equation)
     assert power == 1 and lci
 
@@ -156,20 +167,15 @@ def test_gcd_degree_matches_strand_degree(identity_ideal, d2_ideal):
     from helpers import random_dense
 
     generic = SegreIdeal.from_parametrization(random_dense(1, Random(23)))
-    cases = (
-        (identity_ideal, 1, "all"),
-        (d2_ideal, 2, "sampled"),
-        (generic, 1, "all"),
-    )
-    for I, nu, strategy in cases:
+    for I, nu in ((identity_ideal, 1), (d2_ideal, 2), (generic, 1)):
         M = representation_matrix(I, nu)
-        D = minors_gcd(M, strategy, 10, Random(0))
-        assert D.total_degree() == strand_report(I, nu).expected_det_degree
+        degree = strand_report(I, nu).expected_det_degree
+        assert minors_gcd(M, degree, Random(0)).total_degree() == degree
 
 
 def test_rank_drop_iff_gcd_vanishes(identity_matrix_rep, d2_matrix_rep, d2_equation):
     cases = [
-        (identity_matrix_rep, minors_gcd(identity_matrix_rep, "all"), 60),
+        (identity_matrix_rep, minors_gcd(identity_matrix_rep, 2), 60),
         (d2_matrix_rep, d2_equation, 30),
     ]
     rng = Random(17)
@@ -183,7 +189,7 @@ def test_rank_drop_iff_gcd_vanishes(identity_matrix_rep, d2_matrix_rep, d2_equat
 
 
 def test_equation_report_pipeline(d2_param):
-    rep = equation_report(d2_param, saturate=True, sample_size=10, seed=0)
+    rep = equation_report(d2_param, saturate=True, seed=0)
     assert rep.nu == 2
     assert (rep.matrix_rows, rep.matrix_cols) == (9, 12)
     assert rep.minors_gcd_poly.total_degree() == 7
