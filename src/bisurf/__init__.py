@@ -1,23 +1,18 @@
 """Exact implicitization of surfaces parametrized over P1 x P1 by equal
 bidegree polynomials, through the linear syzygies of the parametrization
-transferred to the Segre coordinate ring."""
+transferred to the Segre coordinate ring.
 
-from .biparam import (
-    BiHomPoly,
-    InputError,
-    Parametrization,
-    gcd_of_inputs,
-    lift_mixed,
-    parse_parametrization,
-)
-from .exactla import ExactMatrix, nullspace, rank, rref
-from .fields import QQ, GFElem, PrimeField
+The package exports the library API of the README, the types it returns, and
+the exceptions the CLI maps to exit codes; everything else stays in its
+module."""
+
+from ._expr import ParseError
+from .biparam import InputError, Parametrization, lift_mixed, parse_parametrization
+from .fields import PrimeField
 from .matrixrep import (
-    EquationReport,
     InterpolationError,
     RankDeficientError,
     RepMatrix,
-    equation_report,
     implicit_by_interpolation,
     lci_diagnostic,
     membership,
@@ -25,68 +20,29 @@ from .matrixrep import (
     representation_matrix,
     verify_substitution,
 )
-from .segre import SegreBasis, SegreElem, basis, to_biform, to_segre
-from .tpoly import ExactDivisionError, LinearForm, TPoly, exact_div, mvgcd, parse_tpoly, polydet
-from .zcomplex import (
-    SegreIdeal,
-    StrandError,
-    StrandReport,
-    choose_nu,
-    critical_degree,
-    cycle_space_dim,
-    koszul_matrix,
-    linear_syzygies,
-    saturation_indeg,
-    strand_report,
-    syzygy_matrix,
-)
+from .tpoly import ExactDivisionError, TPoly
+from .zcomplex import SegreIdeal, StrandError, StrandReport, choose_nu
 
 __all__ = [
-    "BiHomPoly",
-    "EquationReport",
     "ExactDivisionError",
-    "ExactMatrix",
-    "GFElem",
     "InputError",
     "InterpolationError",
-    "LinearForm",
     "Parametrization",
+    "ParseError",
     "PrimeField",
-    "QQ",
     "RankDeficientError",
     "RepMatrix",
-    "SegreBasis",
-    "SegreElem",
     "SegreIdeal",
     "StrandError",
     "StrandReport",
     "TPoly",
-    "basis",
     "choose_nu",
-    "critical_degree",
-    "cycle_space_dim",
-    "equation_report",
-    "exact_div",
-    "gcd_of_inputs",
     "implicit_by_interpolation",
-    "koszul_matrix",
     "lci_diagnostic",
     "lift_mixed",
-    "linear_syzygies",
     "membership",
     "minors_gcd",
-    "mvgcd",
-    "nullspace",
     "parse_parametrization",
-    "parse_tpoly",
-    "polydet",
-    "rank",
     "representation_matrix",
-    "rref",
-    "saturation_indeg",
-    "strand_report",
-    "syzygy_matrix",
-    "to_biform",
-    "to_segre",
     "verify_substitution",
 ]

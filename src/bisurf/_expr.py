@@ -1,6 +1,9 @@
 """Term dicts {exponent quadruple: nonzero coefficient}: the one module that
 knows the format. It parses, prints, adds, multiplies and evaluates them for
 BiHomPoly, SegreElem and TPoly, which only validate their own invariants.
+Coefficients are Fractions over QQ and plain ints over GF(p); the arithmetic
+here leaves GF(p) sums and products unreduced, and each container's
+constructor reduces them once with modp.
 
 Input files and printed output share one syntax, so all output parses back:
 
@@ -212,12 +215,15 @@ def modp(terms, p):
 
 
 def evaluate(terms, point, field):
-    """Value at a 4-tuple, from one table of powers per variable."""
+    """Value at a 4-tuple, from one table of powers per variable; over GF(p)
+    the table and the value are reduced to residues."""
+    p = field.characteristic
     pows = []
     for x, top in zip(map(field.coerce, point), map(max, zip(*terms))):
         table = [field.one, x]
         for _ in range(top - 1):
-            table.append(table[-1] * x)
+            power = table[-1] * x
+            table.append(power % p if p else power)
         pows.append(table)
     acc = field.zero
     for e, c in terms.items():
@@ -225,7 +231,7 @@ def evaluate(terms, point, field):
             if k:
                 c = c * table[k]
         acc = acc + c
-    return acc
+    return acc % p if p else acc
 
 
 def parse_expression(src: str, variables, line_no: int = 1, col_base: int = 0):
@@ -244,10 +250,6 @@ def monomial_text(exps, names) -> str:
     return "*".join(parts)
 
 
-def _is_negative(c) -> bool:
-    return isinstance(c, (Fraction, int)) and c < 0
-
-
 def format_terms(terms, names) -> str:
     """Canonical text, terms in descending graded lex order; on forms of one
     bidegree or degree that is lex order on (s,t) or on (X1,X2,X3)."""
@@ -257,7 +259,7 @@ def format_terms(terms, names) -> str:
     ordered = sorted(terms.items(), key=lambda kv: lead_key(kv[0]), reverse=True)
     for i, (e, c) in enumerate(ordered):
         mono = monomial_text(e, names)
-        minus = _is_negative(c)
+        minus = c < 0  # never for GF(p) residues
         mag = -c if minus else c
         if mono and mag == 1:
             body = mono

@@ -8,7 +8,7 @@ u,v powers up to the declared bidegree.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 from . import _expr, tpoly
 from ._expr import ParseError
@@ -40,7 +40,8 @@ class BiHomPoly:
                     f"term {(a, b, cc, e)!r} violates bidegree ({d1},{d2})"
                 )
         self.bidegree = (d1, d2)
-        self.terms = {e: c for e, c in terms.items() if c}
+        p = field.characteristic
+        self.terms = _expr.modp(terms, p) if p else {e: c for e, c in terms.items() if c}
         self.field = field
 
     @classmethod
@@ -265,9 +266,3 @@ def lift_mixed(P: Parametrization) -> Parametrization:
     big = lcm(d1, d2)
     k1, k2 = big // d1, big // d2
     return Parametrization([f.substitute_powers(k1, k2) for f in P.fs])
-
-
-def lift_power_gain(P: Parametrization) -> int:
-    """Extra multiplicity lcm/gcd the lift introduces into the determinant."""
-    d1, d2 = P.bidegree
-    return lcm(d1, d2) // gcd(d1, d2)

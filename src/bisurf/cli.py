@@ -186,8 +186,7 @@ def cmd_implicit(args) -> int:
     if args.json:
         print(json.dumps(rep.as_dict(), indent=2))
     else:
-        eq = rep.implicit_poly if rep.implicit_poly is not None else rep.minors_gcd_poly
-        print(eq)
+        print(rep.implicit_poly)
         print(f"minors gcd: {rep.minors_gcd_poly}")
         print(
             f"degree {rep.minors_gcd_poly.total_degree()} = "

@@ -12,11 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import QQ, GFElem, PrimeField
+from .fields import QQ
 
 
 class ExactMatrix:
-    """Immutable dense matrix with exact field entries."""
+    """Immutable dense matrix with exact field entries: Fractions over QQ, int
+    residues in [0, p) over GF(p). The constructor coerces every entry, so
+    over GF(p) it reduces them."""
 
     __slots__ = ("rows", "cols", "entries", "field")
 
@@ -43,22 +45,6 @@ class ExactMatrix:
     def identity(cls, n, field=QQ):
         z, o = field.zero, field.one
         return cls([[o if i == j else z for j in range(n)] for i in range(n)], field)
-
-    def entry(self, i, j):
-        return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
-
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self):
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.field,
-            cols=self.rows,
-        )
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -187,9 +173,9 @@ def _rref_gf(rows, cols, p):
 def rank(m: ExactMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    if isinstance(m.field, PrimeField):
-        rows = [[x.value for x in row] for row in m.entries]
-        return len(_forward_gf(rows, m.cols, m.field.p))
+    p = m.field.characteristic
+    if p:
+        return len(_forward_gf([list(row) for row in m.entries], m.cols, p))
     return len(_forward_int(_int_rows(m), m.cols))
 
 
@@ -197,15 +183,11 @@ def rref(m: ExactMatrix):
     """Reduced row echelon form; returns (rref matrix, rank, pivot columns)."""
     if m.rows == 0 or m.cols == 0:
         return m, 0, ()
-    if isinstance(m.field, PrimeField):
-        p = m.field.p
-        rows = [[x.value for x in row] for row in m.entries]
-        pivots = _rref_gf(rows, m.cols, p)
-        r = len(pivots)
-        out = [[GFElem(x, p) for x in rows[i]] for i in range(r)]
-        z = [m.field.zero] * m.cols
-        out.extend([list(z) for _ in range(m.rows - r)])
-        return ExactMatrix(out, m.field, cols=m.cols), r, tuple(pivots)
+    p = m.field.characteristic
+    if p:
+        rows = [list(row) for row in m.entries]
+        pivots = _rref_gf(rows, m.cols, p)  # the rows below the rank end up zero
+        return ExactMatrix(rows, m.field, cols=m.cols), len(pivots), tuple(pivots)
     ints = _int_rows(m)
     pivots = _forward_int(ints, m.cols)
     r = len(pivots)

@@ -31,94 +31,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class GFElem:
-    """Residue modulo a prime, stored in [0, p)."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, GFElem):
-            if other.p != self.p:
-                raise ValueError(f"mixed prime fields GF({self.p}) and GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return GFElem(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GFElem(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GFElem(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GFElem(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return GFElem(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GFElem(-self.value, self.p)
-
-    def inverse(self) -> "GFElem":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return GFElem(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return GFElem(pow(self.value, n, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElem):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return str(self.value)
-
-
 class RationalField:
     """The rationals; elements are fully reduced fractions.Fraction values."""
 
@@ -132,9 +44,10 @@ class RationalField:
             return x
         if isinstance(x, int):
             return Fraction(x)
-        if isinstance(x, GFElem):
-            raise TypeError("cannot coerce a prime-field residue into QQ")
-        return Fraction(x)
+        raise TypeError(f"cannot coerce {x!r} into QQ: only int and Fraction are exact")
+
+    def inverse(self, x) -> Fraction:
+        return self.one / x
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -150,40 +63,39 @@ QQ = RationalField()
 
 
 class PrimeField:
-    """GF(p) for a user-supplied prime p below 2^62."""
+    """GF(p) for a user-supplied prime p below 2^62; elements are plain int
+    residues in [0, p)."""
 
-    __slots__ = ("p", "zero", "one")
+    __slots__ = ("p", "characteristic")
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"{p!r} is not a prime number")
         if p >= 1 << 62:
             raise ValueError("prime moduli must be below 2^62")
-        self.p = p
-        self.zero = GFElem(0, p)
-        self.one = GFElem(1, p)
+        self.p = self.characteristic = p
 
     @property
     def name(self) -> str:
         return f"GF({self.p})"
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
-
-    def coerce(self, x) -> GFElem:
-        if isinstance(x, GFElem):
-            if x.p != self.p:
-                raise ValueError(f"element of GF({x.p}) used in GF({self.p})")
-            return x
+    def coerce(self, x) -> int:
         if isinstance(x, int):
-            return GFElem(x, self.p)
+            return x % self.p
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
                 raise ValueError(f"denominator of {x} vanishes modulo {self.p}")
-            return GFElem(x.numerator * pow(den, self.p - 2, self.p), self.p)
+            return x.numerator * pow(den, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
+
+    def inverse(self, x: int) -> int:
+        if x % self.p == 0:
+            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
+        return pow(x, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

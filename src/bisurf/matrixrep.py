@@ -98,7 +98,7 @@ def representation_matrix(I: SegreIdeal, nu: int) -> RepMatrix:
     return RepMatrix(nu, basis(nu), linear_syzygies(I, nu), I.field)
 
 
-def membership(M: RepMatrix, point, expected_k: int | None = None):
+def membership(M: RepMatrix, point):
     """Exact rank of M at a projective point; the rank drops iff the point
     lies on the surface (under the locally-complete-intersection hypothesis).
 
@@ -107,8 +107,7 @@ def membership(M: RepMatrix, point, expected_k: int | None = None):
     if not any(pt):
         raise ValueError("(0,0,0,0) is not a projective point")
     r = rank(M.evaluate(pt))
-    k = expected_k if expected_k is not None else M.rows
-    return r < k, r
+    return r < M.rows, r
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +363,7 @@ def _lifted_kernel(rows, monos, P: Parametrization):
         if None in lifted:
             continue
         if lifted == previous:
-            terms = {e: c for e, c in zip(monos, lifted) if c}
-            candidate = TPoly(terms, P.field, "T")
+            candidate = TPoly(dict(zip(monos, lifted)), P.field, "T")
             if verify_substitution(candidate, P):
                 return candidate
         previous = lifted
@@ -415,8 +413,7 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
                 f"dimension {dim} over {P.field.name}: the image is not a surface"
             )
         if dim == 1:
-            terms = {e: P.field.coerce(c) for e, c in zip(monos, vec) if c}
-            return TPoly(terms, P.field, "T")
+            return TPoly(dict(zip(monos, vec)), P.field, "T")
     raise InterpolationError(f"no equation of degree at most {max_degree}")
 
 
@@ -480,11 +477,11 @@ class EquationReport:
     matrix_rows: int
     matrix_cols: int
     minors_gcd_poly: TPoly
-    implicit_poly: TPoly | None = None
-    power: int | None = None
-    residual: TPoly | None = None
-    lci: bool | None = None
-    substitution_ok: bool | None = None
+    implicit_poly: TPoly
+    power: int
+    residual: TPoly
+    lci: bool
+    substitution_ok: bool
 
     def as_dict(self):
         return {
@@ -493,10 +490,10 @@ class EquationReport:
             "matrix_cols": self.matrix_cols,
             "minors_gcd": str(self.minors_gcd_poly),
             "minors_gcd_degree": self.minors_gcd_poly.total_degree(),
-            "implicit_equation": None if self.implicit_poly is None else str(self.implicit_poly),
-            "implicit_degree": None if self.implicit_poly is None else self.implicit_poly.total_degree(),
+            "implicit_equation": str(self.implicit_poly),
+            "implicit_degree": self.implicit_poly.total_degree(),
             "power": self.power,
-            "residual": None if self.residual is None else str(self.residual),
+            "residual": str(self.residual),
             "base_points_lci": self.lci,
             "substitution_ok": self.substitution_ok,
         }
@@ -507,8 +504,6 @@ def equation_report(
     nu: int | None = None,
     saturate: bool = False,
     seed: int = 0,
-    oracle: bool = True,
-    oracle_max_degree: int | None = None,
 ) -> EquationReport:
     """Full pipeline: lift if needed, build M, extract the minors gcd of the
     strand's expected degree, and cross-check against the oracle's implicit
@@ -517,9 +512,6 @@ def equation_report(
     nu, strand = working_strand(I, nu, saturate)
     M = representation_matrix(I, nu)
     D = minors_gcd(M, strand.expected_det_degree, Random(seed))
-    if not oracle:
-        return EquationReport(nu, M.rows, M.cols, D)
-    bound = oracle_max_degree or max(D.total_degree(), 1)
-    F = implicit_by_interpolation(P, bound)
+    F = implicit_by_interpolation(P, max(D.total_degree(), 1))
     power, residual, lci = lci_diagnostic(D, F)
     return EquationReport(nu, M.rows, M.cols, D, F, power, residual, lci, True)

@@ -38,7 +38,8 @@ class SegreElem:
             if min(exp) < 0 or sum(exp) != degree:
                 raise ValueError(f"exponents {exp!r} are not of degree {degree}")
         self.degree = degree
-        self.terms = _expr.collect(zip(map(normal_quad, terms), terms.values()))
+        terms = _expr.collect(zip(map(normal_quad, terms), terms.values()))
+        self.terms = _expr.modp(terms, field.characteristic)
         self.field = field
 
     @classmethod

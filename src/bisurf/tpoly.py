@@ -5,9 +5,10 @@ implicit equations live) and the parameter ring in s,u,t,v. Provides ring
 arithmetic, exact division, a subresultant-PRS multivariate gcd, fraction-free
 determinants of polynomial matrices, and evaluation.
 
-TPoly stores Fraction or GFElem coefficients. Exact division, the gcd and the
-determinant run on plain int coefficients instead: over the integers, with
-QQ inputs scaled by their denominators, or modulo p.
+TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
+GF(p). Exact division, the gcd and the determinant run on plain int
+coefficients: over the integers, with QQ inputs scaled by their
+denominators, or modulo p on the stored residues as they are.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import gcd, lcm
 
 from . import _expr
 from ._expr import lead_key
-from .fields import QQ, GFElem
+from .fields import QQ
 
 RING_VARS = {
     "T": ("T1", "T2", "T3", "T4"),
@@ -44,7 +45,8 @@ class TPoly:
         for exp in terms:
             if len(exp) != 4 or min(exp) < 0:
                 raise ValueError(f"bad exponent quadruple {exp!r}")
-        self.terms = {e: c for e, c in terms.items() if c}
+        p = field.characteristic
+        self.terms = _expr.modp(terms, p) if p else {e: c for e, c in terms.items() if c}
         self.field = field
         self.ring = ring
 
@@ -107,10 +109,9 @@ class TPoly:
         if not self.terms:
             return self
         _, lc = self.leading()
-        if lc == self.field.one:
+        if lc == 1:
             return self
-        inv = self.field.one / lc
-        return self.scale(inv)
+        return self.scale(self.field.inverse(lc))
 
     def eval(self, point):
         """Value at a 4-tuple of field elements."""
@@ -148,7 +149,8 @@ def parse_tpoly(text: str, field=QQ, ring: str = "T") -> TPoly:
 # ---------------------------------------------------------------------------
 # the int kernel: term dicts {exponent quadruple: int} and a modulus p, where
 # p == 0 means the integers and otherwise the coefficients are residues in
-# [0, p). The public functions below convert only at entry and exit.
+# [0, p). The public functions below convert only QQ coefficients at entry
+# and exit; GF(p) residues go in and come out as they are.
 
 def _add(a, b, p):
     return _expr.modp(_expr.add(a, b), p)
@@ -190,12 +192,12 @@ def _scale_of(polys) -> int:
 
 
 def _ints(poly, scale=None):
-    """Coefficients of poly as plain ints: residues over GF(p), and over QQ
-    the coefficients times scale (by default their common denominator),
-    which must clear every denominator. Reads only .terms and .field, so
-    BiHomPoly works too."""
+    """Coefficients of poly as plain ints: a copy of the residues over GF(p),
+    and over QQ the coefficients times scale (by default their common
+    denominator), which must clear every denominator. Reads only .terms and
+    .field, so BiHomPoly works too."""
     if poly.field.characteristic:
-        return {e: c.value for e, c in poly.terms.items()}
+        return dict(poly.terms)
     if scale is None:
         scale = _scale_of([poly])
     return {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
@@ -206,7 +208,7 @@ def _from_ints(t, field, ring, num=1, den=1) -> TPoly:
     if field.characteristic:
         p = field.p
         factor = num * pow(den, -1, p) % p
-        return TPoly({e: GFElem(c * factor, p) for e, c in t.items()}, field, ring)
+        return TPoly({e: c * factor for e, c in t.items()}, field, ring)
     return TPoly({e: Fraction(c * num, den) for e, c in t.items()}, field, ring)
 
 
@@ -564,6 +566,8 @@ class LinearForm:
         return TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field, "T")
 
     def eval(self, point):
+        """Value at a 4-tuple of field elements. Over GF(p) it is an int
+        congruent to the value, left for the ExactMatrix it feeds to reduce."""
         acc = self.field.zero
         for c, x in zip(self.coeffs, point):
             if c:

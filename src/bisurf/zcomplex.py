@@ -310,22 +310,18 @@ def _colon_by_irrelevant(sub: _Subspace, n: int, field) -> _Subspace:
     return _span(rows, n, field, dim_n)
 
 
-def saturation_indeg(I: SegreIdeal, e_max: int | None = None) -> int:
+def saturation_indeg(I: SegreIdeal) -> int:
     """Least degree (at most d) in which the saturation of I is nonzero.
 
     Iterates J -> (J : (X1..X4)) on graded pieces tracked in a degree window,
-    stopping when the chain repeats on the common window or after e_max
-    steps; the result is only trustworthy for lowering the critical degree
-    when the downstream validation agrees, so callers re-validate.
+    stopping when the chain repeats on the common window or after 2d steps;
+    the result is only trustworthy for lowering the critical degree when the
+    downstream validation agrees, so callers re-validate.
     """
     d = I.degree
-    if e_max is None:
-        e_max = 2 * d
-    if e_max < 1:
-        raise ValueError("e_max must be at least 1")
-    top = d + e_max
+    top = 3 * d
     current = {n: ideal_piece(I, n) for n in range(top + 1)}
-    for step in range(1, e_max + 1):
+    for step in range(1, 2 * d + 1):
         new_top = top - step
         nxt = {
             n: _colon_by_irrelevant(current[n + 1], n, I.field)
@@ -343,16 +339,16 @@ def saturation_indeg(I: SegreIdeal, e_max: int | None = None) -> int:
     return d
 
 
-def critical_degree(I: SegreIdeal, saturate: bool = False, e_max: int | None = None) -> int:
+def critical_degree(I: SegreIdeal, saturate: bool = False) -> int:
     """Degree from which the strand determinant and rank-drop tests are valid:
     2d-1, lowered by the saturation index when saturate is on."""
     d = I.degree
     if not saturate:
         return 2 * d - 1
-    return 2 * d - 1 - saturation_indeg(I, e_max)
+    return 2 * d - 1 - saturation_indeg(I)
 
 
-def choose_nu(I: SegreIdeal, saturate: bool = False, e_max: int | None = None):
+def choose_nu(I: SegreIdeal, saturate: bool = False):
     """Pick the working degree, re-validating any saturation-lowered value.
 
     Returns (nu, report at nu). A lowered nu is accepted only when the Euler
@@ -362,7 +358,7 @@ def choose_nu(I: SegreIdeal, saturate: bool = False, e_max: int | None = None):
     cons = 2 * I.degree - 1
     if not saturate:
         return cons, strand_report(I, cons)
-    ind = saturation_indeg(I, e_max)
+    ind = saturation_indeg(I)
     opt = 2 * I.degree - 1 - ind
     rep_cons = strand_report(I, cons)
     if opt == cons:

@@ -17,7 +17,7 @@ from random import Random
 
 from bisurf.biparam import BiHomPoly, Parametrization
 from bisurf.exactla import ExactMatrix, rank
-from bisurf.fields import QQ, GFElem, PrimeField, is_prime
+from bisurf.fields import QQ, PrimeField, is_prime
 
 
 def fraction_rank(rows) -> int:
@@ -159,7 +159,7 @@ def det_bareiss(m: ExactMatrix):
         return m.field.one
     if isinstance(m.field, PrimeField):
         p = m.field.p
-        rows = [[x.value for x in row] for row in m.entries]
+        rows = [list(row) for row in m.entries]
         sign = 1
         det = 1
         for c in range(n):
@@ -178,7 +178,7 @@ def det_bareiss(m: ExactMatrix):
                     ri, rc = rows[i], rows[c]
                     for j in range(c, n):
                         ri[j] = (ri[j] - v * rc[j]) % p
-        return GFElem(sign * det, p)
+        return sign * det % p
     scale = Fraction(1)
     rows = []
     for row in m.entries:

@@ -103,7 +103,7 @@ def test_gf_rref_and_nullspace():
 def test_reduce_mod_and_bad_prime():
     m = ExactMatrix([[Fraction(1, 3), 2], [1, 1]])
     mp = reduce_mod(m, 5)
-    assert mp.entries[0][0].value == pow(3, 3, 5)  # 1/3 mod 5
+    assert mp.entries[0][0] == pow(3, 3, 5)  # 1/3 mod 5
     with pytest.raises(BadPrimeError):
         reduce_mod(m, 3)
 

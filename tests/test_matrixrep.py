@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from bisurf.biparam import lift_mixed, parse_parametrization
+from bisurf.exactla import nullspace, rref
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
     _lift_primes,
@@ -20,7 +21,7 @@ from bisurf.matrixrep import (
 )
 from bisurf.segre import SegreElem
 from bisurf.tpoly import TPoly, parse_tpoly
-from bisurf.zcomplex import SegreIdeal, StrandError
+from bisurf.zcomplex import SegreIdeal, StrandError, syzygy_matrix, working_strand
 
 QUADRIC = parse_tpoly("T1*T4 - T2*T3")
 
@@ -249,3 +250,37 @@ def test_oracle_rejects_a_curve_over_qq():
     P = parse_parametrization("degree: 1 1\nf1: s*t\nf2: s*t\nf3: u*v\nf4: u*v\n")
     with pytest.raises(InterpolationError, match="dimension seen: 2"):
         implicit_by_interpolation(P, 2)
+
+
+def test_membership_rejects_floats(segre_param):
+    # 0.1 and friends are binary fractions, not the decimals they print as;
+    # the point must be given exactly
+    M = representation_matrix(SegreIdeal.from_parametrization(segre_param), 1)
+    with pytest.raises(TypeError):
+        membership(M, (0.1, 0.2, 0.3, 0.6))
+    exact = [Fraction(k, 10) for k in (1, 2, 3, 6)]
+    assert membership(M, exact) == (True, 3)
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_gf_coefficients_are_int_residues(inputs_dir, p):
+    text = (inputs_dir / "d2_example.ex").read_text(encoding="utf-8")
+    P = parse_parametrization(text, field_override=PrimeField(p))
+    I = SegreIdeal.from_parametrization(P)
+    nu, strand = working_strand(I, None, True)
+    M = representation_matrix(I, nu)
+    D = minors_gcd(M, strand.expected_det_degree)
+    F = implicit_by_interpolation(P, D.total_degree())
+    syz = syzygy_matrix(I, nu)
+
+    def residues(values):
+        values = list(values)
+        return bool(values) and all(type(c) is int and 0 <= c < p for c in values)
+
+    assert residues(c for row in M.entries for e in row for c in e.coeffs)
+    for poly in (D, F, I.gs[0] * I.gs[3], *P.fs):
+        assert residues(poly.terms.values()), poly
+    assert residues(c for syz in M.syzygies for a in syz for c in a.terms.values())
+    for m in (rref(syz)[0], nullspace(syz), M.evaluate((1, -2, 3, -4))):
+        assert residues(x for row in m.entries for x in row)
+    assert residues([F.eval((1, -2, 3, -4)), P.fs[0].eval((5, -6, 7, -8))])
