@@ -1,6 +1,7 @@
 """Term dicts {exponent quadruple: nonzero coefficient}: the one module that
 knows the format. It parses, prints, adds, multiplies and evaluates them for
-BiHomPoly, SegreElem and TPoly, which only validate their own invariants.
+BiHomPoly (s,u,t,v, which also holds the Segre ring as its bidegree (n,n)
+forms) and TPoly (T1..T4), which only validate their own invariants.
 Coefficients are Fractions over QQ and plain ints over GF(p); the arithmetic
 here leaves GF(p) sums and products unreduced, and each container's
 constructor reduces them once with modp.
@@ -252,7 +253,7 @@ def monomial_text(exps, names) -> str:
 
 def format_terms(terms, names) -> str:
     """Canonical text, terms in descending graded lex order; on forms of one
-    bidegree or degree that is lex order on (s,t) or on (X1,X2,X3)."""
+    bidegree or degree that is lex order on (s,t) or on (T1,T2,T3)."""
     if not terms:
         return "0"
     chunks = []

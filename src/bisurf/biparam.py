@@ -95,20 +95,6 @@ class BiHomPoly:
         """Value at (s,u,t,v) field elements."""
         return _expr.evaluate(self.terms, point, self.field)
 
-    def to_tpoly(self) -> tpoly.TPoly:
-        return tpoly.TPoly(dict(self.terms), self.field, "P")
-
-    @classmethod
-    def from_tpoly(cls, p: tpoly.TPoly, bidegree=None):
-        if p.ring != "P":
-            raise InputError("expected a parameter-ring polynomial")
-        if bidegree is None:
-            if p.is_zero():
-                raise InputError("cannot infer the bidegree of the zero polynomial")
-            e = next(iter(p.terms))
-            bidegree = (e[0] + e[1], e[2] + e[3])
-        return cls(bidegree, dict(p.terms), p.field)
-
     def __str__(self):
         return _expr.format_terms(self.terms, PARAM_VARS)
 
@@ -240,15 +226,18 @@ def parse_parametrization(text: str, field_override=None) -> Parametrization:
 
 def gcd_of_inputs(P: Parametrization) -> BiHomPoly:
     """gcd(f1,f2,f3,f4) up to a scalar; a non-constant value means the base
-    locus is not finite and the downstream guarantees do not apply."""
+    locus is not finite and the downstream guarantees do not apply. The
+    result is monic; the gcd runs in tpoly's int kernel."""
+    p = P.field.characteristic
     acc = None
     for f in P.fs:
         if f.is_zero():
             continue
-        acc = f.to_tpoly() if acc is None else tpoly.mvgcd(acc, f.to_tpoly())
-        if acc.is_constant():
+        acc = tpoly._ints(f) if acc is None else tpoly._gcd(acc, tpoly._ints(f), p)
+        if acc.keys() == {(0, 0, 0, 0)}:
             break
-    return BiHomPoly.from_tpoly(acc)
+    e = next(iter(acc))
+    return BiHomPoly((e[0] + e[1], e[2] + e[3]), tpoly._monic(acc, P.field).terms, P.field)
 
 
 def lift_mixed(P: Parametrization) -> Parametrization:

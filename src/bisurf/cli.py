@@ -202,7 +202,9 @@ def cmd_implicit(args) -> int:
 def cmd_verify(args) -> int:
     P, _, code = _prepared(args)
     with open(args.equation, encoding="utf-8") as fh:
-        eq = parse_tpoly(fh.read(), P.field, "T")
+        eq = parse_tpoly(fh.read(), P.field)
+    if eq.is_zero():
+        raise InputError("the equation is the zero polynomial, which vanishes everywhere")
     ok = verify_substitution(eq, P)
     if args.json:
         print(json.dumps({"verified": ok}, indent=2))

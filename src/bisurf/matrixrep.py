@@ -56,11 +56,12 @@ class RepMatrix:
         self.basis = row_basis
         self.syzygies = tuple(syzygies)
         self.field = field
+        zero = field.zero
         rows = []
         for quad in row_basis:
             row = []
             for syz in self.syzygies:
-                row.append(LinearForm([a.coefficient(quad) for a in syz], field))
+                row.append(LinearForm([a.terms.get(quad, zero) for a in syz], field))
             rows.append(tuple(row))
         self.entries = tuple(rows)
 
@@ -174,7 +175,7 @@ def _block_gcds(sub, rng: Random):
     order, so the stream ends once every subset has been drawn."""
     r, m = len(sub), len(sub[0])
     total = comb(m, r)
-    g = TPoly.zero(sub[0][0].field, "T")
+    g = TPoly.zero(sub[0][0].field)
     for index in rng.sample(range(total), min(total, _MAX_DRAWS)):
         det = polydet([[row[c] for c in _unrank(index, m, r)] for row in sub])
         if not det.is_zero():
@@ -210,9 +211,9 @@ def minors_gcd(M: RepMatrix, degree: int, rng: Random | None = None) -> TPoly:
             raise RankDeficientError(
                 "a block has fewer columns than rows; every maximal minor vanishes"
             )
-        sub = [[M.entries[i][j].to_tpoly() for j in cols] for i in rows]
+        sub = [[M.entries[i][j].as_tpoly() for j in cols] for i in rows]
         streams.append(_block_gcds(sub, rng))
-    gcds = [TPoly.zero(M.field, "T")] * len(streams)
+    gcds = [TPoly.zero(M.field)] * len(streams)
     live = list(range(len(streams)))
     draws = 0
 
@@ -235,7 +236,7 @@ def minors_gcd(M: RepMatrix, degree: int, rng: Random | None = None) -> TPoly:
             "every drawn maximal minor of a block vanishes; hypotheses "
             "violated (non-finite base locus or rank-deficient matrix)"
         )
-    D = _monic_product(gcds, M.field, "T")
+    D = _monic_product(gcds, M.field)
     found = D.total_degree()
     if found == degree:
         return D
@@ -363,7 +364,7 @@ def _lifted_kernel(rows, monos, P: Parametrization):
         if None in lifted:
             continue
         if lifted == previous:
-            candidate = TPoly(dict(zip(monos, lifted)), P.field, "T")
+            candidate = TPoly(dict(zip(monos, lifted)), P.field)
             if verify_substitution(candidate, P):
                 return candidate
         previous = lifted
@@ -413,7 +414,7 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
                 f"dimension {dim} over {P.field.name}: the image is not a surface"
             )
         if dim == 1:
-            return TPoly(dict(zip(monos, vec)), P.field, "T")
+            return TPoly(dict(zip(monos, vec)), P.field)
     raise InterpolationError(f"no equation of degree at most {max_degree}")
 
 

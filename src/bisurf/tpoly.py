@@ -1,14 +1,13 @@
-"""Multivariate polynomials in four variables over an exact field.
-
-Two rings share the implementation: the image-space ring in T1..T4 (where
-implicit equations live) and the parameter ring in s,u,t,v. Provides ring
-arithmetic, exact division, a subresultant-PRS multivariate gcd, fraction-free
-determinants of polynomial matrices, and evaluation.
+"""Polynomials in the image-space variables T1..T4 over an exact field,
+where implicit equations live. Provides ring arithmetic, exact division, a
+subresultant-PRS multivariate gcd, fraction-free determinants of polynomial
+matrices, and evaluation.
 
 TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
 GF(p). Exact division, the gcd and the determinant run on plain int
 coefficients: over the integers, with QQ inputs scaled by their
-denominators, or modulo p on the stored residues as they are.
+denominators, or modulo p on the stored residues as they are. The int kernel
+reads only exponent quadruples, so biparam runs its gcd on s,u,t,v forms.
 """
 
 from __future__ import annotations
@@ -21,10 +20,7 @@ from . import _expr
 from ._expr import lead_key
 from .fields import QQ
 
-RING_VARS = {
-    "T": ("T1", "T2", "T3", "T4"),
-    "P": ("s", "u", "t", "v"),
-}
+T_VARS = ("T1", "T2", "T3", "T4")
 
 _ZERO_EXP = (0, 0, 0, 0)
 _UNIT_EXPS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -37,30 +33,25 @@ class ExactDivisionError(ArithmeticError):
 class TPoly:
     """Polynomial in four variables; terms map exponent quadruples to coefficients."""
 
-    __slots__ = ("terms", "field", "ring")
+    __slots__ = ("terms", "field")
 
-    def __init__(self, terms, field=QQ, ring="T"):
-        if ring not in RING_VARS:
-            raise ValueError(f"unknown ring tag {ring!r}")
+    def __init__(self, terms, field=QQ):
         for exp in terms:
             if len(exp) != 4 or min(exp) < 0:
                 raise ValueError(f"bad exponent quadruple {exp!r}")
         p = field.characteristic
         self.terms = _expr.modp(terms, p) if p else {e: c for e, c in terms.items() if c}
         self.field = field
-        self.ring = ring
 
     @classmethod
-    def zero(cls, field=QQ, ring="T"):
-        return cls({}, field, ring)
+    def zero(cls, field=QQ):
+        return cls({}, field)
 
     @classmethod
-    def constant(cls, c, field=QQ, ring="T"):
-        return cls({_ZERO_EXP: field.coerce(c)}, field, ring)
+    def constant(cls, c, field=QQ):
+        return cls({_ZERO_EXP: field.coerce(c)}, field)
 
     def _check(self, other):
-        if self.ring != other.ring:
-            raise ValueError(f"mixed rings {self.ring!r} and {other.ring!r}")
         if self.field != other.field:
             raise ValueError("mixed coefficient fields")
 
@@ -70,11 +61,6 @@ class TPoly:
     def is_constant(self) -> bool:
         return all(e == _ZERO_EXP for e in self.terms)
 
-    def constant_value(self):
-        if not self.terms:
-            return self.field.zero
-        return self.terms[_ZERO_EXP]
-
     def total_degree(self) -> int:
         if not self.terms:
             return 0
@@ -82,21 +68,21 @@ class TPoly:
 
     def __add__(self, other):
         self._check(other)
-        return TPoly(_expr.add(self.terms, other.terms), self.field, self.ring)
+        return TPoly(_expr.add(self.terms, other.terms), self.field)
 
     def __sub__(self, other):
         self._check(other)
-        return TPoly(_expr.sub(self.terms, other.terms), self.field, self.ring)
+        return TPoly(_expr.sub(self.terms, other.terms), self.field)
 
     def __neg__(self):
-        return TPoly(_expr.neg(self.terms), self.field, self.ring)
+        return TPoly(_expr.neg(self.terms), self.field)
 
     def __mul__(self, other):
         self._check(other)
-        return TPoly(_expr.mul(self.terms, other.terms), self.field, self.ring)
+        return TPoly(_expr.mul(self.terms, other.terms), self.field)
 
     def scale(self, c):
-        return TPoly(_expr.scale(self.terms, self.field.coerce(c)), self.field, self.ring)
+        return TPoly(_expr.scale(self.terms, self.field.coerce(c)), self.field)
 
     def leading(self):
         """The (exponent, coefficient) pair that is largest in graded lex order."""
@@ -118,7 +104,7 @@ class TPoly:
         return _expr.evaluate(self.terms, point, self.field)
 
     def __str__(self):
-        return _expr.format_terms(self.terms, RING_VARS[self.ring])
+        return _expr.format_terms(self.terms, T_VARS)
 
     def __repr__(self):
         return f"TPoly({self})"
@@ -126,24 +112,23 @@ class TPoly:
     def __eq__(self, other):
         return (
             isinstance(other, TPoly)
-            and self.ring == other.ring
             and self.field == other.field
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
 
-def parse_tpoly(text: str, field=QQ, ring: str = "T") -> TPoly:
+def parse_tpoly(text: str, field=QQ) -> TPoly:
     """Parse a polynomial in the shared text format; '#' starts a comment."""
     lines = []
     for raw in text.splitlines():
         body = raw.split("#", 1)[0]
         if body.strip():
             lines.append(body)
-    raw_terms = _expr.parse_expression(" ".join(lines) if lines else "0", RING_VARS[ring])
-    return TPoly({e: field.coerce(c) for e, c in raw_terms.items()}, field, ring)
+    raw_terms = _expr.parse_expression(" ".join(lines) if lines else "0", T_VARS)
+    return TPoly({e: field.coerce(c) for e, c in raw_terms.items()}, field)
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +188,26 @@ def _ints(poly, scale=None):
     return {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
 
 
-def _from_ints(t, field, ring, num=1, den=1) -> TPoly:
+def _from_ints(t, field, num=1, den=1) -> TPoly:
     """The TPoly num/den * t of an int-kernel result over field."""
     if field.characteristic:
         p = field.p
         factor = num * pow(den, -1, p) % p
-        return TPoly({e: c * factor for e, c in t.items()}, field, ring)
-    return TPoly({e: Fraction(c * num, den) for e, c in t.items()}, field, ring)
+        return TPoly({e: c * factor for e, c in t.items()}, field)
+    return TPoly({e: Fraction(c * num, den) for e, c in t.items()}, field)
 
 
-def _monic(t, field, ring) -> TPoly:
-    return _from_ints(t, field, ring, den=t[max(t, key=lead_key)])
+def _monic(t, field) -> TPoly:
+    return _from_ints(t, field, den=t[max(t, key=lead_key)])
 
 
-def _monic_product(polys, field, ring) -> TPoly:
+def _monic_product(polys, field) -> TPoly:
     """The product of polys, made monic once, multiplied in the int kernel."""
     p = field.characteristic
     acc = {_ZERO_EXP: 1}
     for f in polys:
         acc = _mul(acc, _ints(f), p)
-    return _monic(acc, field, ring)
+    return _monic(acc, field)
 
 
 def _div(a, b, p):
@@ -308,7 +293,7 @@ def exact_div(a: TPoly, b: TPoly) -> TPoly:
     content = 1 if p else gcd(*B.values())
     if content != 1:
         B = {e: c // content for e, c in B.items()}
-    return _from_ints(_div(A, B, p), a.field, a.ring, sb, sa * content)
+    return _from_ints(_div(A, B, p), a.field, sb, sa * content)
 
 
 def divides(b: TPoly, a: TPoly) -> bool:
@@ -471,7 +456,7 @@ def mvgcd(a: TPoly, b: TPoly) -> TPoly:
     if a.is_zero() and b.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
     g = _gcd(_ints(a), _ints(b), a.field.characteristic)
-    return _monic(g, a.field, a.ring)
+    return _monic(g, a.field)
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +522,14 @@ def polydet(grid) -> TPoly:
     for row in grid:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    field, ring = grid[0][0].field, grid[0][0].ring
+    field = grid[0][0].field
     rows = []
     den = 1
     for row in grid:
         scale = _scale_of(row)
         den *= scale
         rows.append([_ints(entry, scale) for entry in row])
-    return _from_ints(_det(rows, field.characteristic), field, ring, den=den)
+    return _from_ints(_det(rows, field.characteristic), field, den=den)
 
 
 class LinearForm:
@@ -562,8 +547,8 @@ class LinearForm:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def to_tpoly(self) -> TPoly:
-        return TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field, "T")
+    def as_tpoly(self) -> TPoly:
+        return TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field)
 
     def eval(self, point):
         """Value at a 4-tuple of field elements. Over GF(p) it is an int
@@ -578,7 +563,7 @@ class LinearForm:
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
 
     def __str__(self):
-        return str(self.to_tpoly())
+        return str(self.as_tpoly())
 
     def __repr__(self):
         return f"LinearForm({self})"

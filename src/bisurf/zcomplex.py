@@ -5,6 +5,8 @@ the Koszul differentials as exact matrices, computes linear syzygy bases and
 cycle-space dimensions, the Euler characteristic of a strand, the expected
 degree of the strand determinant, and the critical degree from which the
 representation matrix is valid (optionally lowered via the saturation index).
+Ring elements of degree n are bidegree (n,n) forms in s,u,t,v (see segre), so
+a product of monomials is a sum of exponents.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .biparam import InputError, Parametrization
+from .biparam import BiHomPoly, InputError, Parametrization
 from .exactla import ExactMatrix, nullspace, rank, rref
-from .segre import SegreElem, basis, normal_quad, to_segre
+from .segre import basis
 
 _SUBSETS = {i: tuple(combinations(range(4), i)) for i in range(5)}
+# X1..X4 as the bidegree (1,1) monomials s*t, s*v, u*t, u*v
+_X_EXPS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
 
 class StrandError(RuntimeError):
@@ -24,7 +28,8 @@ class StrandError(RuntimeError):
 
 
 class SegreIdeal:
-    """Four generators of one common degree d >= 1 in the quotient ring."""
+    """Four generators of one common degree d >= 1 in the quotient ring,
+    given as bidegree (d,d) forms."""
 
     __slots__ = ("gs", "degree", "field")
 
@@ -32,13 +37,16 @@ class SegreIdeal:
         gs = tuple(gs)
         if len(gs) != 4:
             raise InputError("need exactly four generators")
-        d = gs[0].degree
+        bid = gs[0].bidegree
         field = gs[0].field
+        if bid[0] != bid[1]:
+            raise InputError(f"mixed bidegree {bid}: lift to equal bidegree first")
         for g in gs[1:]:
-            if g.degree != d:
-                raise InputError(f"generator degrees differ: {g.degree} vs {d}")
+            if g.bidegree != bid:
+                raise InputError(f"generator bidegrees differ: {g.bidegree} vs {bid}")
             if g.field != field:
                 raise InputError("generator fields differ")
+        d = bid[0]
         if d < 1:
             raise InputError("generators must have degree at least 1")
         if all(g.is_zero() for g in gs):
@@ -49,28 +57,31 @@ class SegreIdeal:
 
     @classmethod
     def from_parametrization(cls, P: Parametrization) -> "SegreIdeal":
-        if P.bidegree[0] != P.bidegree[1]:
-            raise InputError(
-                f"mixed bidegree {P.bidegree}: lift to equal bidegree first"
-            )
-        return cls([to_segre(f) for f in P.fs])
+        return cls(P.fs)
 
     def __repr__(self):
         return f"SegreIdeal(degree {self.degree}; " + ", ".join(str(g) for g in self.gs) + ")"
 
 
-def multiplication_matrix(g: SegreElem, n: int) -> ExactMatrix:
+def _times(exp, g: BiHomPoly):
+    """The terms of the monomial exp times g; distinct terms of g give
+    distinct products."""
+    a0, a1, a2, a3 = exp
+    return [
+        ((a0 + b0, a1 + b1, a2 + b2, a3 + b3), c) for (b0, b1, b2, b3), c in g.terms.items()
+    ]
+
+
+def multiplication_matrix(g: BiHomPoly, n: int) -> ExactMatrix:
     """Matrix of multiplication by g from degree n to degree n + deg(g), in
     the canonical monomial bases."""
     src = basis(n)
-    dst = basis(n + g.degree)
+    dst = basis(n + g.bidegree[0])
     z = g.field.zero
     rows = [[z] * len(src) for _ in range(len(dst))]
     for col, quad in enumerate(src):
-        mono = SegreElem.monomial(quad, g.field)
-        prod = mono * g
-        for q, c in prod.terms.items():
-            rows[dst.index[q]][col] = rows[dst.index[q]][col] + c
+        for q, c in _times(quad, g):
+            rows[dst.index[q]][col] = c
     return ExactMatrix(rows, g.field, cols=len(src))
 
 
@@ -120,7 +131,8 @@ def syzygy_matrix(I: SegreIdeal, nu: int) -> ExactMatrix:
 
 
 def linear_syzygies(I: SegreIdeal, nu: int):
-    """Canonical basis of the degree-nu syzygies, as 4-tuples of ring elements."""
+    """Canonical basis of the degree-nu syzygies, as 4-tuples of bidegree
+    (nu,nu) forms."""
     if nu < 0:
         raise ValueError("negative degree")
     ns = nullspace(syzygy_matrix(I, nu))
@@ -135,7 +147,7 @@ def linear_syzygies(I: SegreIdeal, nu: int):
                 v = ns.entries[block * k + r][j]
                 if v:
                     terms[b.quads[r]] = v
-            tup.append(SegreElem(nu, terms, I.field))
+            tup.append(BiHomPoly((nu, nu), terms, I.field))
         out.append(tuple(tup))
     return out
 
@@ -250,35 +262,27 @@ def ideal_piece(I: SegreIdeal, n: int) -> _Subspace:
         if g.is_zero():
             continue
         for quad in basis(n - d):
-            prod = SegreElem.monomial(quad, I.field) * g
             row = [I.field.zero] * dim
-            for q, c in prod.terms.items():
+            for q, c in _times(quad, g):
                 row[bn.index[q]] = c
             rows.append(row)
     return _span(rows, n, I.field, dim)
 
 
-def _variable_mult_matrices(n: int, field):
+def _variable_mult_matrices(n: int):
     """Multiplication by X1..X4 from degree n to n+1, as coefficient maps."""
     src = basis(n)
     dst = basis(n + 1)
-    mats = []
-    for k in range(4):
-        unit = [0, 0, 0, 0]
-        unit[k] = 1
-        col_targets = []
-        for quad in src:
-            q = tuple(quad[i] + unit[i] for i in range(4))
-            col_targets.append(dst.index[normal_quad(q)])
-        mats.append(col_targets)
-    return mats
+    return [
+        [dst.index[tuple(a + b for a, b in zip(quad, x))] for quad in src] for x in _X_EXPS
+    ]
 
 
 def _colon_by_irrelevant(sub: _Subspace, n: int, field) -> _Subspace:
     """The degree-n piece of (J : (X1..X4)) given the degree-(n+1) piece of J."""
     dim_n = (n + 1) ** 2
     dim_n1 = (n + 2) ** 2
-    mults = _variable_mult_matrices(n, field)
+    mults = _variable_mult_matrices(n)
     pivset = dict(zip(sub.pivots, range(sub.dim)))
     red = sub.matrix.entries
     constraints = []
@@ -337,15 +341,6 @@ def saturation_indeg(I: SegreIdeal) -> int:
         if current[n].dim > 0:
             return n
     return d
-
-
-def critical_degree(I: SegreIdeal, saturate: bool = False) -> int:
-    """Degree from which the strand determinant and rank-drop tests are valid:
-    2d-1, lowered by the saturation index when saturate is on."""
-    d = I.degree
-    if not saturate:
-        return 2 * d - 1
-    return 2 * d - 1 - saturation_indeg(I)
 
 
 def choose_nu(I: SegreIdeal, saturate: bool = False):

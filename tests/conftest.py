@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from bisurf.biparam import parse_parametrization
+from bisurf.biparam import BiHomPoly, parse_parametrization
 from bisurf.matrixrep import implicit_by_interpolation
-from bisurf.segre import SegreElem
 from bisurf.zcomplex import SegreIdeal
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -38,11 +37,9 @@ def mixed_param():
 
 @pytest.fixture(scope="session")
 def identity_ideal():
-    gs = [
-        SegreElem.monomial(tuple(1 if i == k else 0 for i in range(4)))
-        for k in range(4)
-    ]
-    return SegreIdeal(gs)
+    # (X1, X2, X3, X4) = (s*t, s*v, u*t, u*v)
+    exps = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+    return SegreIdeal([BiHomPoly.monomial(e, 1) for e in exps])
 
 
 @pytest.fixture(scope="session")

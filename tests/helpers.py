@@ -1,9 +1,11 @@
 """Shared test utilities: independent brute-force oracles and generators.
 
-The oracles here deliberately avoid the package's quotient-ring arithmetic
-and matrix assembly: syzygy and cycle dimensions are recomputed on the
-parameter side (s,u,t,v) with plain dictionaries and a local Gaussian
-elimination, so agreement with the library is a genuine cross-check. The
+The oracles here share no code with the package's matrix assembly: syzygy
+and cycle dimensions are recomputed on the parameter side (s,u,t,v) with
+plain dictionaries and a local Gaussian elimination. The package also
+assembles its strands on bidegree (n,n) forms, so the method is the same
+and only the code is independent: agreement catches implementation faults,
+not a flaw shared by the method. The
 scalar Bareiss determinant and the modular rank check are reference oracles
 for the polynomial determinants and the exact ranks.
 """

@@ -108,6 +108,18 @@ def test_verify_rejects_wrong_equation(capsys, inputs_dir, tmp_path):
     assert "FAILED" in out
 
 
+def test_verify_rejects_zero_equation(capsys, inputs_dir, tmp_path):
+    # the zero polynomial vanishes everywhere, so it certifies nothing
+    eq_file = tmp_path / "eq.txt"
+    for text in ("0\n", "# no terms\n"):
+        eq_file.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "verify", str(inputs_dir / "segre.ex"), "--equation", str(eq_file)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "zero polynomial" in err
+
+
 def test_lift_round_trips(capsys, inputs_dir, tmp_path):
     code, out, _ = run(capsys, "lift", str(inputs_dir / "mixed23.ex"))
     assert code == 0
@@ -194,7 +206,7 @@ def test_implicit_equation_not_dividing_minors_gcd(capsys, inputs_dir, monkeypat
 
 def _reduced(F, p):
     field = PrimeField(p)
-    return TPoly({e: field.coerce(c) for e, c in F.terms.items()}, field, "T")
+    return TPoly({e: field.coerce(c) for e, c in F.terms.items()}, field)
 
 
 def test_implicit_small_primes(capsys, inputs_dir, segre_param, d2_equation):

@@ -16,7 +16,7 @@ GF = PrimeField(32003)
 
 
 def _reduced(F):
-    return TPoly({e: GF.coerce(c) for e, c in F.terms.items()}, GF, F.ring)
+    return TPoly({e: GF.coerce(c) for e, c in F.terms.items()}, GF)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Golden CLI outputs: the exit code and the sha256 of stdout of fixed runs
-on the sample inputs, over QQ and GF(32003), must stay byte-identical.
+"""Golden CLI outputs: the exit code and the sha256 of stdout and of stderr
+of fixed runs on the sample inputs, over QQ and GF(32003), must stay
+byte-identical.
 
 Regenerate the stored file (only when an output is meant to change) with
 
@@ -32,22 +33,31 @@ FIELDS = ((), ("--mod", "32003"))
 
 
 def argvs():
-    """Every golden argv; the input is named relative to inputs/."""
-    return [
+    """Every golden argv; the input is named relative to inputs/. The text
+    `matrix` runs pin the printed row basis, and common_factor.ex pins the
+    input-gcd warning and its exit code 2."""
+    json_runs = [
         [command, case[0], *case[1:], "--json", *field]
         for case in CASES
         for command in COMMANDS
         for field in FIELDS
     ]
+    text_runs = [["matrix", case[0], *case[1:], *field] for case in CASES for field in FIELDS]
+    warning_runs = [["info", "common_factor.ex", "--json", *field] for field in FIELDS]
+    return json_runs + text_runs + warning_runs
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run(argv):
-    """(exit code, sha256 of stdout) of one in-process CLI run."""
+    """(exit code, sha256 of stdout, sha256 of stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
     full = [argv[0], str(INPUTS / argv[1]), *argv[2:]]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(full)
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return code, _sha256(out.getvalue()), _sha256(err.getvalue())
 
 
 def _stored():
@@ -61,14 +71,16 @@ def test_golden_file_covers_every_argv():
 @pytest.mark.parametrize("argv", argvs(), ids=" ".join)
 def test_cli_output_is_unchanged(argv):
     entry = next(e for e in _stored() if e["argv"] == argv)
-    code, digest = run(argv)
-    assert (code, digest) == (entry["exit"], entry["stdout_sha256"])
+    expected = (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"])
+    assert run(argv) == expected
 
 
 if __name__ == "__main__":
     records = []
     for argv in argvs():
-        code, digest = run(argv)
-        records.append({"argv": argv, "exit": code, "stdout_sha256": digest})
-        print(code, digest[:12], " ".join(argv), file=sys.stderr)
+        code, out, err = run(argv)
+        records.append(
+            {"argv": argv, "exit": code, "stdout_sha256": out, "stderr_sha256": err}
+        )
+        print(code, out[:12], err[:12], " ".join(argv), file=sys.stderr)
     GOLDEN.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from bisurf.biparam import lift_mixed, parse_parametrization
+from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
 from bisurf.exactla import nullspace, rref
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
@@ -19,7 +19,6 @@ from bisurf.matrixrep import (
     representation_matrix,
     verify_substitution,
 )
-from bisurf.segre import SegreElem
 from bisurf.tpoly import TPoly, parse_tpoly
 from bisurf.zcomplex import SegreIdeal, StrandError, syzygy_matrix, working_strand
 
@@ -53,8 +52,9 @@ def test_reassembly_invariant(d2_matrix_rep, d2_ideal):
     M = d2_matrix_rep
     for j, syz in enumerate(M.syzygies):
         for r, quad in enumerate(M.basis):
-            assert M.entries[r][j].coeffs == tuple(a.coefficient(quad) for a in syz)
-        acc = SegreElem.zero(M.nu + d2_ideal.degree)
+            assert M.entries[r][j].coeffs == tuple(a.terms.get(quad, 0) for a in syz)
+        n = M.nu + d2_ideal.degree
+        acc = BiHomPoly((n, n), {})
         for a, g in zip(syz, d2_ideal.gs):
             acc = acc + a * g
         assert acc.is_zero()

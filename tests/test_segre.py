@@ -1,62 +1,31 @@
-from fractions import Fraction
-from random import Random
-
 import pytest
 
 from bisurf.biparam import BiHomPoly, InputError
-from bisurf.segre import SegreElem, basis, normal_quad, to_biform, to_segre
-
-from helpers import random_biform
-
-
-def mono(exp, c=1):
-    return SegreElem.monomial(exp, coeff=Fraction(c))
+from bisurf.segre import basis, x_monomial
+from bisurf.zcomplex import SegreIdeal
 
 
-def test_normal_form_rewrites_x1x4():
-    assert normal_quad((1, 0, 0, 1)) == (0, 1, 1, 0)
-    assert normal_quad((1, 1, 0, 0)) == (1, 1, 0, 0)
-    assert normal_quad((2, 0, 0, 3)) == (0, 2, 2, 1)
+def bidegree_exps(n):
+    return [(i, n - i, j, n - j) for i in range(n + 1) for j in range(n + 1)]
 
 
-def test_product_reduces_to_normal_form():
-    x1, x2, x4 = mono((1, 0, 0, 0)), mono((0, 1, 0, 0)), mono((0, 0, 0, 1))
-    assert x1 * x4 == mono((0, 1, 1, 0))
-    assert x1 * x2 == mono((1, 1, 0, 0))
-    # X4 * (X1*X4) reduces to X2*X3*X4
-    assert x4 * SegreElem.monomial((1, 0, 0, 1)) == mono((0, 1, 1, 1))
-
-
-def test_reduce_then_multiply_equals_multiply_then_reduce():
-    rng = Random(11)
-    for _ in range(30):
-        raw_a = {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-4, 4))}
-        deg_a = sum(next(iter(raw_a)))
-        raw_b = {(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): Fraction(rng.randint(-4, 4))}
-        deg_b = sum(next(iter(raw_b)))
-        a = SegreElem(deg_a, raw_a)
-        b = SegreElem(deg_b, raw_b)
-        # constructor normalizes, multiplication renormalizes: compare against
-        # convolving the raw exponents and normalizing once
-        prod = a * b
-        (ea, ca), = raw_a.items()
-        (eb, cb), = raw_b.items()
-        raw = {tuple(x + y for x, y in zip(ea, eb)): ca * cb}
-        assert prod == SegreElem(deg_a + deg_b, raw)
-
-
-def test_multiplication_associative_commutative():
-    rng = Random(3)
-    for _ in range(20):
-        xs = [to_segre(random_biform(1, rng)) for _ in range(3)]
-        a, b, c = xs
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
+def normal_forms(n):
+    """The degree-n X-monomials with no factor X1*X4."""
+    return {
+        (a, b, c, n - a - b - c)
+        for a in range(n + 1)
+        for b in range(n + 1 - a)
+        for c in range(n + 1 - a - b)
+        if not (a and n - a - b - c)
+    }
 
 
 def test_basis_sizes_and_order():
     b1 = basis(1)
-    assert list(b1) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert list(b1) == [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
+    assert [x_monomial(q) for q in b1] == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    assert b1.monomial_texts() == ["X1", "X2", "X3", "X4"]
+    assert basis(2).monomial_texts()[:4] == ["X1^2", "X1*X2", "X1*X3", "X2^2"]
     assert len(basis(2)) == 9
     assert len(basis(3)) == 16
 
@@ -65,57 +34,48 @@ def test_basis_dimension_formula():
     for n in range(13):
         b = basis(n)
         assert len(b) == (n + 1) ** 2
-        assert all(sum(q) == n and (q[0] == 0 or q[3] == 0) for q in b)
+        assert all(q[0] + q[1] == n and q[2] + q[3] == n for q in b)
 
 
 def test_transfer_examples():
-    st = BiHomPoly.monomial((1, 0, 1, 0), 1)
-    assert to_segre(st) == mono((1, 0, 0, 0))
-    s2tv = BiHomPoly.monomial((2, 0, 1, 1), 1)
-    assert to_segre(s2tv) == mono((1, 1, 0, 0))
-    u2tv = BiHomPoly.monomial((0, 2, 1, 1), 1)
-    assert to_segre(u2tv) == mono((0, 0, 1, 1))
-
-
-def test_transfer_rejects_mixed_bidegree():
-    f = BiHomPoly.monomial((1, 0, 2, 0), 1)
-    with pytest.raises(InputError):
-        to_segre(f)
+    # s*t -> X1, s^2*t*v -> X1*X2, u^2*t*v -> X3*X4
+    assert x_monomial((1, 0, 1, 0)) == (1, 0, 0, 0)
+    assert x_monomial((2, 0, 1, 1)) == (1, 1, 0, 0)
+    assert x_monomial((0, 2, 1, 1)) == (0, 0, 1, 1)
 
 
 def test_substitution_examples():
-    assert str(to_biform(mono((1, 0, 0, 0)))) == "s*t"
-    # X2*X3 and X1*X4 have the same image, witnessing the quotient relation
-    assert to_biform(mono((0, 1, 1, 0))).terms == {(1, 1, 1, 1): Fraction(1)}
-    assert to_biform(mono((0, 2, 0, 0))).terms == {(2, 0, 0, 2): Fraction(1)}
+    # X1*X4 and X2*X3 are both s*u*t*v; the rule picks the normal form X2*X3
+    assert x_monomial((1, 1, 1, 1)) == (0, 1, 1, 0)
+    assert x_monomial((2, 0, 0, 2)) == (0, 2, 0, 0)
+    assert x_monomial((0, 0, 0, 0)) == (0, 0, 0, 0)
 
 
-def test_round_trip_biform_to_segre():
-    rng = Random(20)
-    for _ in range(200):
-        f = random_biform(rng.randint(1, 4), rng)
-        assert to_biform(to_segre(f)) == f
-
-
-def test_round_trip_segre_to_biform():
-    rng = Random(21)
-    for _ in range(200):
-        n = rng.randint(1, 4)
-        terms = {}
-        for q in basis(n):
-            if rng.random() < 0.4:
-                c = rng.randint(-9, 9)
-                if c:
-                    terms[q] = Fraction(c)
-        x = SegreElem(n, terms)
-        assert to_segre(to_biform(x)) == x
+def test_transfer_rejects_mixed_bidegree():
+    exps = ((1, 0, 2, 0), (1, 0, 0, 2), (0, 1, 2, 0), (0, 1, 0, 2))
+    fs = [BiHomPoly.monomial(e, 1) for e in exps]
+    with pytest.raises(InputError, match="lift"):
+        SegreIdeal(fs)
 
 
 def test_image_is_normal_form():
-    rng = Random(22)
-    for _ in range(100):
-        f = random_biform(rng.randint(1, 5), rng)
-        g = to_segre(f)
-        for (a, _, _, e) in g.terms:
-            assert a == 0 or e == 0
-        assert len(g.terms) == len(f.terms)
+    """The rule maps the bidegree (n,n) exponents one to one onto the
+    (n+1)^2 normal-form quads of degree n."""
+    for n in range(9):
+        images = [x_monomial(e) for e in bidegree_exps(n)]
+        assert len(set(images)) == (n + 1) ** 2
+        assert set(images) == normal_forms(n)
+
+
+def test_round_trip_biform_to_segre():
+    # X1 = s*t, X2 = s*v, X3 = u*t, X4 = u*v undoes the rule
+    for n in range(9):
+        for e in bidegree_exps(n):
+            a, b, c, d = x_monomial(e)
+            assert (a + b, c + d, a + c, b + d) == e
+
+
+def test_round_trip_segre_to_biform():
+    for n in range(9):
+        for a, b, c, d in normal_forms(n):
+            assert x_monomial((a + b, c + d, a + c, b + d)) == (a, b, c, d)

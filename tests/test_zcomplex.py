@@ -2,12 +2,10 @@ from random import Random
 
 import pytest
 
-from bisurf.biparam import InputError, Parametrization, parse_parametrization
-from bisurf.segre import SegreElem, to_biform
+from bisurf.biparam import BiHomPoly, InputError, Parametrization, parse_parametrization
 from bisurf.zcomplex import (
     SegreIdeal,
     choose_nu,
-    critical_degree,
     cycle_space_dim,
     koszul_matrix,
     linear_syzygies,
@@ -21,12 +19,16 @@ from helpers import biform_cycle_dim, biform_syzygy_dim, modular_rank_agrees, ra
 
 def to_param(I):
     """Parameter-side view of the generators, for the brute-force oracles."""
-    return Parametrization([to_biform(g) for g in I.gs])
+    return Parametrization(I.gs)
+
+
+def zero(n, field):
+    return BiHomPoly((n, n), {}, field)
 
 
 def test_ideal_validation():
     with pytest.raises(InputError):
-        SegreIdeal([SegreElem.zero(2) for _ in range(4)])
+        SegreIdeal([BiHomPoly((2, 2), {}) for _ in range(4)])
     mixed = parse_parametrization("degree: 1 2\nf1: s*t^2\nf2: s*v^2\nf3: u*t*v\nf4: u*v^2\n")
     with pytest.raises(InputError, match="lift"):
         SegreIdeal.from_parametrization(mixed)
@@ -39,14 +41,16 @@ def test_identity_syzygy_counts(identity_ideal):
 
 
 def test_identity_quadric_vector_is_syzygy(identity_ideal):
-    # (X4, -X3, 0, 0) pairs with (X1, X2, X3, X4) to give the quotient relation
+    # (X4, -X3, 0, 0) = (u*v, -u*t, 0, 0) pairs with (X1, X2, X3, X4) to
+    # give the quotient relation
+    field = identity_ideal.field
     a = [
-        SegreElem.monomial((0, 0, 0, 1)),
-        SegreElem.monomial((0, 0, 1, 0)).scale(-1),
-        SegreElem.zero(1),
-        SegreElem.zero(1),
+        BiHomPoly.monomial((0, 1, 0, 1), 1),
+        BiHomPoly.monomial((0, 1, 1, 0), -1),
+        zero(1, field),
+        zero(1, field),
     ]
-    acc = SegreElem.zero(2)
+    acc = zero(2, field)
     for ai, gi in zip(a, identity_ideal.gs):
         acc = acc + ai * gi
     assert acc.is_zero()
@@ -55,7 +59,7 @@ def test_identity_quadric_vector_is_syzygy(identity_ideal):
 def test_syzygies_satisfy_relation(identity_ideal, d2_ideal):
     for I, nu in ((identity_ideal, 1), (identity_ideal, 2), (d2_ideal, 2), (d2_ideal, 3)):
         for syz in linear_syzygies(I, nu):
-            acc = SegreElem.zero(nu + I.degree)
+            acc = zero(nu + I.degree, I.field)
             for ai, gi in zip(syz, I.gs):
                 acc = acc + ai * gi
             assert acc.is_zero()
@@ -150,7 +154,7 @@ def test_expected_degree_independent_of_nu(identity_ideal, d2_ideal):
     assert strand_report(d2_ideal, 2).expected_det_degree == strand_report(d2_ideal, 3).expected_det_degree
 
 
-def test_euler_vanishes_at_and_above_critical_degree(identity_ideal, d2_ideal):
+def test_euler_vanishes_at_and_above_nu0(identity_ideal, d2_ideal):
     for I, nu0 in ((identity_ideal, 1), (d2_ideal, 2)):
         for nu in (nu0, nu0 + 1, nu0 + 2):
             assert strand_report(I, nu).euler_char == 0
@@ -163,11 +167,13 @@ def test_saturation_indeg_examples(identity_ideal, d2_ideal):
     assert saturation_indeg(generic) == 0
 
 
-def test_critical_degree_examples(identity_ideal, d2_ideal):
-    assert critical_degree(d2_ideal) == 3
-    assert critical_degree(d2_ideal, saturate=True) == 2
-    assert critical_degree(identity_ideal, saturate=True) == 1
-    assert critical_degree(identity_ideal) == 1
+def test_choose_nu_degrees(identity_ideal, d2_ideal):
+    # 2d-1, lowered by the saturation index when saturate is on
+    for I, cons, opt in ((d2_ideal, 3, 2), (identity_ideal, 1, 1)):
+        nu, rep = choose_nu(I)
+        assert nu == rep.nu_conservative == cons
+        nu, rep = choose_nu(I, saturate=True)
+        assert nu == rep.nu_optimized == opt
 
 
 def test_choose_nu_validates(d2_ideal):
