@@ -5,6 +5,14 @@ forward elimination clears denominators row by row and strips integer content
 to control coefficient growth; the pivot rule is always "first nonzero entry
 in column order", so results are deterministic and the RREF is the unique
 one.
+
+`int_rank` and `int_rref` take int rows that the caller builds once (over QQ
+with a common denominator cleared). Over QQ they first eliminate modulo the
+word-size prime SCREEN_PRIME = 2^31 - 1. That rank is only a lower bound
+over QQ, so it is used only when an exact upper bound meets it: full rank,
+min(rows, cols), for `int_rank`, or a bound its caller proves (`zcomplex`
+uses d_i d_(i+1) = 0); full column rank for `int_rref`, whose RREF is then
+[I; 0]. Otherwise fraction-free elimination runs on the same rows.
 """
 
 from __future__ import annotations
@@ -179,17 +187,11 @@ def rank(m: ExactMatrix) -> int:
     return len(_forward_int(_int_rows(m), m.cols))
 
 
-def rref(m: ExactMatrix):
-    """Reduced row echelon form; returns (rref matrix, rank, pivot columns)."""
-    if m.rows == 0 or m.cols == 0:
-        return m, 0, ()
-    p = m.field.characteristic
-    if p:
-        rows = [list(row) for row in m.entries]
-        pivots = _rref_gf(rows, m.cols, p)  # the rows below the rank end up zero
-        return ExactMatrix(rows, m.field, cols=m.cols), len(pivots), tuple(pivots)
-    ints = _int_rows(m)
-    pivots = _forward_int(ints, m.cols)
+def _rref_int(ints, cols):
+    """The nonzero rows of the RREF of int rows over QQ, as Fractions, and
+    the pivot columns: fraction-free forward elimination in place, then
+    Fraction back-substitution."""
+    pivots = _forward_int(ints, cols)
     r = len(pivots)
     frows = [[Fraction(x) for x in ints[i]] for i in range(r)]
     for k in range(r - 1, -1, -1):
@@ -202,10 +204,83 @@ def rref(m: ExactMatrix):
             v = frows[a][c]
             if v:
                 fa = frows[a]
-                frows[a] = [fa[j] - v * fk[j] for j in range(m.cols)]
+                frows[a] = [fa[j] - v * fk[j] for j in range(cols)]
+    return frows, pivots
+
+
+def rref(m: ExactMatrix):
+    """Reduced row echelon form; returns (rref matrix, rank, pivot columns)."""
+    if m.rows == 0 or m.cols == 0:
+        return m, 0, ()
+    p = m.field.characteristic
+    if p:
+        rows = [list(row) for row in m.entries]
+        pivots = _rref_gf(rows, m.cols, p)  # the rows below the rank end up zero
+        return ExactMatrix(rows, m.field, cols=m.cols), len(pivots), tuple(pivots)
+    frows, pivots = _rref_int(_int_rows(m), m.cols)
     zero_row = [Fraction(0)] * m.cols
-    frows.extend([list(zero_row) for _ in range(m.rows - r)])
-    return ExactMatrix(frows, m.field, cols=m.cols), r, tuple(pivots)
+    frows.extend([list(zero_row) for _ in range(m.rows - len(pivots))])
+    return ExactMatrix(frows, m.field, cols=m.cols), len(pivots), tuple(pivots)
+
+
+# ---------------------------------------------------------------------------
+# ranks and RREFs of int rows, screened modulo one word-size prime over QQ
+
+SCREEN_PRIME = 2_147_483_647  # 2^31 - 1
+
+
+def _fewer_rows(rows, cols):
+    """The rows, or those of the transpose when it has fewer: the rank is
+    the same, and there are fewer rows to sweep."""
+    return (zip(*rows), len(rows)) if len(rows) > cols else (rows, cols)
+
+
+def _rank_mod(rows, cols, p):
+    """Rank mod p of int rows, which are left as they are."""
+    rows, cols = _fewer_rows(rows, cols)
+    return len(_forward_gf([[x % p for x in row] for row in rows], cols, p))
+
+
+def screen_rank(rows, cols) -> int:
+    """Rank modulo SCREEN_PRIME of int rows, which are left as they are. It is
+    a lower bound on the rank over QQ and certifies nothing by itself."""
+    return _rank_mod(rows, cols, SCREEN_PRIME) if rows and cols else 0
+
+
+def int_rank(rows, cols, p=0, upper=None) -> int:
+    """Exact rank of int rows over QQ (p = 0), or of int residues mod p; the
+    rows are left as they are.
+
+    Over QQ the screen rank r is returned only when an exact upper bound
+    meets it: min(rows, cols), or upper(), a bound the caller proves and pays
+    for only when the first one fails. Otherwise fraction-free elimination
+    runs on a copy of the rows.
+    """
+    if not rows or not cols:
+        return 0
+    r = _rank_mod(rows, cols, p or SCREEN_PRIME)
+    if p or r == min(len(rows), cols) or (upper is not None and r == upper()):
+        return r
+    rows, cols = _fewer_rows(rows, cols)
+    return len(_forward_int([list(row) for row in rows], cols))
+
+
+def int_rref(rows, cols, p=0):
+    """(the nonzero rows of the RREF, the pivot columns) of int rows over QQ
+    (p = 0; Fraction entries) or of int residues mod p; consumes the rows.
+
+    Over QQ a screen rank equal to cols certifies full column rank, so the
+    RREF is [I; 0] with pivots 0..cols-1 and no elimination over QQ runs.
+    """
+    if not rows or not cols:
+        return [], []
+    if p:
+        pivots = _rref_gf(rows, cols, p)
+        return rows[: len(pivots)], pivots
+    if screen_rank(rows, cols) == cols:
+        zero, one = Fraction(0), Fraction(1)
+        return [[one if j == i else zero for j in range(cols)] for i in range(cols)], list(range(cols))
+    return _rref_int(rows, cols)
 
 
 def nullspace(m: ExactMatrix) -> ExactMatrix:

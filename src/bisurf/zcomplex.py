@@ -7,15 +7,23 @@ degree of the strand determinant, and the critical degree from which the
 representation matrix is valid (optionally lowered via the saturation index).
 Ring elements of degree n are bidegree (n,n) forms in s,u,t,v (see segre), so
 a product of monomials is a sum of exponents.
+
+One builder, _koszul_rows, makes the int rows of every Koszul piece;
+koszul_matrix is their ExactMatrix view. Over QQ the ranks behind the cycle
+dimensions and the saturation pieces come from one elimination of those rows
+modulo exactla.SCREEN_PRIME, used only with an exact certificate (full rank,
+or d_i d_(i+1) = 0), and from fraction-free elimination otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .biparam import BiHomPoly, InputError, Parametrization
-from .exactla import ExactMatrix, nullspace, rank, rref
+from .exactla import ExactMatrix, int_rank, int_rref, nullspace, screen_rank
 from .segre import basis
 
 _SUBSETS = {i: tuple(combinations(range(4), i)) for i in range(5)}
@@ -63,35 +71,31 @@ class SegreIdeal:
         return f"SegreIdeal(degree {self.degree}; " + ", ".join(str(g) for g in self.gs) + ")"
 
 
-def _times(exp, g: BiHomPoly):
-    """The terms of the monomial exp times g; distinct terms of g give
+def _int_generators(I: SegreIdeal):
+    """(den, term lists) of the generators as ints: over QQ scaled by one
+    common denominator den, which changes no rank and no span; over GF(p)
+    the residues as they are, with den = 1."""
+    if I.field.characteristic:
+        return 1, [list(g.terms.items()) for g in I.gs]
+    den = lcm(*(c.denominator for g in I.gs for c in g.terms.values()))
+    return den, [[(e, int(c * den)) for e, c in g.terms.items()] for g in I.gs]
+
+
+def _times(exp, terms):
+    """The terms of the monomial exp times a term list; distinct terms give
     distinct products."""
     a0, a1, a2, a3 = exp
-    return [
-        ((a0 + b0, a1 + b1, a2 + b2, a3 + b3), c) for (b0, b1, b2, b3), c in g.terms.items()
-    ]
+    return [((a0 + b0, a1 + b1, a2 + b2, a3 + b3), c) for (b0, b1, b2, b3), c in terms]
 
 
-def multiplication_matrix(g: BiHomPoly, n: int) -> ExactMatrix:
-    """Matrix of multiplication by g from degree n to degree n + deg(g), in
-    the canonical monomial bases."""
-    src = basis(n)
-    dst = basis(n + g.bidegree[0])
-    z = g.field.zero
-    rows = [[z] * len(src) for _ in range(len(dst))]
-    for col, quad in enumerate(src):
-        for q, c in _times(quad, g):
-            rows[dst.index[q]][col] = c
-    return ExactMatrix(rows, g.field, cols=len(src))
-
-
-def koszul_matrix(I: SegreIdeal, i: int, mu: int) -> ExactMatrix:
-    """Degree-mu piece of the i-th Koszul differential for (g1..g4).
+def _koszul_rows(I: SegreIdeal, i: int, mu: int):
+    """(int rows, column count) of the degree-mu piece of the i-th Koszul
+    differential, with the generators of _int_generators.
 
     Columns are indexed by (size-i subset S, source monomial), rows by
     (size-(i-1) subset T, target monomial). The block for T = S minus {j}
-    is sign(j, S) times the multiplication-by-g_j matrix, where sign(j, S)
-    is (-1) to the 0-based position of j in sorted S.
+    is sign(j, S) times multiplication by g_j, where sign(j, S) is (-1) to
+    the 0-based position of j in sorted S.
     """
     if not 1 <= i <= 4:
         raise ValueError("Koszul index out of range")
@@ -101,27 +105,33 @@ def koszul_matrix(I: SegreIdeal, i: int, mu: int) -> ExactMatrix:
     dst_dim = (dst_deg + 1) ** 2 if dst_deg >= 0 else 0
     n_rows = dst_dim * len(_SUBSETS[i - 1])
     if src_deg < 0:
-        return ExactMatrix([[] for _ in range(n_rows)], I.field, cols=0)
-    src_dim = (src_deg + 1) ** 2
-    mult = [multiplication_matrix(g, src_deg) for g in I.gs]
-    z = I.field.zero
-    rows = [[z] * (src_dim * len(_SUBSETS[i])) for _ in range(n_rows)]
+        return [[] for _ in range(n_rows)], 0
+    src = basis(src_deg).quads
+    dst = basis(dst_deg).index
+    p = I.field.characteristic
+    gens = _int_generators(I)[1]
+    negated = [[(e, (-c) % p if p else -c) for e, c in terms] for terms in gens]
+    cols = len(src) * len(_SUBSETS[i])
+    rows = [[0] * cols for _ in range(n_rows)]
     t_pos = {T: k for k, T in enumerate(_SUBSETS[i - 1])}
     for s_idx, S in enumerate(_SUBSETS[i]):
         for pos, j in enumerate(S):
-            T = tuple(x for x in S if x != j)
-            sign = -1 if pos % 2 else 1
-            block = mult[j]
-            row0 = t_pos[T] * dst_dim
-            col0 = s_idx * src_dim
-            for r in range(dst_dim):
-                target = rows[row0 + r]
-                source = block.entries[r]
-                for c in range(src_dim):
-                    v = source[c]
-                    if v:
-                        target[col0 + c] = target[col0 + c] + (v if sign == 1 else -v)
-    return ExactMatrix(rows, I.field, cols=src_dim * len(_SUBSETS[i]))
+            row0 = t_pos[S[:pos] + S[pos + 1:]] * dst_dim
+            terms = negated[j] if pos % 2 else gens[j]
+            for c, quad in enumerate(src, s_idx * len(src)):
+                for q, v in _times(quad, terms):
+                    rows[row0 + dst[q]][c] = v
+    return rows, cols
+
+
+def koszul_matrix(I: SegreIdeal, i: int, mu: int) -> ExactMatrix:
+    """Degree-mu piece of the i-th Koszul differential for (g1..g4), in the
+    layout of _koszul_rows, with the generators' own coefficients."""
+    rows, cols = _koszul_rows(I, i, mu)
+    if not I.field.characteristic:
+        den, zero = _int_generators(I)[0], I.field.zero
+        rows = [[Fraction(x, den) if x else zero for x in row] for row in rows]
+    return ExactMatrix(rows, I.field, cols=cols)
 
 
 def syzygy_matrix(I: SegreIdeal, nu: int) -> ExactMatrix:
@@ -153,9 +163,19 @@ def linear_syzygies(I: SegreIdeal, nu: int):
 
 
 def cycle_space_dim(I: SegreIdeal, i: int, mu: int) -> int:
-    """Dimension of the degree-mu kernel of the i-th Koszul differential."""
-    m = koszul_matrix(I, i, mu)
-    return m.cols - rank(m)
+    """Dimension of the degree-mu kernel of the i-th Koszul differential.
+
+    Over QQ the rank mod SCREEN_PRIME counts when it is full, or when it
+    meets cols - rank(d_(i+1)) at the same mu: d_i d_(i+1) = 0 bounds the
+    rank of d_i by that, and the rank of d_(i+1) mod the prime is a lower
+    bound on its own rank. Otherwise the rank is computed exactly.
+    """
+    rows, cols = _koszul_rows(I, i, mu)
+
+    def upper():
+        return cols - screen_rank(*_koszul_rows(I, i + 1, mu))
+
+    return cols - int_rank(rows, cols, I.field.characteristic, upper if i < 4 else None)
 
 
 @dataclass(frozen=True)
@@ -220,14 +240,15 @@ def strand_report(I: SegreIdeal, nu: int) -> StrandReport:
 # saturation index by graded linear algebra
 
 class _Subspace:
-    """Subspace of the degree-n graded piece, stored as RREF rows (unique)."""
+    """Subspace of the degree-n graded piece, stored as its nonzero RREF rows
+    (unique)."""
 
-    __slots__ = ("degree", "matrix", "pivots")
+    __slots__ = ("degree", "rows", "pivots")
 
-    def __init__(self, degree, matrix, pivots):
+    def __init__(self, degree, rows, pivots):
         self.degree = degree
-        self.matrix = matrix
-        self.pivots = pivots
+        self.rows = rows
+        self.pivots = tuple(pivots)
 
     @property
     def dim(self):
@@ -238,35 +259,20 @@ class _Subspace:
             isinstance(other, _Subspace)
             and self.degree == other.degree
             and self.pivots == other.pivots
-            and self.matrix.entries[: self.dim] == other.matrix.entries[: other.dim]
+            and self.rows == other.rows
         )
 
 
-def _span(rows, degree, field, dim) -> _Subspace:
-    if not rows:
-        return _Subspace(degree, ExactMatrix([], field, cols=dim), ())
-    reduced, r, pivots = rref(ExactMatrix(rows, field, cols=dim))
-    return _Subspace(degree, reduced, pivots)
+def _span(rows, degree, p, dim) -> _Subspace:
+    """The span of int rows (int residues over GF(p)), which it consumes."""
+    return _Subspace(degree, *int_rref(rows, dim, p))
 
 
 def ideal_piece(I: SegreIdeal, n: int) -> _Subspace:
     """The degree-n piece of the ideal, spanned by monomial multiples of the
-    generators."""
-    d = I.degree
-    dim = (n + 1) ** 2
-    if n < d:
-        return _Subspace(n, ExactMatrix([], I.field, cols=dim), ())
-    bn = basis(n)
-    rows = []
-    for g in I.gs:
-        if g.is_zero():
-            continue
-        for quad in basis(n - d):
-            row = [I.field.zero] * dim
-            for q, c in _times(quad, g):
-                row[bn.index[q]] = c
-            rows.append(row)
-    return _span(rows, n, I.field, dim)
+    generators: the columns of the first Koszul differential in degree n."""
+    rows = _koszul_rows(I, 1, n)[0]
+    return _span([list(col) for col in zip(*rows)], n, I.field.characteristic, (n + 1) ** 2)
 
 
 def _variable_mult_matrices(n: int):
@@ -284,7 +290,8 @@ def _colon_by_irrelevant(sub: _Subspace, n: int, field) -> _Subspace:
     dim_n1 = (n + 2) ** 2
     mults = _variable_mult_matrices(n)
     pivset = dict(zip(sub.pivots, range(sub.dim)))
-    red = sub.matrix.entries
+    red = sub.rows
+    p = field.characteristic
     constraints = []
     for targets in mults:
         # multiplication by one variable sends the basis monomial in column c
@@ -307,11 +314,13 @@ def _colon_by_irrelevant(sub: _Subspace, n: int, field) -> _Subspace:
             if touched:
                 constraints.append(row)
     if not constraints:
-        reduced, r, pivots = rref(ExactMatrix.identity(dim_n, field))
-        return _Subspace(n, reduced, pivots)
+        return _span([[int(i == j) for j in range(dim_n)] for i in range(dim_n)], n, p, dim_n)
     ns = nullspace(ExactMatrix(constraints, field, cols=dim_n))
     rows = [[ns.entries[i][j] for i in range(dim_n)] for j in range(ns.cols)]
-    return _span(rows, n, field, dim_n)
+    if not p:  # scaling each kernel vector to ints keeps the span
+        dens = [lcm(*(x.denominator for x in row)) for row in rows]
+        rows = [[int(x * den) for x in row] for row, den in zip(rows, dens)]
+    return _span(rows, n, p, dim_n)
 
 
 def saturation_indeg(I: SegreIdeal) -> int:

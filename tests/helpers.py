@@ -34,11 +34,12 @@ def fraction_rank(rows) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
+        prow = rows[rank]
+        pv = prow[c]
         for i in range(rank + 1, len(rows)):
             f = rows[i][c] / pv
             if f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
         rank += 1
         if rank == len(rows):
             break

@@ -1,16 +1,24 @@
-"""Property test of the whole pipeline on seeded dense bidegree (1,1) inputs,
-over QQ and GF(32003). Four bilinear forms with independent coefficient
-vectors map P1 x P1 isomorphically onto a smooth quadric, so the theory
-promises D = F exactly and a rank drop of M exactly on F = 0."""
+"""Property tests on seeded inputs.
 
+The whole pipeline on dense bidegree (1,1) inputs, over QQ and GF(32003):
+four bilinear forms with independent coefficient vectors map P1 x P1
+isomorphically onto a smooth quadric, so the theory promises D = F exactly
+and a rank drop of M exactly on F = 0. The strand bookkeeping over QQ on
+dense bidegree (2,2) and lifted (1,2) inputs, against plain Fraction ranks
+and against GF(32003).
+"""
+
+from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from bisurf.biparam import BiHomPoly, Parametrization
+from bisurf import zcomplex
+from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed
 from bisurf.exactla import ExactMatrix, rank
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
@@ -21,20 +29,23 @@ from bisurf.matrixrep import (
     representation_matrix,
     verify_substitution,
 )
-from bisurf.zcomplex import SegreIdeal, choose_nu, linear_syzygies
+from bisurf.zcomplex import SegreIdeal, choose_nu, koszul_matrix, linear_syzygies, strand_report
 
-from helpers import random_dense
+from helpers import fraction_rank, random_dense
 
 FIELDS = [QQ, PrimeField(32003)]
 MONOMIALS = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
 
 
-def dense_11(seed, field):
-    P = random_dense(1, Random(seed))
+def over(P, field):
     return Parametrization(
-        BiHomPoly((1, 1), {e: field.coerce(c) for e, c in f.terms.items()}, field)
+        BiHomPoly(f.bidegree, {e: field.coerce(c) for e, c in f.terms.items()}, field)
         for f in P.fs
     )
+
+
+def dense_11(seed, field):
+    return over(random_dense(1, Random(seed)), field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -66,3 +77,38 @@ def test_pipeline_on_dense_bidegree_11(field, seed):
     point = [field.coerce(rng.randint(-40, 40)) for _ in range(4)]
     if any(point):
         assert membership(M, point)[0] == (F.eval(point) == 0)
+
+
+def dense_22(seed):
+    return random_dense(2, Random(seed))
+
+
+def lifted_12(seed):
+    """Four bidegree (1,2) forms without a u*v^2 term, lifted to bidegree
+    (2,2). All of them vanish at s = t = 0, a base point that leaves
+    homology in the strand, which no certificate covers."""
+    rng = Random(seed)
+    fs = []
+    for _ in range(4):
+        terms = {(i, 1 - i, j, 2 - j): Fraction(rng.choice((-3, -1, 1, 2, 5, 7)))
+                 for i in range(2) for j in range(3) if i or j}
+        fs.append(BiHomPoly((1, 2), terms, QQ))
+    return lift_mixed(Parametrization(fs))
+
+
+def fraction_cycle_dim(I, i, mu):
+    m = koszul_matrix(I, i, mu)
+    return m.cols - fraction_rank(m.entries)
+
+
+@pytest.mark.parametrize("make", [dense_22, lifted_12], ids=["dense22", "lifted12"])
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_certified_strand_ranks(make, seed):
+    P = make(seed)
+    I = SegreIdeal.from_parametrization(P)
+    nu = 2 * I.degree - 1
+    rep = strand_report(I, nu)
+    with mock.patch.object(zcomplex, "cycle_space_dim", fraction_cycle_dim):
+        assert rep == strand_report(I, nu)
+    assert rep == strand_report(SegreIdeal.from_parametrization(over(P, PrimeField(32003))), nu)

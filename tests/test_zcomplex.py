@@ -3,6 +3,8 @@ from random import Random
 import pytest
 
 from bisurf.biparam import BiHomPoly, InputError, Parametrization, parse_parametrization
+from bisurf.exactla import SCREEN_PRIME
+from bisurf.fields import PrimeField
 from bisurf.zcomplex import (
     SegreIdeal,
     choose_nu,
@@ -191,3 +193,21 @@ def test_modular_rank_cross_check_on_assembled(identity_ideal, d2_ideal):
     for I, nu in ((identity_ideal, 1), (d2_ideal, 2)):
         assert modular_rank_agrees(syzygy_matrix(I, nu), 3, rng)
         assert modular_rank_agrees(koszul_matrix(I, 2, nu + 2 * I.degree), 3, rng)
+
+
+def test_unlucky_screening_prime():
+    # (st, sv, ut, q*uv) with q the screening prime: modulo q the last
+    # generator vanishes and every strand rank drops (z1 at nu=1 would read
+    # 8, not 7), so only a certified or an exact rank gives these dimensions
+    exps = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+    coeffs = (1, 1, 1, SCREEN_PRIME)
+    I = SegreIdeal([BiHomPoly.monomial(e, c) for e, c in zip(exps, coeffs)])
+    gf = PrimeField(32003)
+    Ip = SegreIdeal([BiHomPoly.monomial(e, c, gf) for e, c in zip(exps, coeffs)])
+    P = to_param(I)
+    for nu in (0, 1, 2):
+        for i in (1, 2, 3):
+            mu = nu + i * I.degree
+            assert cycle_space_dim(I, i, mu) == biform_cycle_dim(P, i, mu)
+        assert strand_report(I, nu) == strand_report(Ip, nu)
+    assert choose_nu(I, saturate=True) == choose_nu(Ip, saturate=True)
