@@ -235,16 +235,14 @@ def _fewer_rows(rows, cols):
     return (zip(*rows), len(rows)) if len(rows) > cols else (rows, cols)
 
 
-def _rank_mod(rows, cols, p):
-    """Rank mod p of int rows, which are left as they are."""
+def screen_rank(rows, cols, p=SCREEN_PRIME) -> int:
+    """Rank mod p of int rows, which are left as they are. With the default
+    prime it is a lower bound on the rank over QQ and certifies nothing by
+    itself."""
+    if not rows or not cols:
+        return 0
     rows, cols = _fewer_rows(rows, cols)
     return len(_forward_gf([[x % p for x in row] for row in rows], cols, p))
-
-
-def screen_rank(rows, cols) -> int:
-    """Rank modulo SCREEN_PRIME of int rows, which are left as they are. It is
-    a lower bound on the rank over QQ and certifies nothing by itself."""
-    return _rank_mod(rows, cols, SCREEN_PRIME) if rows and cols else 0
 
 
 def int_rank(rows, cols, p=0, upper=None) -> int:
@@ -256,9 +254,7 @@ def int_rank(rows, cols, p=0, upper=None) -> int:
     for only when the first one fails. Otherwise fraction-free elimination
     runs on a copy of the rows.
     """
-    if not rows or not cols:
-        return 0
-    r = _rank_mod(rows, cols, p or SCREEN_PRIME)
+    r = screen_rank(rows, cols, p or SCREEN_PRIME)
     if p or r == min(len(rows), cols) or (upper is not None and r == upper()):
         return r
     rows, cols = _fewer_rows(rows, cols)
@@ -269,15 +265,16 @@ def int_rref(rows, cols, p=0):
     """(the nonzero rows of the RREF, the pivot columns) of int rows over QQ
     (p = 0; Fraction entries) or of int residues mod p; consumes the rows.
 
-    Over QQ a screen rank equal to cols certifies full column rank, so the
-    RREF is [I; 0] with pivots 0..cols-1 and no elimination over QQ runs.
+    Over QQ, when there are at least as many rows as columns, a screen rank
+    equal to cols certifies full column rank, so the RREF is [I; 0] with
+    pivots 0..cols-1 and no elimination over QQ runs.
     """
     if not rows or not cols:
         return [], []
     if p:
         pivots = _rref_gf(rows, cols, p)
         return rows[: len(pivots)], pivots
-    if screen_rank(rows, cols) == cols:
+    if len(rows) >= cols and screen_rank(rows, cols) == cols:
         zero, one = Fraction(0), Fraction(1)
         return [[one if j == i else zero for j in range(cols)] for i in range(cols)], list(range(cols))
     return _rref_int(rows, cols)

@@ -1,16 +1,17 @@
 """Paired benchmark runs of a base revision against the working tree.
 
-    python3 tools/bench_pairs.py --base HEAD~1 --pairs 10 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --base HEAD~1 --out BENCH_<n>.json
 
-For every workload of BENCHMARK.json (or those named with --workload) it
-runs perfbench/run.py once per seed on each side, one process at a time,
+For every workload of BENCHMARK.json it runs perfbench/run.py for seeds
+1..10 on each side, for the benchmark's run_seconds, one process at a time,
 alternating which side goes first from one pair to the next. The base side
 is the committed tree of --base, extracted with `git archive` into a
 temporary directory; the change side is the working tree as it stands. It
-writes one JSON file: both revisions, a machine note, the seeds, and per
-workload and metric the values, medians and quartiles of both sides and the
-number of pairs the change won. Standard library only; run it from
-anywhere inside the repository.
+writes one JSON file: both revisions, a digest of the working tree's
+uncommitted changes, a machine note, the seeds, and per workload and metric
+the values, medians and quartiles of both sides and the number of pairs the
+change won. Standard library only; run it from anywhere inside the
+repository.
 """
 
 from __future__ import annotations
@@ -40,6 +41,19 @@ def extract(root, rev, dest):
     archive = git(root, "archive", "--format=tar", rev, binary=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def uncommitted_sha256(root):
+    """sha256 over the diff against HEAD and the paths and contents of the
+    untracked files git does not ignore; None for a clean tree."""
+    h = hashlib.sha256()
+    diff = git(root, "diff", "HEAD", "--binary", binary=True)
+    h.update(diff)
+    untracked = git(root, "ls-files", "-z", "--others", "--exclude-standard", binary=True)
+    for path in sorted(filter(None, untracked.split(b"\0"))):
+        h.update(b"\0" + path + b"\0")
+        h.update((root / path.decode()).read_bytes())
+    return h.hexdigest() if diff or untracked else None
 
 
 def machine_note(extra):
@@ -111,24 +125,19 @@ def compare(metric, base, change):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="git revision to compare against")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
-    ap.add_argument("--workload", action="append", help="repeatable; default: all")
     ap.add_argument("--note", default="", help="free text for the machine note")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-    diff = git(root, "diff", "HEAD", binary=True)
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seeds = list(range(1, 11))
     report = {
         "base": {"revision": git(root, "rev-parse", args.base)},
-        "change": {"revision": git(root, "rev-parse", "HEAD"), "uncommitted_diff_sha256":
-                   hashlib.sha256(diff).hexdigest() if diff else None},
+        "change": {"revision": git(root, "rev-parse", "HEAD"),
+                   "uncommitted_sha256": uncommitted_sha256(root)},
         "machine": machine_note(args.note),
         "command": spec["command"] + ["--workload", "W", "--seed", "S", "--seconds", str(seconds)],
         "seconds": seconds,
