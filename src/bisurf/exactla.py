@@ -1,18 +1,22 @@
 """Dense exact linear algebra over QQ and GF(p).
 
 Reduced row echelon form, rank and canonical nullspace bases. Over QQ the
-forward elimination clears denominators row by row and strips integer content
-to control coefficient growth; the pivot rule is always "first nonzero entry
-in column order", so results are deterministic and the RREF is the unique
-one.
+rows are cleared of denominators and everything runs on ints: the forward
+elimination is fraction-free, and the back-substitution combines each row
+with a multiple of a pivot row below it; both strip integer content to
+control coefficient growth. A Fraction is formed only for a returned entry,
+when each row is divided by its pivot. The pivot rule is always "first
+nonzero entry in column order", so results are deterministic and the RREF is
+the unique one.
 
 `int_rank` and `int_rref` take int rows that the caller builds once (over QQ
-with a common denominator cleared). Over QQ they first eliminate modulo the
-word-size prime SCREEN_PRIME = 2^31 - 1. That rank is only a lower bound
-over QQ, so it is used only when an exact upper bound meets it: full rank,
-min(rows, cols), for `int_rank`, or a bound its caller proves (`zcomplex`
-uses d_i d_(i+1) = 0); full column rank for `int_rref`, whose RREF is then
-[I; 0]. Otherwise fraction-free elimination runs on the same rows.
+with a common denominator cleared; `rank` clears them per row). Over QQ they
+first eliminate modulo the word-size prime SCREEN_PRIME = 2^31 - 1. That rank
+is only a lower bound over QQ, so it is used only when an exact upper bound
+meets it: full rank, min(rows, cols), for `int_rank`, or a bound its caller
+proves (`zcomplex` uses d_i d_(i+1) = 0); full column rank for `int_rref`,
+whose RREF is then [I; 0]. Otherwise fraction-free elimination runs on the
+same rows.
 """
 
 from __future__ import annotations
@@ -100,14 +104,11 @@ def _int_rows(m: ExactMatrix):
 
 
 def _strip_content(row, start=0):
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-        if g == 1:
-            return
+    """Divide the row by the gcd of its entries; entries before start must
+    be zero."""
+    g = gcd(*row)
     if g > 1:
-        for j in range(start, len(row)):
-            row[j] //= g
+        row[start:] = [x // g for x in row[start:]]
 
 
 def _forward_int(rows, cols):
@@ -146,7 +147,7 @@ def _forward_gf(rows, cols, p):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pivot_row = rows[r]
-        inv = pow(pivot_row[c], p - 2, p)
+        inv = pow(pivot_row[c], -1, p)
         for j in range(c, cols):
             pivot_row[j] = pivot_row[j] * inv % p
         for i in range(r + 1, nrows):
@@ -178,33 +179,33 @@ def _rref_gf(rows, cols, p):
     return pivots
 
 
-def rank(m: ExactMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    p = m.field.characteristic
-    if p:
-        return len(_forward_gf([list(row) for row in m.entries], m.cols, p))
-    return len(_forward_int(_int_rows(m), m.cols))
-
-
 def _rref_int(ints, cols):
     """The nonzero rows of the RREF of int rows over QQ, as Fractions, and
     the pivot columns: fraction-free forward elimination in place, then
-    Fraction back-substitution."""
+    back-substitution in integers from the last pivot up, each combination
+    divided by its content; every row is divided by its pivot only at the
+    end."""
     pivots = _forward_int(ints, cols)
     r = len(pivots)
-    frows = [[Fraction(x) for x in ints[i]] for i in range(r)]
-    for k in range(r - 1, -1, -1):
+    for k in range(r - 1, 0, -1):
         c = pivots[k]
-        pv = frows[k][c]
-        if pv != 1:
-            frows[k] = [x / pv for x in frows[k]]
-        fk = frows[k]
+        rk = ints[k]
+        pv = rk[c]
         for a in range(k):
-            v = frows[a][c]
+            ra = ints[a]
+            v = ra[c]
             if v:
-                fa = frows[a]
-                frows[a] = [fa[j] - v * fk[j] for j in range(cols)]
+                g = gcd(pv, v)
+                s, t = pv // g, v // g
+                for j in range(pivots[a], cols):
+                    ra[j] = ra[j] * s - rk[j] * t
+                _strip_content(ra, pivots[a])
+    zero = Fraction(0)
+    frows = []
+    for k in range(r):
+        rk = ints[k]
+        pv = rk[pivots[k]]
+        frows.append([Fraction(x, pv) if x else zero for x in rk])
     return frows, pivots
 
 
@@ -278,6 +279,11 @@ def int_rref(rows, cols, p=0):
         zero, one = Fraction(0), Fraction(1)
         return [[one if j == i else zero for j in range(cols)] for i in range(cols)], list(range(cols))
     return _rref_int(rows, cols)
+
+
+def rank(m: ExactMatrix) -> int:
+    p = m.field.characteristic
+    return int_rank(m.entries if p else _int_rows(m), m.cols, p)
 
 
 def nullspace(m: ExactMatrix) -> ExactMatrix:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import ExactMatrix, _rref_gf, rank
+from .exactla import ExactMatrix, _rref_gf, int_rank
 from .fields import is_prime
 from .segre import basis
 from .tpoly import (
@@ -49,7 +49,7 @@ class RepMatrix:
     """k x m matrix of linear forms; k = (nu+1)^2 rows over the degree-nu
     monomial basis, one column per syzygy."""
 
-    __slots__ = ("nu", "basis", "syzygies", "entries", "field")
+    __slots__ = ("nu", "basis", "syzygies", "entries", "field", "_int_entries")
 
     def __init__(self, nu, row_basis, syzygies, field):
         self.nu = nu
@@ -64,6 +64,22 @@ class RepMatrix:
                 row.append(LinearForm([a.terms.get(quad, zero) for a in syz], field))
             rows.append(tuple(row))
         self.entries = tuple(rows)
+        self._int_entries = None
+
+    def int_entries(self):
+        """The coefficients as 4-tuples of plain ints, built on first use:
+        over QQ each column scaled by its syzygy's common denominator, over
+        GF(p) the residues. Neither changes the rank at any point."""
+        if self._int_entries is None:
+            dens = [_scale_of(syz) for syz in self.syzygies]
+            self._int_entries = tuple(
+                tuple(
+                    tuple(c.numerator * (den // c.denominator) for c in entry.coeffs)
+                    for entry, den in zip(row, dens)
+                )
+                for row in self.entries
+            )
+        return self._int_entries
 
     @property
     def rows(self) -> int:
@@ -103,11 +119,20 @@ def membership(M: RepMatrix, point):
     """Exact rank of M at a projective point; the rank drops iff the point
     lies on the surface (under the locally-complete-intersection hypothesis).
 
+    The point is scaled to ints by its common denominator, each entry is an
+    int dot product with M's int coefficients, and `int_rank` ranks the
+    result: over QQ a full rank mod SCREEN_PRIME certifies an OFF answer, and
+    a lower one falls back to fraction-free elimination, so the rank of an ON
+    answer is exact too.
+
     Returns (on_surface, rank)."""
     pt = [M.field.coerce(x) for x in point]
     if not any(pt):
         raise ValueError("(0,0,0,0) is not a projective point")
-    r = rank(M.evaluate(pt))
+    den = lcm(*(x.denominator for x in pt))
+    x1, x2, x3, x4 = (x.numerator * (den // x.denominator) for x in pt)
+    rows = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in row] for row in M.int_entries()]
+    r = int_rank(rows, M.cols, M.field.characteristic)
     return r < M.rows, r
 
 
@@ -324,7 +349,7 @@ def _kernel_mod(rows, cols, p):
     vec[free] = 1
     for k, c in enumerate(pivots):
         vec[c] = -reduced[k][free] % p
-    inv = pow(next(x for x in vec if x), p - 2, p)
+    inv = pow(next(x for x in vec if x), -1, p)
     return 1, [x * inv % p for x in vec]
 
 

@@ -46,6 +46,43 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def fraction_rref(rows):
+    """Plain Gauss-Jordan over the rationals: (the reduced rows, all of them,
+    and the pivot columns), with the first nonzero entry in column order as
+    pivot."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def fraction_nullspace(rows):
+    """Kernel basis vectors from fraction_rref: one per free column in order,
+    with that column set to 1 and the other free columns to 0."""
+    reduced, pivots = fraction_rref(rows)
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for k, pc in enumerate(pivots):
+            v[pc] = -reduced[k][fc]
+        basis.append(v)
+    return basis
+
+
 def _biform_monomials(n):
     """Monomial exponents of bidegree (n, n): s^i u^(n-i) t^j v^(n-j)."""
     return [(i, n - i, j, n - j) for i in range(n + 1) for j in range(n + 1)]

@@ -10,7 +10,9 @@ from helpers import (
     BadPrimeError,
     cofactor_det,
     det_bareiss,
+    fraction_nullspace,
     fraction_rank,
+    fraction_rref,
     modular_rank_agrees,
     reduce_mod,
 )
@@ -59,6 +61,48 @@ def test_nullspace_exactness_and_rank_nullity():
         assert rank(m) + ns.cols == m.cols
         if ns.cols:
             assert (m @ ns).is_zero()
+
+
+def test_rref_and_nullspace_match_fraction_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def deficient(draw):
+        """Small int or Fraction rows, then repeated rows, combinations of
+        two rows and zero columns, in shuffled order."""
+        entry = st.integers(-9, 9)
+        if draw(st.booleans()):
+            entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+        cols = draw(st.integers(1, 6))
+        rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=5))
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+            if draw(st.booleans()):
+                rows.append(list(rows[i]))
+            else:
+                a, b = draw(entry), draw(entry)
+                rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        for c in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in rows:
+                row[c] = 0
+        return draw(st.permutations(rows))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(deficient())
+    def check(rows):
+        m = ExactMatrix(rows)
+        red, r, pivots = rref(m)
+        expected, expected_pivots = fraction_rref(rows)
+        assert [list(row) for row in red.entries] == expected
+        assert list(pivots) == expected_pivots and r == len(expected_pivots)
+        ns = nullspace(m)
+        assert [list(col) for col in zip(*ns.entries)] == fraction_nullspace(rows)
+        assert ns.cols == m.cols - r
+        if ns.cols:
+            assert (m @ ns).is_zero()
+
+    check()
 
 
 def test_det_examples():

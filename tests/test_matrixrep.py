@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
-from bisurf.exactla import nullspace, rref
+from bisurf.exactla import SCREEN_PRIME, nullspace, rref
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
     _lift_primes,
@@ -21,6 +21,8 @@ from bisurf.matrixrep import (
 )
 from bisurf.tpoly import TPoly, parse_tpoly
 from bisurf.zcomplex import SegreIdeal, StrandError, syzygy_matrix, working_strand
+
+from helpers import fraction_rank, random_dense
 
 QUADRIC = parse_tpoly("T1*T4 - T2*T3")
 
@@ -73,6 +75,53 @@ def test_membership_scale_invariant(identity_matrix_rep):
     a = membership(identity_matrix_rep, (2, 3, 4, 6))
     b = membership(identity_matrix_rep, (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)))
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def query_cases(mixed_param):
+    """(M, image points, random points) for dense (2,2) at its saturated nu
+    and for mixed23 lifted to (6,6) at nu=5."""
+    dense = random_dense(2, Random(1))
+    I = SegreIdeal.from_parametrization(dense)
+    lifted = SegreIdeal.from_parametrization(lift_mixed(mixed_param))
+    rng = Random(11)
+    out = []
+    for P, M in ((dense, representation_matrix(I, working_strand(I, None, True)[0])),
+                 (mixed_param, representation_matrix(lifted, 5))):
+        on = []
+        while len(on) < 3:
+            pt = P.eval((rng.randint(-5, 5), rng.randint(1, 4), rng.randint(-5, 5), rng.randint(1, 4)))
+            if any(pt):
+                on.append(pt)
+        random_points = [[rng.randint(-40, 40) for _ in range(4)] for _ in range(3)]
+        out.append((M, on, random_points))
+    return out
+
+
+def test_membership_matches_fraction_rank(query_cases):
+    for M, on, random_points in query_cases:
+        answers = []
+        for pt in on + random_points:
+            r = fraction_rank(M.evaluate(pt).entries)
+            answers.append(membership(M, pt))
+            assert answers[-1] == (r < M.rows, r), pt
+        assert all(a[0] for a in answers[: len(on)])
+        assert not all(a[0] for a in answers)
+
+
+def test_membership_fraction_point_equals_integer_multiple(query_cases):
+    for M, on, random_points in query_cases:
+        for pt in on + random_points:
+            scaled = [Fraction(x, k) for x, k in zip(pt, (2, 3, 5, 7))]
+            assert membership(M, scaled) == membership(M, [x * 210 // k for x, k in zip(pt, (2, 3, 5, 7))])
+
+
+def test_membership_point_vanishing_mod_screen_prime(query_cases):
+    # M(q * pt) is zero mod q, so its screen rank is 0 and every answer must
+    # come from the exact fallback
+    for M, on, random_points in query_cases:
+        for pt in on + random_points:
+            assert membership(M, [SCREEN_PRIME * x for x in pt]) == membership(M, pt)
 
 
 def test_minors_gcd_identity(identity_matrix_rep):
@@ -164,8 +213,6 @@ def test_lci_diagnostic_error_paths(d2_equation):
 
 def test_gcd_degree_matches_strand_degree(identity_ideal, d2_ideal):
     from bisurf.zcomplex import strand_report
-
-    from helpers import random_dense
 
     generic = SegreIdeal.from_parametrization(random_dense(1, Random(23)))
     for I, nu in ((identity_ideal, 1), (d2_ideal, 2), (generic, 1)):
