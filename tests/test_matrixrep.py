@@ -90,7 +90,8 @@ def query_cases(mixed_param):
                  (mixed_param, representation_matrix(lifted, 5))):
         on = []
         while len(on) < 3:
-            pt = P.eval((rng.randint(-5, 5), rng.randint(1, 4), rng.randint(-5, 5), rng.randint(1, 4)))
+            s, t = rng.randint(-5, 5), rng.randint(-5, 5)
+            pt = P.eval((s, rng.randint(1, 4), t, rng.randint(1, 4)))
             if any(pt):
                 on.append(pt)
         random_points = [[rng.randint(-40, 40) for _ in range(4)] for _ in range(3)]
@@ -110,10 +111,11 @@ def test_membership_matches_fraction_rank(query_cases):
 
 
 def test_membership_fraction_point_equals_integer_multiple(query_cases):
+    dens = (2, 3, 5, 7)
     for M, on, random_points in query_cases:
         for pt in on + random_points:
-            scaled = [Fraction(x, k) for x, k in zip(pt, (2, 3, 5, 7))]
-            assert membership(M, scaled) == membership(M, [x * 210 // k for x, k in zip(pt, (2, 3, 5, 7))])
+            scaled = [Fraction(x, k) for x, k in zip(pt, dens)]
+            assert membership(M, scaled) == membership(M, [x * 210 // k for x, k in zip(pt, dens)])
 
 
 def test_membership_point_vanishing_mod_screen_prime(query_cases):
