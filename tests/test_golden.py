@@ -14,11 +14,15 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from bisurf.cli import main
+
+from helpers import random_dense
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -31,11 +35,17 @@ CASES = [
 COMMANDS = ("implicit", "info", "matrix")
 FIELDS = ((), ("--mod", "32003"))
 
+# Inputs written from random_dense(d, Random(1)), the benchmark's dense
+# texts: their syzygy kernels (81x144 for d = 3) are the largest QQ kernels
+# the suite pins. No implicit runs: their minors gcd alone takes seconds.
+DENSE = {"dense22.ex": 2, "dense33.ex": 3}
+DENSE_CASES = [("dense22.ex",), ("dense22.ex", "--saturate"), ("dense33.ex",)]
+
 
 def argvs():
-    """Every golden argv; the input is named relative to inputs/. The text
-    `matrix` runs pin the printed row basis, and common_factor.ex pins the
-    input-gcd warning and its exit code 2."""
+    """Every golden argv; the input is named relative to inputs/, or is one
+    of DENSE. The text `matrix` runs pin the printed row basis, and
+    common_factor.ex pins the input-gcd warning and its exit code 2."""
     json_runs = [
         [command, case[0], *case[1:], "--json", *field]
         for case in CASES
@@ -44,7 +54,13 @@ def argvs():
     ]
     text_runs = [["matrix", case[0], *case[1:], *field] for case in CASES for field in FIELDS]
     warning_runs = [["info", "common_factor.ex", "--json", *field] for field in FIELDS]
-    return json_runs + text_runs + warning_runs
+    dense_runs = [
+        [command, case[0], *case[1:], "--json", *field]
+        for case in DENSE_CASES
+        for command in ("info", "matrix")
+        for field in FIELDS
+    ]
+    return json_runs + text_runs + warning_runs + dense_runs
 
 
 def _sha256(text):
@@ -54,9 +70,13 @@ def _sha256(text):
 def run(argv):
     """(exit code, sha256 of stdout, sha256 of stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
-    full = [argv[0], str(INPUTS / argv[1]), *argv[2:]]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(full)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = INPUTS / argv[1]
+        if argv[1] in DENSE:
+            path = Path(tmp) / argv[1]
+            path.write_text(random_dense(DENSE[argv[1]], Random(1)).to_text(), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[2:]])
     return code, _sha256(out.getvalue()), _sha256(err.getvalue())
 
 
