@@ -1,106 +1,30 @@
-"""Dense exact linear algebra over QQ and GF(p).
+"""Dense exact linear algebra on int rows, over QQ and GF(p).
 
-Reduced row echelon form, rank and canonical nullspace bases. Over QQ the
-rows are cleared of denominators and everything runs on ints: the forward
-elimination is fraction-free, and the back-substitution combines each row
-with a multiple of a pivot row below it; both strip integer content to
-control coefficient growth. A Fraction is formed only for a returned entry,
-when each row is divided by its pivot. The pivot rule is always "first
-nonzero entry in column order", so results are deterministic and the RREF is
-the unique one.
+Every function takes a list of int rows and a column count, plus p: p = 0
+means the rows are over QQ (a caller with rational rows clears their
+denominators first, which changes no rank, RREF or kernel), and p > 0 means
+they hold residues in [0, p). `int_rank` gives the rank, `int_rref` the
+nonzero rows of the reduced row echelon form and the pivot columns, and
+`int_nullspace` the canonical kernel basis built from it. The pivot rule is
+always "first nonzero entry in column order", so results are deterministic
+and the RREF is the unique one.
 
-`int_rank` and `int_rref` take int rows that the caller builds once (over QQ
-with a common denominator cleared; `rank` clears them per row). Over QQ they
-first eliminate modulo the word-size prime SCREEN_PRIME = 2^31 - 1. That rank
-is only a lower bound over QQ, so it is used only when an exact upper bound
-meets it: full rank, min(rows, cols), for `int_rank`, or a bound its caller
-proves (`zcomplex` uses d_i d_(i+1) = 0); full column rank for `int_rref`,
-whose RREF is then [I; 0]. Otherwise fraction-free elimination runs on the
-same rows.
+Over QQ the forward elimination is fraction-free, and the back-substitution
+combines each row with a multiple of a pivot row below it; both strip
+integer content to control coefficient growth. A Fraction is formed only for
+a returned entry, when each row is divided by its pivot. Before that, the
+rows are eliminated modulo the word-size prime SCREEN_PRIME = 2^31 - 1. That
+rank is only a lower bound over QQ, so it is used only when an exact upper
+bound meets it: full rank, min(rows, cols), for `int_rank`, or a bound its
+caller proves (`zcomplex` uses d_i d_(i+1) = 0); full column rank for
+`int_rref`, whose RREF is then [I; 0]. Otherwise fraction-free elimination
+runs on the same rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-from .fields import QQ
-
-
-class ExactMatrix:
-    """Immutable dense matrix with exact field entries: Fractions over QQ, int
-    residues in [0, p) over GF(p). The constructor coerces every entry, so
-    over GF(p) it reduces them."""
-
-    __slots__ = ("rows", "cols", "entries", "field")
-
-    def __init__(self, entries, field=QQ, cols=None):
-        entries = tuple(tuple(field.coerce(x) for x in row) for row in entries)
-        rows = len(entries)
-        if rows:
-            cols = len(entries[0])
-            if any(len(r) != cols for r in entries):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-        self.field = field
-
-    @classmethod
-    def zero(cls, rows, cols, field=QQ):
-        z = field.zero
-        return cls([[z] * cols for _ in range(rows)], field, cols=cols)
-
-    @classmethod
-    def identity(cls, n, field=QQ):
-        z, o = field.zero, field.one
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)], field)
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        z = self.field.zero
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    x = ri[k]
-                    if x:
-                        acc = acc + x * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out, self.field, cols=other.cols)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
-
-
-def _int_rows(m: ExactMatrix):
-    """Clear denominators per row; row scaling preserves the row space."""
-    out = []
-    for row in m.entries:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        out.append([int(x.numerator * (den // x.denominator)) for x in row])
-    return out
+from math import gcd
 
 
 def _strip_content(row, start=0):
@@ -209,21 +133,6 @@ def _rref_int(ints, cols):
     return frows, pivots
 
 
-def rref(m: ExactMatrix):
-    """Reduced row echelon form; returns (rref matrix, rank, pivot columns)."""
-    if m.rows == 0 or m.cols == 0:
-        return m, 0, ()
-    p = m.field.characteristic
-    if p:
-        rows = [list(row) for row in m.entries]
-        pivots = _rref_gf(rows, m.cols, p)  # the rows below the rank end up zero
-        return ExactMatrix(rows, m.field, cols=m.cols), len(pivots), tuple(pivots)
-    frows, pivots = _rref_int(_int_rows(m), m.cols)
-    zero_row = [Fraction(0)] * m.cols
-    frows.extend([list(zero_row) for _ in range(m.rows - len(pivots))])
-    return ExactMatrix(frows, m.field, cols=m.cols), len(pivots), tuple(pivots)
-
-
 # ---------------------------------------------------------------------------
 # ranks and RREFs of int rows, screened modulo one word-size prime over QQ
 
@@ -281,27 +190,23 @@ def int_rref(rows, cols, p=0):
     return _rref_int(rows, cols)
 
 
-def rank(m: ExactMatrix) -> int:
-    p = m.field.characteristic
-    return int_rank(m.entries if p else _int_rows(m), m.cols, p)
-
-
-def nullspace(m: ExactMatrix) -> ExactMatrix:
-    """Canonical kernel basis: columns, one per free variable taken in column
-    order with the free variable set to 1."""
-    reduced, r, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    z, o = m.field.zero, m.field.one
-    cols = []
-    for fc in free:
-        v = [z] * m.cols
-        v[fc] = o
-        for k, pc in enumerate(pivots):
-            val = reduced.entries[k][fc]
-            if val:
-                v[pc] = -val
-        cols.append(v)
-    if not cols:
-        return ExactMatrix([[] for _ in range(m.cols)], m.field, cols=0)
-    out = [[cols[j][i] for j in range(len(cols))] for i in range(m.cols)]
-    return ExactMatrix(out, m.field, cols=len(cols))
+def int_nullspace(rows, cols, p=0):
+    """Canonical kernel basis of int rows over QQ (p = 0) or of int residues
+    mod p, which it consumes: one vector per free column of the RREF, in
+    column order, with that column 1, the other free columns 0 and each
+    pivot column the negated RREF entry. The entries are Fractions over QQ
+    and residues in [0, p) over GF(p)."""
+    reduced, pivots = int_rref(rows, cols, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    pivset = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivset:
+            continue
+        v = [zero] * cols
+        v[fc] = one
+        for row, pc in zip(reduced, pivots):
+            if row[fc]:
+                v[pc] = -row[fc] % p if p else -row[fc]
+        basis.append(v)
+    return basis

@@ -18,7 +18,7 @@ from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import ExactMatrix, _rref_gf, int_rank
+from .exactla import int_nullspace, int_rank
 from .fields import is_prime
 from .segre import basis
 from .tpoly import (
@@ -88,14 +88,6 @@ class RepMatrix:
     @property
     def cols(self) -> int:
         return len(self.syzygies)
-
-    def evaluate(self, point) -> ExactMatrix:
-        pt = [self.field.coerce(x) for x in point]
-        return ExactMatrix(
-            [[entry.eval(pt) for entry in row] for row in self.entries],
-            self.field,
-            cols=self.cols,
-        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -339,16 +331,10 @@ def _substitution_rows(layer, monos):
 def _kernel_mod(rows, cols, p):
     """(dimension, kernel vector) of the int matrix reduced mod p; the vector
     is given only for dimension 1, scaled so its first nonzero entry is 1."""
-    reduced = [[x % p for x in row] for row in rows]
-    pivots = _rref_gf(reduced, cols, p)
-    dim = cols - len(pivots)
-    if dim != 1:
-        return dim, None
-    free = next(c for c in range(cols) if c not in pivots)
-    vec = [0] * cols
-    vec[free] = 1
-    for k, c in enumerate(pivots):
-        vec[c] = -reduced[k][free] % p
+    kernel = int_nullspace([[x % p for x in row] for row in rows], cols, p)
+    if len(kernel) != 1:
+        return len(kernel), None
+    vec = kernel[0]
     inv = pow(next(x for x in vec if x), -1, p)
     return 1, [x * inv % p for x in vec]
 

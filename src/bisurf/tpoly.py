@@ -550,15 +550,6 @@ class LinearForm:
     def as_tpoly(self) -> TPoly:
         return TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field)
 
-    def eval(self, point):
-        """Value at a 4-tuple of field elements. Over GF(p) it is an int
-        congruent to the value, left for the ExactMatrix it feeds to reduce."""
-        acc = self.field.zero
-        for c, x in zip(self.coeffs, point):
-            if c:
-                acc = acc + c * x
-        return acc
-
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
 

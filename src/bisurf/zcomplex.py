@@ -1,15 +1,17 @@
 """Graded strands of the syzygy complex over the Segre coordinate ring.
 
 Given the ideal I = (g1..g4), this module assembles the degree-mu pieces of
-the Koszul differentials as exact matrices, computes linear syzygy bases and
+the Koszul differentials as int rows, computes linear syzygy bases and
 cycle-space dimensions, the Euler characteristic of a strand, the expected
 degree of the strand determinant, and the critical degree from which the
 representation matrix is valid (optionally lowered via the saturation index).
 Ring elements of degree n are bidegree (n,n) forms in s,u,t,v (see segre), so
 a product of monomials is a sum of exponents.
 
-One builder, _koszul_rows, makes the int rows of every Koszul piece;
-koszul_matrix is their ExactMatrix view. Over QQ the ranks behind the cycle
+One builder, _koszul_rows, makes the int rows of every Koszul piece: over
+QQ from the generators scaled by their common denominator, which changes no
+rank and no kernel, over GF(p) from their residues. The syzygy basis is the
+canonical kernel of the first piece. Over QQ the ranks behind the cycle
 dimensions and the saturation pieces come from one elimination of those rows
 modulo exactla.SCREEN_PRIME, used only with an exact certificate (full rank,
 or d_i d_(i+1) = 0), and from fraction-free elimination otherwise.
@@ -18,13 +20,13 @@ or d_i d_(i+1) = 0), and from fraction-free elimination otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
 from .biparam import BiHomPoly, InputError, Parametrization
-from .exactla import ExactMatrix, int_rank, int_rref, nullspace, screen_rank
+from .exactla import int_nullspace, int_rank, int_rref, screen_rank
 from .segre import basis
+from .tpoly import _ints, _scale_of
 
 _SUBSETS = {i: tuple(combinations(range(4), i)) for i in range(5)}
 # X1..X4 as the bidegree (1,1) monomials s*t, s*v, u*t, u*v
@@ -71,16 +73,6 @@ class SegreIdeal:
         return f"SegreIdeal(degree {self.degree}; " + ", ".join(str(g) for g in self.gs) + ")"
 
 
-def _int_generators(I: SegreIdeal):
-    """(den, term lists) of the generators as ints: over QQ scaled by one
-    common denominator den, which changes no rank and no span; over GF(p)
-    the residues as they are, with den = 1."""
-    if I.field.characteristic:
-        return 1, [list(g.terms.items()) for g in I.gs]
-    den = lcm(*(c.denominator for g in I.gs for c in g.terms.values()))
-    return den, [[(e, int(c * den)) for e, c in g.terms.items()] for g in I.gs]
-
-
 def _times(exp, terms):
     """The terms of the monomial exp times a term list; distinct terms give
     distinct products."""
@@ -90,7 +82,8 @@ def _times(exp, terms):
 
 def _koszul_rows(I: SegreIdeal, i: int, mu: int):
     """(int rows, column count) of the degree-mu piece of the i-th Koszul
-    differential, with the generators of _int_generators.
+    differential, with the generators as ints: over QQ scaled by their
+    common denominator, over GF(p) the residues.
 
     Columns are indexed by (size-i subset S, source monomial), rows by
     (size-(i-1) subset T, target monomial). The block for T = S minus {j}
@@ -109,7 +102,8 @@ def _koszul_rows(I: SegreIdeal, i: int, mu: int):
     src = basis(src_deg).quads
     dst = basis(dst_deg).index
     p = I.field.characteristic
-    gens = _int_generators(I)[1]
+    den = _scale_of(I.gs)
+    gens = [list(_ints(g, den).items()) for g in I.gs]
     negated = [[(e, (-c) % p if p else -c) for e, c in terms] for terms in gens]
     cols = len(src) * len(_SUBSETS[i])
     rows = [[0] * cols for _ in range(n_rows)]
@@ -124,42 +118,22 @@ def _koszul_rows(I: SegreIdeal, i: int, mu: int):
     return rows, cols
 
 
-def koszul_matrix(I: SegreIdeal, i: int, mu: int) -> ExactMatrix:
-    """Degree-mu piece of the i-th Koszul differential for (g1..g4), in the
-    layout of _koszul_rows, with the generators' own coefficients."""
-    rows, cols = _koszul_rows(I, i, mu)
-    if not I.field.characteristic:
-        den, zero = _int_generators(I)[0], I.field.zero
-        rows = [[Fraction(x, den) if x else zero for x in row] for row in rows]
-    return ExactMatrix(rows, I.field, cols=cols)
-
-
-def syzygy_matrix(I: SegreIdeal, nu: int) -> ExactMatrix:
-    """Coefficient matrix of sum(a_i * g_i) = 0 with the a_i of degree nu:
-    one row per degree nu+d monomial, blocks of columns for a1..a4."""
-    return koszul_matrix(I, 1, nu + I.degree)
-
-
 def linear_syzygies(I: SegreIdeal, nu: int):
     """Canonical basis of the degree-nu syzygies, as 4-tuples of bidegree
-    (nu,nu) forms."""
+    (nu,nu) forms: the kernel of the first Koszul differential in degree
+    nu+d, whose columns come in blocks for a1..a4."""
     if nu < 0:
         raise ValueError("negative degree")
-    ns = nullspace(syzygy_matrix(I, nu))
-    b = basis(nu)
-    k = len(b)
-    out = []
-    for j in range(ns.cols):
-        tup = []
-        for block in range(4):
-            terms = {}
-            for r in range(k):
-                v = ns.entries[block * k + r][j]
-                if v:
-                    terms[b.quads[r]] = v
-            tup.append(BiHomPoly((nu, nu), terms, I.field))
-        out.append(tuple(tup))
-    return out
+    rows, cols = _koszul_rows(I, 1, nu + I.degree)
+    quads = basis(nu).quads
+    k = len(quads)
+    return [
+        tuple(
+            BiHomPoly((nu, nu), {q: x for q, x in zip(quads, v[block * k:]) if x}, I.field)
+            for block in range(4)
+        )
+        for v in int_nullspace(rows, cols, I.field.characteristic)
+    ]
 
 
 def cycle_space_dim(I: SegreIdeal, i: int, mu: int) -> int:
@@ -284,43 +258,45 @@ def _variable_mult_matrices(n: int):
     ]
 
 
-def _colon_by_irrelevant(sub: _Subspace, n: int, field) -> _Subspace:
-    """The degree-n piece of (J : (X1..X4)) given the degree-(n+1) piece of J."""
+def _cleared(row):
+    """A row of Fractions times its common denominator, as ints; the scaling
+    keeps the span and the kernel."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _colon_by_irrelevant(sub: _Subspace, n: int, p: int) -> _Subspace:
+    """The degree-n piece of (J : (X1..X4)) given the degree-(n+1) piece of J,
+    over QQ (p = 0) or GF(p)."""
     dim_n = (n + 1) ** 2
     dim_n1 = (n + 2) ** 2
     mults = _variable_mult_matrices(n)
     pivset = dict(zip(sub.pivots, range(sub.dim)))
     red = sub.rows
-    p = field.characteristic
     constraints = []
     for targets in mults:
         # multiplication by one variable sends the basis monomial in column c
-        # to the single target monomial targets[c]
+        # to the single target monomial targets[c], and distinct monomials to
+        # distinct targets, so each entry is set at most once
         for q in range(dim_n1):
             if q in pivset:
                 continue
-            row = [field.zero] * dim_n
+            row = [0] * dim_n
             touched = False
             for c in range(dim_n):
                 tq = targets[c]
                 if tq == q:
-                    row[c] = row[c] + field.one
+                    row[c] = 1
                     touched = True
                 elif tq in pivset:
                     v = red[pivset[tq]][q]
                     if v:
-                        row[c] = row[c] - v
+                        row[c] = -v % p if p else -v
                         touched = True
             if touched:
-                constraints.append(row)
-    if not constraints:
-        return _span([[int(i == j) for j in range(dim_n)] for i in range(dim_n)], n, p, dim_n)
-    ns = nullspace(ExactMatrix(constraints, field, cols=dim_n))
-    rows = [[ns.entries[i][j] for i in range(dim_n)] for j in range(ns.cols)]
-    if not p:  # scaling each kernel vector to ints keeps the span
-        dens = [lcm(*(x.denominator for x in row)) for row in rows]
-        rows = [[int(x * den) for x in row] for row, den in zip(rows, dens)]
-    return _span(rows, n, p, dim_n)
+                constraints.append(row if p else _cleared(row))
+    kernel = int_nullspace(constraints, dim_n, p)
+    return _span(kernel if p else [_cleared(v) for v in kernel], n, p, dim_n)
 
 
 def saturation_indeg(I: SegreIdeal) -> int:
@@ -337,7 +313,7 @@ def saturation_indeg(I: SegreIdeal) -> int:
     for step in range(1, 2 * d + 1):
         new_top = top - step
         nxt = {
-            n: _colon_by_irrelevant(current[n + 1], n, I.field)
+            n: _colon_by_irrelevant(current[n + 1], n, I.field.characteristic)
             for n in range(new_top + 1)
         }
         if nxt[0].dim > 0:

@@ -7,7 +7,8 @@ assembles its strands on bidegree (n,n) forms, so the method is the same
 and only the code is independent: agreement catches implementation faults,
 not a flaw shared by the method. The
 scalar Bareiss determinant and the modular rank check are reference oracles
-for the polynomial determinants and the exact ranks.
+for the polynomial determinants and the exact ranks. Matrices are plain lists
+of rows: ints or Fractions over QQ, residues in [0, p) over GF(p).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import lcm
 from random import Random
 
 from bisurf.biparam import BiHomPoly, Parametrization
-from bisurf.exactla import ExactMatrix, rank
+from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField, is_prime
 
 
@@ -186,26 +187,41 @@ def cofactor_det(rows):
     return total
 
 
+def int_rows(rows):
+    """Rational rows as int rows, each times the common denominator of its
+    entries; the scaling keeps the rank, the RREF and the kernel."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
+def matmul(a, b):
+    """Product of two matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 class BadPrimeError(ValueError):
     """A denominator vanishes modulo the requested prime."""
 
 
-def det_bareiss(m: ExactMatrix):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError(f"determinant of a non-square {m.rows}x{m.cols} matrix")
-    n = m.rows
-    if n == 0:
-        return m.field.one
-    if isinstance(m.field, PrimeField):
-        p = m.field.p
-        rows = [list(row) for row in m.entries]
+def det_bareiss(rows, p=0):
+    """Exact determinant of a square matrix over QQ (p = 0; a Fraction) or of
+    residues mod p (an int residue), by fraction-free (Bareiss) elimination
+    over QQ and Gaussian elimination mod p."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"determinant of a non-square {n}x{len(rows[0])} matrix")
+    if p:
+        rows = [[x % p for x in row] for row in rows]
         sign = 1
         det = 1
         for c in range(n):
             pr = next((i for i in range(c, n) if rows[i][c]), None)
             if pr is None:
-                return m.field.zero
+                return 0
             if pr != c:
                 rows[c], rows[pr] = rows[pr], rows[c]
                 sign = -sign
@@ -219,14 +235,12 @@ def det_bareiss(m: ExactMatrix):
                     for j in range(c, n):
                         ri[j] = (ri[j] - v * rc[j]) % p
         return sign * det % p
-    scale = Fraction(1)
-    rows = []
-    for row in m.entries:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        scale *= den
-        rows.append([int(x.numerator * (den // x.denominator)) for x in row])
+    if n == 0:
+        return Fraction(1)
+    scale = 1
+    for row in rows:
+        scale *= lcm(*(Fraction(x).denominator for x in row))
+    rows = int_rows(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -248,19 +262,16 @@ def det_bareiss(m: ExactMatrix):
     return Fraction(sign * rows[n - 1][n - 1]) / scale
 
 
-def reduce_mod(m: ExactMatrix, p: int) -> ExactMatrix:
-    """Image of a rational matrix in GF(p); raises BadPrimeError when a
-    denominator is divisible by p."""
-    field = PrimeField(p)
-    rows = []
-    for row in m.entries:
-        out = []
+def reduce_mod(rows, p: int):
+    """Image of rational rows in GF(p), as residues; raises BadPrimeError
+    when a denominator is divisible by p."""
+    out = []
+    for row in rows:
         for x in row:
-            if x.denominator % p == 0:
+            if Fraction(x).denominator % p == 0:
                 raise BadPrimeError(f"denominator of {x} vanishes mod {p}")
-            out.append(field.coerce(x))
-        rows.append(out)
-    return ExactMatrix(rows, field, cols=m.cols)
+        out.append([PrimeField(p).coerce(x) for x in row])
+    return out
 
 
 def random_prime(rng: Random, bits: int = 31) -> int:
@@ -270,19 +281,19 @@ def random_prime(rng: Random, bits: int = 31) -> int:
             return n
 
 
-def modular_rank_agrees(m: ExactMatrix, num_primes: int = 3, rng: Random | None = None) -> bool:
-    """Cross-check: the GF(p) rank must match the rational rank for several
-    independently chosen random primes."""
+def modular_rank_agrees(rows, cols, num_primes: int = 3, rng: Random | None = None) -> bool:
+    """Cross-check: the GF(p) rank of rational rows must match their rank
+    over QQ for several independently chosen random primes."""
     rng = rng or Random(0)
-    r_exact = rank(m)
+    r_exact = int_rank(int_rows(rows), cols)
     checked = 0
     while checked < num_primes:
         p = random_prime(rng)
         try:
-            mp = reduce_mod(m, p)
+            rows_p = reduce_mod(rows, p)
         except BadPrimeError:
             continue
-        if rank(mp) != r_exact:
+        if int_rank(rows_p, cols, p) != r_exact:
             return False
         checked += 1
     return True

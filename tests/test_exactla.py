@@ -3,8 +3,7 @@ from random import Random
 
 import pytest
 
-from bisurf.exactla import ExactMatrix, nullspace, rank, rref
-from bisurf.fields import PrimeField
+from bisurf.exactla import int_nullspace, int_rank, int_rref
 
 from helpers import (
     BadPrimeError,
@@ -13,67 +12,77 @@ from helpers import (
     fraction_nullspace,
     fraction_rank,
     fraction_rref,
+    int_rows,
+    matmul,
     modular_rank_agrees,
     reduce_mod,
 )
 
 
-def random_matrix(rng, rows, cols, lo=-9, hi=9):
-    return ExactMatrix(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
-    )
+def random_rows(rng, rows, cols, lo=-9, hi=9):
+    return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def annihilates(rows, vectors, p=0):
+    """Every vector is in the kernel of rows (mod p when p > 0)."""
+    product = matmul(rows, list(zip(*vectors)))
+    return all((x % p if p else x) == 0 for row in product for x in row)
+
+
+def copy(rows):
+    return [list(row) for row in rows]
 
 
 def test_rref_examples():
-    _, r, _ = rref(ExactMatrix([[1, 2], [2, 4]]))
-    assert r == 1
-    ident = ExactMatrix.identity(3)
-    red, r, pivots = rref(ident)
-    assert r == 3 and red == ident and pivots == (0, 1, 2)
-    _, r, _ = rref(ExactMatrix.zero(2, 5))
-    assert r == 0
+    assert int_rank([[1, 2], [2, 4]], 2) == 1
+    assert int_rref([[1, 2], [2, 4]], 2) == ([[1, 2]], [0])
+    assert int_rref(identity(3), 3) == (identity(3), [0, 1, 2])
+    assert int_rref([[0] * 5, [0] * 5], 5) == ([], [])
+    assert int_rank([[0] * 5, [0] * 5], 5) == 0
 
 
 def test_rref_is_reduced_and_deterministic():
     rng = Random(1)
-    m = random_matrix(rng, 6, 4)
-    red, r, pivots = rref(m)
-    for k, c in enumerate(pivots):
-        assert red.entries[k][c] == 1
-        for i in range(red.rows):
-            if i != k:
-                assert red.entries[i][c] == 0
-    assert rref(m) == (red, r, pivots)
+    for shape in ((6, 4), (4, 6)):
+        rows = random_rows(rng, *shape)
+        red, pivots = int_rref(copy(rows), shape[1])
+        for k, c in enumerate(pivots):
+            assert red[k][c] == 1
+            for i in range(len(red)):
+                if i != k:
+                    assert red[i][c] == 0
+        assert int_rref(copy(rows), shape[1]) == (red, pivots)
 
 
 def test_nullspace_examples():
-    ns = nullspace(ExactMatrix([[1, 1]]))
-    assert ns.entries == ((Fraction(-1),), (Fraction(1),))
-    assert nullspace(ExactMatrix.identity(4)).cols == 0
-    assert nullspace(ExactMatrix([[1, 2, 3], [2, 4, 6]])).cols == 2
+    ns = int_nullspace([[1, 1]], 2)
+    assert ns == [[Fraction(-1), Fraction(1)]]
+    assert all(type(x) is Fraction for x in ns[0])
+    assert int_nullspace(identity(4), 4) == []
+    assert len(int_nullspace([[1, 2, 3], [2, 4, 6]], 3)) == 2
+    assert int_nullspace([], 2) == [[1, 0], [0, 1]]
 
 
 def test_nullspace_exactness_and_rank_nullity():
     rng = Random(2)
     for _ in range(25):
-        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
-        ns = nullspace(m)
-        assert rank(m) + ns.cols == m.cols
-        if ns.cols:
-            assert (m @ ns).is_zero()
+        cols = rng.randint(1, 7)
+        rows = random_rows(rng, rng.randint(1, 7), cols)
+        ns = int_nullspace(copy(rows), cols)
+        assert int_rank(rows, cols) + len(ns) == cols
+        assert annihilates(rows, ns)
 
 
-def test_rref_and_nullspace_match_fraction_oracle():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
+def deficient_rows(st, entry):
+    """Rows drawn from entry, then repeated rows, combinations of two rows
+    and zero columns, in shuffled order."""
 
     @st.composite
-    def deficient(draw):
-        """Small int or Fraction rows, then repeated rows, combinations of
-        two rows and zero columns, in shuffled order."""
-        entry = st.integers(-9, 9)
-        if draw(st.booleans()):
-            entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    def draw_rows(draw):
         cols = draw(st.integers(1, 6))
         rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=5))
         for _ in range(draw(st.integers(0, 3))):
@@ -88,72 +97,123 @@ def test_rref_and_nullspace_match_fraction_oracle():
                 row[c] = 0
         return draw(st.permutations(rows))
 
+    return draw_rows()
+
+
+def test_rref_and_nullspace_match_fraction_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def rational_rows(draw):
+        entry = st.integers(-9, 9)
+        if draw(st.booleans()):
+            entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+        return draw(deficient_rows(st, entry))
+
     @hypothesis.settings(max_examples=300, deadline=None)
-    @hypothesis.given(deficient())
+    @hypothesis.given(rational_rows())
     def check(rows):
-        m = ExactMatrix(rows)
-        red, r, pivots = rref(m)
+        cols = len(rows[0])
+        red, pivots = int_rref(int_rows(rows), cols)
         expected, expected_pivots = fraction_rref(rows)
-        assert [list(row) for row in red.entries] == expected
-        assert list(pivots) == expected_pivots and r == len(expected_pivots)
-        ns = nullspace(m)
-        assert [list(col) for col in zip(*ns.entries)] == fraction_nullspace(rows)
-        assert ns.cols == m.cols - r
-        if ns.cols:
-            assert (m @ ns).is_zero()
+        r = len(expected_pivots)
+        assert red == expected[:r] and not any(any(row) for row in expected[r:])
+        assert pivots == expected_pivots
+        ns = int_nullspace(int_rows(rows), cols)
+        assert ns == fraction_nullspace(rows)
+        assert len(ns) == cols - r
+        assert all(type(x) is Fraction for v in ns for x in v)
+        assert annihilates(rows, ns)
+
+    check()
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+def test_gf_rref_and_nullspace_match_sympy(p):
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    st = hypothesis.strategies
+    K = GF(p)
+
+    def residues(matrix):
+        return [[K.to_int(x) % p for x in row] for row in matrix.to_list()]
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(deficient_rows(st, st.integers(0, p - 1)))
+    def check(rows):
+        rows = [[x % p for x in row] for row in rows]
+        cols = len(rows[0])
+        m = DomainMatrix([[K(x) for x in row] for row in rows], (len(rows), cols), K)
+        reduced, expected_pivots = m.rref()
+        expected = residues(reduced)
+        red, pivots = int_rref(copy(rows), cols, p)
+        r = len(pivots)
+        assert pivots == list(expected_pivots)
+        assert red == expected[:r] and not any(any(row) for row in expected[r:])
+        ns = int_nullspace(copy(rows), cols, p)
+        # m.nullspace() leaves its vectors unscaled over GF(p); the basis
+        # read off the RREF sets each free variable to 1
+        assert ns == residues(reduced.nullspace_from_rref(expected_pivots))
+        assert len(ns) == cols - r == cols - int_rank(rows, cols, p)
+        assert all(type(x) is int and 0 <= x < p for v in ns for x in v)
+        assert annihilates(rows, ns, p)
 
     check()
 
 
 def test_det_examples():
-    assert det_bareiss(ExactMatrix([[1, 2], [3, 4]])) == -2
-    assert det_bareiss(ExactMatrix([[1, 2], [2, 4]])) == 0
-    assert det_bareiss(ExactMatrix.identity(5)) == 1
+    assert det_bareiss([[1, 2], [3, 4]]) == -2
+    assert det_bareiss([[1, 2], [2, 4]]) == 0
+    assert det_bareiss(identity(5)) == 1
     with pytest.raises(ValueError):
-        det_bareiss(ExactMatrix.zero(2, 3))
+        det_bareiss([[0] * 3, [0] * 3])
 
 
 def test_det_matches_cofactor_up_to_5():
     rng = Random(3)
     for n in range(1, 6):
         for _ in range(8):
-            m = random_matrix(rng, n, n, -5, 5)
-            assert det_bareiss(m) == cofactor_det([list(r) for r in m.entries])
+            rows = random_rows(rng, n, n, -5, 5)
+            assert det_bareiss(rows) == cofactor_det(rows)
 
 
 def test_det_with_rational_entries():
-    m = ExactMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]])
-    assert det_bareiss(m) == Fraction(1, 14) - Fraction(1, 15)
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    assert det_bareiss(rows) == Fraction(1, 14) - Fraction(1, 15)
 
 
 def test_rank_matches_independent_gaussian():
     rng = Random(4)
     for _ in range(25):
-        m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
-        assert rank(m) == fraction_rank([list(r) for r in m.entries])
+        cols = rng.randint(1, 8)
+        rows = random_rows(rng, rng.randint(1, 8), cols)
+        assert int_rank(rows, cols) == fraction_rank(rows)
 
 
 def test_gf_rref_and_nullspace():
-    gf = PrimeField(7)
-    m = ExactMatrix([[1, 2, 3], [4, 5, 6], [5, 0, 2]], gf)
-    red, r, pivots = rref(m)
-    ns = nullspace(m)
-    assert r + ns.cols == 3
-    if ns.cols:
-        assert (m @ ns).is_zero()
-    assert det_bareiss(ExactMatrix.identity(3, gf)) == gf.one
+    p = 7
+    rows = [[1, 2, 3], [4, 5, 6], [5, 0, 2]]
+    red, pivots = int_rref(copy(rows), 3, p)
+    ns = int_nullspace(copy(rows), 3, p)
+    assert len(pivots) == int_rank(rows, 3, p) and len(pivots) + len(ns) == 3
+    assert annihilates(rows, ns, p)
+    assert det_bareiss(identity(3), p) == 1
 
 
 def test_reduce_mod_and_bad_prime():
-    m = ExactMatrix([[Fraction(1, 3), 2], [1, 1]])
-    mp = reduce_mod(m, 5)
-    assert mp.entries[0][0] == pow(3, 3, 5)  # 1/3 mod 5
+    rows = [[Fraction(1, 3), 2], [1, 1]]
+    assert reduce_mod(rows, 5)[0][0] == pow(3, 3, 5)  # 1/3 mod 5
     with pytest.raises(BadPrimeError):
-        reduce_mod(m, 3)
+        reduce_mod(rows, 3)
 
 
 def test_modular_rank_cross_check():
     rng = Random(5)
     for _ in range(10):
-        m = random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6))
-        assert modular_rank_agrees(m, 3, Random(9))
+        cols = rng.randint(2, 6)
+        rows = random_rows(rng, rng.randint(2, 6), cols)
+        assert modular_rank_agrees(rows, cols, 3, Random(9))

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
-from bisurf.exactla import SCREEN_PRIME, nullspace, rref
+from bisurf.exactla import SCREEN_PRIME, int_nullspace, int_rref
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
     _lift_primes,
@@ -20,7 +20,7 @@ from bisurf.matrixrep import (
     verify_substitution,
 )
 from bisurf.tpoly import TPoly, parse_tpoly
-from bisurf.zcomplex import SegreIdeal, StrandError, syzygy_matrix, working_strand
+from bisurf.zcomplex import SegreIdeal, StrandError, _koszul_rows, working_strand
 
 from helpers import fraction_rank, random_dense
 
@@ -99,11 +99,16 @@ def query_cases(mixed_param):
     return out
 
 
+def evaluated(M, point):
+    """M at a point, from the coefficients of its entries."""
+    return [[sum(c * x for c, x in zip(entry.coeffs, point)) for entry in row] for row in M.entries]
+
+
 def test_membership_matches_fraction_rank(query_cases):
     for M, on, random_points in query_cases:
         answers = []
         for pt in on + random_points:
-            r = fraction_rank(M.evaluate(pt).entries)
+            r = fraction_rank(evaluated(M, pt))
             answers.append(membership(M, pt))
             assert answers[-1] == (r < M.rows, r), pt
         assert all(a[0] for a in answers[: len(on)])
@@ -320,7 +325,7 @@ def test_gf_coefficients_are_int_residues(inputs_dir, p):
     M = representation_matrix(I, nu)
     D = minors_gcd(M, strand.expected_det_degree)
     F = implicit_by_interpolation(P, D.total_degree())
-    syz = syzygy_matrix(I, nu)
+    rows, cols = _koszul_rows(I, 1, nu + I.degree)
 
     def residues(values):
         values = list(values)
@@ -330,6 +335,8 @@ def test_gf_coefficients_are_int_residues(inputs_dir, p):
     for poly in (D, F, I.gs[0] * I.gs[3], *P.fs):
         assert residues(poly.terms.values()), poly
     assert residues(c for syz in M.syzygies for a in syz for c in a.terms.values())
-    for m in (rref(syz)[0], nullspace(syz), M.evaluate((1, -2, 3, -4))):
-        assert residues(x for row in m.entries for x in row)
+    red = int_rref([list(row) for row in rows], cols, p)[0]
+    for m in (rows, red, int_nullspace([list(row) for row in rows], cols, p)):
+        assert residues(x for row in m for x in row)
+    assert residues(c for row in M.int_entries() for e in row for c in e)
     assert residues([F.eval((1, -2, 3, -4)), P.fs[0].eval((5, -6, 7, -8))])

@@ -3,7 +3,6 @@ from random import Random
 
 import pytest
 
-from bisurf.exactla import ExactMatrix
 from bisurf.fields import QQ, PrimeField
 from bisurf.tpoly import (
     ExactDivisionError,
@@ -119,7 +118,7 @@ def test_polydet_matches_scalar_determinant():
     for n in (2, 3, 5, 6):
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         grid = [[TPoly.constant(x) for x in row] for row in rows]
-        assert polydet(grid) == TPoly.constant(det_bareiss(ExactMatrix(rows)))
+        assert polydet(grid) == TPoly.constant(det_bareiss(rows))
 
 
 def test_eval_commutes_with_det():
@@ -128,8 +127,7 @@ def test_eval_commutes_with_det():
         grid = [[random_tpoly(rng, 1, 3) for _ in range(n)] for _ in range(n)]
         point = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
         direct = polydet(grid).eval(point)
-        evaluated = ExactMatrix([[e.eval(point) for e in row] for row in grid])
-        assert direct == det_bareiss(evaluated)
+        assert direct == det_bareiss([[e.eval(point) for e in row] for row in grid])
 
 
 # The division, gcd and determinant run on int coefficients (over the
@@ -199,8 +197,8 @@ def test_bareiss_polydet_at_points(field):
         det = polydet(grid)
         for _ in range(3):
             point = [field.coerce(rng.randint(-5, 5)) for _ in range(4)]
-            evaluated = ExactMatrix([[e.eval(point) for e in row] for row in grid], field)
-            assert det.eval(point) == det_bareiss(evaluated)
+            evaluated = [[e.eval(point) for e in row] for row in grid]
+            assert det.eval(point) == det_bareiss(evaluated, field.characteristic)
 
 
 def test_eval_examples():
@@ -219,6 +217,5 @@ def test_print_parse_round_trip():
 def test_linear_form():
     lf = LinearForm([1, -2, 0, Fraction(1, 3)])
     assert str(lf) == "T1 - 2*T2 + 1/3*T4"
-    assert lf.eval((3, 1, 0, 6)) == 3
     assert lf.as_tpoly() == tp("T1-2*T2+1/3*T4")
     assert LinearForm([0, 0, 0, 0]).is_zero()
