@@ -12,8 +12,9 @@ and the RREF is the unique one.
 Over QQ the forward elimination is fraction-free, and the back-substitution
 combines each row with a multiple of a pivot row below it; both strip
 integer content to control coefficient growth. A Fraction is formed only for
-a returned entry, when each row is divided by its pivot. Before that, the
-rows are eliminated modulo the word-size prime SCREEN_PRIME = 2^31 - 1. That
+a returned entry, when each row is divided by its pivot. Before that,
+`int_rank`, and `int_rref` when there are at least as many rows as columns,
+eliminate the rows modulo the word-size prime SCREEN_PRIME = 2^31 - 1. That
 rank is only a lower bound over QQ, so it is used only when an exact upper
 bound meets it: full rank, min(rows, cols), for `int_rank`, or a bound its
 caller proves (`zcomplex` uses d_i d_(i+1) = 0); full column rank for
