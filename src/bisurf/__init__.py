@@ -14,7 +14,6 @@ from .matrixrep import (
     RankDeficientError,
     RepMatrix,
     implicit_by_interpolation,
-    lci_diagnostic,
     membership,
     minors_gcd,
     representation_matrix,
@@ -38,7 +37,6 @@ __all__ = [
     "TPoly",
     "choose_nu",
     "implicit_by_interpolation",
-    "lci_diagnostic",
     "lift_mixed",
     "membership",
     "minors_gcd",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from ._expr import ParseError
@@ -183,6 +184,8 @@ def cmd_membership(args) -> int:
 def cmd_implicit(args) -> int:
     P, lifted, code = _prepared(args)
     rep = equation_report(P, nu=args.nu, saturate=args.saturate, seed=args.seed)
+    if code:  # the base locus is not finite: a constant residual certifies nothing
+        rep = replace(rep, lci=False)
     if args.json:
         print(json.dumps(rep.as_dict(), indent=2))
     else:
@@ -194,7 +197,7 @@ def cmd_implicit(args) -> int:
             f"{rep.residual.total_degree()}"
         )
         print(f"power: {rep.power}")
-        print(f"residual constant: {'yes' if rep.lci else 'no'}")
+        print(f"residual constant: {'yes' if rep.residual.is_constant() else 'no'}")
         print(f"verified by substitution: {'yes' if rep.substitution_ok else 'no'}")
     return code
 

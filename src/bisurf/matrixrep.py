@@ -3,17 +3,20 @@
 The matrix M has one row per degree-nu monomial of the quotient ring and one
 column per linear syzygy; its entries are linear forms in T1..T4. Its rank
 drops exactly on the surface (for isolated, locally complete intersection
-base points), the gcd of its maximal minors is the strand determinant, and an
-independent oracle, the exact kernel of F -> F(f1..f4), recovers the
-irreducible implicit equation for cross-checking.
+base points), and the gcd D of its maximal minors is the strand determinant.
+An independent oracle, the exact kernel of F -> F(f1..f4), finds the
+irreducible implicit equation F, which divides D; D is then found from its
+restrictions to random lines and split as a power of F times a residual.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from random import Random
 
 from . import _expr
@@ -25,12 +28,14 @@ from .tpoly import (
     ExactDivisionError,
     LinearForm,
     TPoly,
+    _det,
+    _div,
+    _gcd,
     _ints,
     _monic_product,
+    _mul,
+    _pow,
     _scale_of,
-    exact_div,
-    mvgcd,
-    polydet,
 )
 from .zcomplex import SegreIdeal, StrandError, linear_syzygies, working_strand
 
@@ -43,6 +48,10 @@ class RankDeficientError(RuntimeError):
 class InterpolationError(RuntimeError):
     """The oracle found no single equation within the degree bound: none
     exists, the image is not a surface, or the kernel did not lift."""
+
+
+class _DegreeBoundError(InterpolationError):
+    """No equation up to the degree bound."""
 
 
 class RepMatrix:
@@ -146,127 +155,181 @@ def _components(M: RepMatrix):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if not M.entries[i][j].is_zero():
-                union(i, M.rows + j)
+    for i, row in enumerate(M.int_entries()):
+        for j, entry in enumerate(row):
+            if any(entry):
+                parent[find(M.rows + j)] = find(i)
     groups: dict[int, tuple[list, list]] = {}
     for i in range(M.rows):
         groups.setdefault(find(i), ([], []))[0].append(i)
     for j in range(M.cols):
         groups.setdefault(find(M.rows + j), ([], []))[1].append(j)
-    comps = [
-        (tuple(rows), tuple(cols)) for rows, cols in groups.values()
-    ]
-    comps.sort(key=lambda rc: rc[0][0] if rc[0] else M.rows + rc[1][0])
-    return comps
+    comps = [(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
+    return sorted(comps, key=lambda rc: rc[0][0] if rc[0] else M.rows + rc[1][0])
 
 
-# Cap on the minors drawn by one minors_gcd call.
-_MAX_DRAWS = 2000
+def _blocks(M: RepMatrix):
+    """The blocks of M with rows; RankDeficientError when M or one of them
+    has fewer columns than rows, so that every maximal minor vanishes."""
+    if M.cols < M.rows:
+        raise RankDeficientError(f"matrix has more rows ({M.rows}) than columns ({M.cols})")
+    blocks = [(rows, cols) for rows, cols in _components(M) if rows]
+    if any(len(cols) < len(rows) for rows, cols in blocks):
+        raise RankDeficientError("a block has fewer columns than rows; its maximal minors vanish")
+    return blocks
 
 
-def _unrank(index: int, m: int, r: int):
-    """The index-th r-subset of range(m) in lexicographic order."""
+# Lines one minors_gcd call draws for its blocks, and again for each residual.
+_MAX_LINES = 200
+
+# Binary forms are int-kernel dicts on the exponents (0, 0, i, j) of
+# mu^i*lambda^j, so tpoly's gcd dehomogenizes lambda and runs univariate.
+_MU, _LAMBDA = (0, 0, 1, 0), (0, 0, 0, 1)
+
+_Line = namedtuple("_Line", "degree power quotient a b")
+
+
+def _binary(x, y, p):
+    return _expr.modp({e: c for e, c in ((_MU, x), (_LAMBDA, y)) if c}, p)
+
+
+def _on_line(monos, a, b, p):
+    """The binary form e(mu*a + lambda*b) of each exponent quadruple e."""
+    top = max(map(max, monos))
+    tables = [[_pow(_binary(x, y, p), k, p) for k in range(top + 1)] for x, y in zip(a, b)]
     out = []
-    c = 0
-    while r:
-        count = comb(m - c - 1, r - 1)
-        if index < count:
-            out.append(c)
-            r -= 1
-        else:
-            index -= count
-        c += 1
+    for e in monos:
+        form = tables[0][e[0]]
+        for table, k in zip(tables[1:], e[1:]):
+            form = _mul(form, table[k], p) if k else form
+        out.append(form)
     return out
 
 
-def _block_gcds(sub, rng: Random):
-    """The running gcd of the maximal minors of one block, yielded once per
-    minor drawn; the column subsets come without replacement in seeded random
-    order, so the stream ends once every subset has been drawn."""
-    r, m = len(sub), len(sub[0])
-    total = comb(m, r)
-    g = TPoly.zero(sub[0][0].field)
-    for index in rng.sample(range(total), min(total, _MAX_DRAWS)):
-        det = polydet([[row[c] for c in _unrank(index, m, r)] for row in sub])
-        if not det.is_zero():
-            g = det.monic() if g.is_zero() else mvgcd(g, det)
-        yield g
+class _Block:
+    """One block's maximal minors on random lines x = mu*a + lambda*b, where
+    it is the pencil mu*A + lambda*B. For a random m x k matrix R, det((mu*A
+    + lambda*B)*R) is by Cauchy-Binet a combination of all maximal minors,
+    so a multiple of D_b(mu*a + lambda*b) unless it vanishes; so is the gcd
+    G of a few. Over GF(p) more are folded, as two random forms share a
+    factor with probability about 1/p."""
+
+    def __init__(self, M, block, F, rng):
+        ints = M.int_entries()
+        self.entries = [[ints[i][j] for j in block[1]] for i in block[0]]
+        self.field, self.p, self.rng = M.field, M.field.characteristic, rng
+        self.pool = range(self.p) if self.p else range(-9, 10)
+        self.monos, self.coeffs = zip(*_ints(F).items())
+        self.combos = 2 + 14 // self.p.bit_length() if self.p else 2
+
+    def draw(self, n):
+        return self.rng.choices(self.pool, k=n)
+
+    def split(self, a, b):
+        """The _Line through a and b (deg G, the power of F in G, the
+        quotient), or None when F or G vanishes there. F on the line
+        divides each combination first: gcd(f*q1, f*q2) = f*gcd(q1, q2)."""
+        p = self.p
+        forms = zip(self.coeffs, _on_line(self.monos, a, b, p))
+        f = _expr.modp(_expr.collect((e, c * x) for c, form in forms for e, x in form.items()), p)
+        if not f:
+            return None
+        content = 1 if p else gcd(*f.values())  # primitive over Z: integral quotients
+        f = {e: c // content for e, c in f.items()}
+        A, B = ([[sum(map(mul, e, x)) for e in row] for row in self.entries] for x in (a, b))
+        g = {}
+        for _ in range(self.combos):
+            flat = self.draw(len(A) * len(A[0]))
+            R = [flat[c::len(A)] for c in range(len(A))]  # the columns of R
+            grid = [[_binary(sum(map(mul, ra, col)), sum(map(mul, rb, col)), p) for col in R]
+                    for ra, rb in zip(A, B)]
+            try:
+                quotient = _div(_det(grid, p), f, p)
+            except ExactDivisionError:
+                raise ExactDivisionError("the implicit equation does not divide the minors "
+                                         "gcd; inconsistent pipeline state") from None
+            g = _gcd(g, quotient, p)
+        if not g:
+            return None
+        degree, k = max(map(sum, f)) + max(map(sum, g)), 1
+        try:
+            while True:
+                g = _div(g, f, p)
+                k += 1
+        except ExactDivisionError:
+            return _Line(degree, k, g, a, b)
+
+    def residual(self, line, r):
+        """The residual Q of degree r, D_b = c * F^power * Q, from `line` and
+        lines like it through its point a. The quotient on each is
+        c_j * Q(mu*a + lambda*b_j), with mu^r coefficient c_j * Q(a), so
+        it gives r linear equations in Q's coefficients; their kernel must
+        be one-dimensional, else (or if Q(a) = 0) a is redrawn."""
+        p, monos, top = self.p, _degree_monomials(r), (0, 0, r, 0)
+        keys = [(0, 0, r - i, i) for i in range(1, r + 1)]
+        degree, power, a, rows = line.degree, line.power, line.a, []
+        for _ in range(_MAX_LINES):
+            if line and line[:2] == (degree, power):
+                q = line.quotient
+                lead = q.get(top, 0)
+                if lead:
+                    forms = _on_line(monos, a, line.b, p)
+                    rows += [[lead * x.get(key, 0) - q.get(key, 0) * x.get(top, 0) for x in forms]
+                             for key in keys]
+                if not lead or len(rows) >= len(monos) - 1:
+                    rows = [[x % p for x in row] for row in rows] if p else rows
+                    kernel = int_nullspace(rows, len(monos), p) if lead else []
+                    if len(kernel) == 1:
+                        return TPoly(dict(zip(monos, kernel[0])), self.field)
+                    a, rows = self.draw(4), []
+            line = self.split(a, self.draw(4))
+        raise StrandError(f"no residual of degree {r} fits {_MAX_LINES} lines; the strand's "
+                          f"expected degree may be above deg D")
 
 
-def minors_gcd(M: RepMatrix, degree: int, rng: Random | None = None) -> TPoly:
-    """gcd D of the k x k minors of M, canonicalized to leading coefficient 1,
-    checked against the strand's expected degree.
+def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
+    """(D, power, residual): the gcd D of the maximal minors of M, monic, as
+    F^power * residual, with F the implicit equation.
 
-    Maximal minors factor across the connected blocks of M's support graph,
-    so D is the product of per-block gcds. Each block folds minors drawn
-    without replacement in seeded random order, the blocks taking turns. The
-    gcd of any set of minors is a multiple of the block's D, so the loop
-    stops, certified, as soon as the block degrees sum to `degree`. It also
-    stops when every block is exhausted (exact) or constant, or after
-    _MAX_DRAWS minors. Raises StrandError unless deg D = `degree`: a sum
-    below it is certified, and a sum above it at the cap is an upper bound.
-    The stop trusts `degree`: given one above deg D, the loop returns the
-    first gcd that reaches it.
-    """
-    if M.cols < M.rows:
-        raise RankDeficientError(
-            f"matrix has more rows ({M.rows}) than columns ({M.cols})"
-        )
+    Maximal minors factor across M's connected blocks, and F divides each
+    block's gcd D_b (at an image point, the degree-nu monomials at a
+    preimage are a left-kernel vector of M). Each block keeps its lowest
+    exact gcd G_b on a random line (see _Block), so deg G_b >= deg D_b.
+    - deg G_b = deg F certifies D_b = c * F, with no probability.
+    - Otherwise G_b = c * D_b on its line is trusted once the degrees sum to
+      `degree`, the strand's expected degree, and the residual interpolated.
+    Blocks above deg F take turns drawing lines until then, at most
+    _MAX_LINES. StrandError when the sum differs from `degree`: certified
+    below it, an upper bound above it. RankDeficientError for a block with
+    fewer columns than rows or a zero G_b on every line drawn."""
+    if F.is_constant():
+        raise ValueError("the implicit equation must be nonconstant")
     rng = rng or Random(0)
-    streams = []
-    for rows, cols in _components(M):
-        if not rows:
-            continue
-        if len(cols) < len(rows):
-            raise RankDeficientError(
-                "a block has fewer columns than rows; every maximal minor vanishes"
-            )
-        sub = [[M.entries[i][j].as_tpoly() for j in cols] for i in rows]
-        streams.append(_block_gcds(sub, rng))
-    gcds = [TPoly.zero(M.field)] * len(streams)
-    live = list(range(len(streams)))
-    draws = 0
-
-    def settled():
-        if any(g.is_zero() for g in gcds):
-            return False
-        return sum(g.total_degree() for g in gcds) <= degree
-
-    while live and draws < _MAX_DRAWS and not settled():
-        b = live.pop(0)
-        g = next(streams[b], None)
-        if g is None:
-            continue
-        draws += 1
-        gcds[b] = g
-        if g.is_zero() or not g.is_constant():
-            live.append(b)
-    if any(g.is_zero() for g in gcds):
-        raise RankDeficientError(
-            "every drawn maximal minor of a block vanishes; hypotheses "
-            "violated (non-finite base locus or rank-deficient matrix)"
-        )
-    D = _monic_product(gcds, M.field)
-    found = D.total_degree()
-    if found == degree:
-        return D
-    if not live:
-        claim = f"the minors gcd has degree {found}"
-    elif found < degree:
-        claim = f"the minors gcd has degree at most {found}"
-    else:
-        claim = (
-            f"the gcd of {draws} sampled maximal minors has degree {found} "
-            "(an upper bound on deg D)"
-        )
-    raise StrandError(f"{claim}, but the strand at nu={M.nu} expects {degree}")
+    blocks = [_Block(M, block, F, rng) for block in _blocks(M)]
+    best = [None] * len(blocks)
+    queue, drawn, deg_f = list(range(len(blocks))), 0, F.total_degree()
+    while queue and drawn < _MAX_LINES and (None in best or sum(b.degree for b in best) > degree):
+        i = queue.pop(0)
+        drawn += 1
+        line = blocks[i].split(blocks[i].draw(4), blocks[i].draw(4))
+        if line and (best[i] is None or line.degree < best[i].degree):
+            best[i] = line
+        if best[i] is None or best[i].degree > deg_f:
+            queue.append(i)
+    if None in best:
+        raise RankDeficientError("every maximal minor of a block vanished on the lines drawn; "
+                                 "hypotheses violated (non-finite base locus or rank deficiency)")
+    found = sum(line.degree for line in best)
+    if found != degree:
+        claim = (f"the minors gcd has degree {found}" if not queue else
+                 f"the minors gcd has degree at most {found}" if found < degree else
+                 f"the gcd on {drawn} random lines has degree {found} (an upper bound on deg D)")
+        raise StrandError(f"{claim}, but the strand at nu={M.nu} expects {degree}")
+    residuals = [block.residual(line, r) for block, line in zip(blocks, best)
+                 if (r := line.degree - line.power * deg_f)]
+    power = sum(line.power for line in best)
+    D = _monic_product([F] * power + residuals, M.field)
+    return D, power, _monic_product(residuals, M.field)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +489,7 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
             )
         if dim == 1:
             return TPoly(dict(zip(monos, vec)), P.field)
-    raise InterpolationError(f"no equation of degree at most {max_degree}")
+    raise _DegreeBoundError(f"no equation of degree at most {max_degree}")
 
 
 def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
@@ -454,31 +517,6 @@ def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
     for exp, c in sorted(_ints(eq).items(), key=lambda kv: sum(kv[0])):
         acc = _expr.add(acc, _expr.scale(product_for(exp), c))
     return not _expr.modp(acc, p)
-
-
-def lci_diagnostic(D: TPoly, F: TPoly):
-    """Split D as (constant) * F^power * residual by repeated exact division.
-
-    Returns (power, residual, residual_is_constant). Under the validity
-    hypotheses the power equals the degree of the parametrization onto its
-    image, and a constant residual certifies that all base points are locally
-    complete intersections.
-    """
-    if F.is_constant():
-        raise ValueError("the implicit equation must be nonconstant")
-    power = 0
-    residual = D
-    while True:
-        try:
-            residual = exact_div(residual, F)
-        except ExactDivisionError:
-            break
-        power += 1
-    if power == 0:
-        raise ExactDivisionError(
-            "the implicit equation does not divide the minors gcd; inconsistent pipeline state"
-        )
-    return power, residual, residual.is_constant()
 
 
 @dataclass(frozen=True)
@@ -517,13 +555,19 @@ def equation_report(
     saturate: bool = False,
     seed: int = 0,
 ) -> EquationReport:
-    """Full pipeline: lift if needed, build M, extract the minors gcd of the
-    strand's expected degree, and cross-check against the oracle's implicit
-    equation."""
+    """Full pipeline: lift if needed, build M and check its shape, find the
+    implicit equation F, which divides D, so its degree is at most the
+    strand's expected degree, then the minors gcd split against F."""
     I = SegreIdeal.from_parametrization(lift_mixed(P))
     nu, strand = working_strand(I, nu, saturate)
     M = representation_matrix(I, nu)
-    D = minors_gcd(M, strand.expected_det_degree, Random(seed))
-    F = implicit_by_interpolation(P, max(D.total_degree(), 1))
-    power, residual, lci = lci_diagnostic(D, F)
-    return EquationReport(nu, M.rows, M.cols, D, F, power, residual, lci, True)
+    _blocks(M)
+    degree = strand.expected_det_degree
+    try:
+        F = implicit_by_interpolation(P, max(degree, 1))
+    except _DegreeBoundError as exc:
+        raise StrandError(f"{exc}, but the strand at nu={nu} expects {degree}") from exc
+    D, power, residual = minors_gcd(M, F, degree, Random(seed))
+    return EquationReport(
+        nu, M.rows, M.cols, D, F, power, residual, residual.is_constant(), True
+    )

@@ -1,19 +1,20 @@
 """Polynomials in the image-space variables T1..T4 over an exact field,
-where implicit equations live. Provides ring arithmetic, exact division, a
-subresultant-PRS multivariate gcd, fraction-free determinants of polynomial
-matrices, and evaluation.
+where implicit equations live: ring arithmetic and evaluation on TPoly, and
+an int kernel with exact division, a subresultant-PRS multivariate gcd and
+fraction-free determinants of polynomial matrices.
 
 TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
-GF(p). Exact division, the gcd and the determinant run on plain int
-coefficients: over the integers, with QQ inputs scaled by their
-denominators, or modulo p on the stored residues as they are. The int kernel
-reads only exponent quadruples, so biparam runs its gcd on s,u,t,v forms.
+GF(p). The int kernel runs on plain int coefficients: over the integers,
+with QQ inputs scaled by their denominators, or modulo p on the stored
+residues as they are. It reads only exponent quadruples, so biparam runs its
+gcd on s,u,t,v forms and matrixrep its determinants and gcds on binary forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import gcd, lcm
 
 from . import _expr
@@ -137,10 +138,6 @@ def parse_tpoly(text: str, field=QQ) -> TPoly:
 # [0, p). The public functions below convert only QQ coefficients at entry
 # and exit; GF(p) residues go in and come out as they are.
 
-def _add(a, b, p):
-    return _expr.modp(_expr.add(a, b), p)
-
-
 def _sub(a, b, p):
     return _expr.modp(_expr.sub(a, b), p)
 
@@ -188,17 +185,14 @@ def _ints(poly, scale=None):
     return {e: c.numerator * (scale // c.denominator) for e, c in poly.terms.items()}
 
 
-def _from_ints(t, field, num=1, den=1) -> TPoly:
-    """The TPoly num/den * t of an int-kernel result over field."""
+def _monic(t, field) -> TPoly:
+    """The TPoly of an int-kernel result, scaled to leading coefficient 1."""
+    lc = t[max(t, key=lead_key)]
     if field.characteristic:
         p = field.p
-        factor = num * pow(den, -1, p) % p
-        return TPoly({e: c * factor for e, c in t.items()}, field)
-    return TPoly({e: Fraction(c * num, den) for e, c in t.items()}, field)
-
-
-def _monic(t, field) -> TPoly:
-    return _from_ints(t, field, den=t[max(t, key=lead_key)])
+        inv = pow(lc, -1, p)
+        return TPoly({e: c * inv for e, c in t.items()}, field)
+    return TPoly({e: Fraction(c, lc) for e, c in t.items()}, field)
 
 
 def _monic_product(polys, field) -> TPoly:
@@ -278,32 +272,6 @@ def _div(a, b, p):
     return quot
 
 
-def exact_div(a: TPoly, b: TPoly) -> TPoly:
-    """Quotient q with q*b == a; raises ExactDivisionError if b does not divide a.
-
-    Over QQ both are scaled to integer polynomials and the divisor is made
-    primitive; by Gauss's lemma the quotient is then integral whenever it
-    exists, so the division runs over the integers."""
-    a._check(b)
-    if b.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    p = a.field.characteristic
-    sa, sb = _scale_of([a]), _scale_of([b])
-    A, B = _ints(a, sa), _ints(b, sb)
-    content = 1 if p else gcd(*B.values())
-    if content != 1:
-        B = {e: c // content for e, c in B.items()}
-    return _from_ints(_div(A, B, p), a.field, sb, sa * content)
-
-
-def divides(b: TPoly, a: TPoly) -> bool:
-    try:
-        exact_div(a, b)
-        return True
-    except ExactDivisionError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # multivariate gcd: recursive content/primitive-part splitting with a
 # subresultant pseudo-remainder sequence in the innermost (last) variable,
@@ -365,7 +333,7 @@ def _gcd_rec(a, b, k: int, p):
         return b
     if not b:
         return a
-    if k < 0:
+    if a.keys() == b.keys() == {_ZERO_EXP}:  # always so once k < 0
         return {_ZERO_EXP: 1 if p else gcd(a[_ZERO_EXP], b[_ZERO_EXP])}
     da, db = _deg_in(a, k), _deg_in(b, k)
     if da == 0 and db == 0:
@@ -376,8 +344,8 @@ def _gcd_rec(a, b, k: int, p):
         return _gcd_rec(_content_in(a, k, p), b, k - 1, p)
     ca = _content_in(a, k, p)
     cb = _content_in(b, k, p)
-    pa = _div(a, ca, p)
-    pb = _div(b, cb, p)
+    pa = a if _is_unit(ca, p) else _div(a, ca, p)
+    pb = b if _is_unit(cb, p) else _div(b, cb, p)
     cg = _gcd_rec(ca, cb, k - 1, p)
     if _deg_in(pa, k) < _deg_in(pb, k):
         pa, pb = pb, pa
@@ -449,34 +417,27 @@ def _gcd(a, b, p):
     return _mul(mg, core, p)
 
 
-def mvgcd(a: TPoly, b: TPoly) -> TPoly:
-    """A gcd of a and b, canonicalized to leading coefficient 1. Over QQ the
-    arguments are scaled to integer polynomials first."""
-    a._check(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    g = _gcd(_ints(a), _ints(b), a.field.characteristic)
-    return _monic(g, a.field)
-
-
 # ---------------------------------------------------------------------------
 # determinants of polynomial matrices
 
 def _det_expand(grid, p):
+    """Laplace expansion from the last row up: the minors on the last i rows,
+    one per set of i columns, each built from the minors one row lower; mod
+    p the sums are reduced once, at the end."""
     n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    if n == 2:
-        return _sub(_mul(grid[0][0], grid[1][1], p), _mul(grid[0][1], grid[1][0], p), p)
-    acc = {}
-    for j in range(n):
-        entry = grid[0][j]
-        if not entry:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in grid[1:]]
-        piece = _mul(entry, _det_expand(minor, p), p)
-        acc = _sub(acc, piece, p) if j % 2 else _add(acc, piece, p)
-    return acc
+    minors = {(j,): entry for j, entry in enumerate(grid[-1])}
+    for i in range(2, n + 1):
+        row = grid[n - i]
+        above = {}
+        for cols in combinations(range(n), i):
+            acc = {}
+            for t, j in enumerate(cols):
+                if row[j]:
+                    piece = _expr.mul(row[j], minors[cols[:t] + cols[t + 1:]])
+                    acc = _expr.sub(acc, piece) if t % 2 else _expr.add(acc, piece)
+            above[cols] = acc
+        minors = above
+    return _expr.modp(minors[tuple(range(n))], p)
 
 
 def _det(grid, p):
@@ -508,30 +469,6 @@ def _det(grid, p):
     return det if sign == 1 else _neg(det, p)
 
 
-def polydet(grid) -> TPoly:
-    """Exact determinant of a square grid of TPoly entries.
-
-    Uses cofactor expansion up to 4x4 and fraction-free Bareiss elimination
-    (with exact polynomial division) above that. Over QQ each row is scaled
-    by the common denominator of its entries, the determinant is taken over
-    the integers and divided by the product of the scales.
-    """
-    n = len(grid)
-    if n == 0:
-        raise ValueError("empty matrix")
-    for row in grid:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    field = grid[0][0].field
-    rows = []
-    den = 1
-    for row in grid:
-        scale = _scale_of(row)
-        den *= scale
-        rows.append([_ints(entry, scale) for entry in row])
-    return _from_ints(_det(rows, field.characteristic), field, den=den)
-
-
 class LinearForm:
     """c1*T1 + c2*T2 + c3*T3 + c4*T4 with exact field coefficients."""
 
@@ -547,14 +484,11 @@ class LinearForm:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def as_tpoly(self) -> TPoly:
-        return TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field)
-
     def __eq__(self, other):
         return isinstance(other, LinearForm) and self.coeffs == other.coeffs
 
     def __str__(self):
-        return str(self.as_tpoly())
+        return str(TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field))
 
     def __repr__(self):
         return f"LinearForm({self})"

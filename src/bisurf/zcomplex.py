@@ -270,6 +270,8 @@ def _colon_by_irrelevant(sub: _Subspace, n: int, p: int) -> _Subspace:
     over QQ (p = 0) or GF(p)."""
     dim_n = (n + 1) ** 2
     dim_n1 = (n + 2) ** 2
+    if sub.dim == dim_n1:  # J is all of degree n+1, so the colon is all of degree n
+        return _Subspace(n, [[int(i == j) for j in range(dim_n)] for i in range(dim_n)], range(dim_n))
     mults = _variable_mult_matrices(n)
     pivset = dict(zip(sub.pivots, range(sub.dim)))
     red = sub.rows

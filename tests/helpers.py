@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 from bisurf.biparam import BiHomPoly, Parametrization
@@ -195,6 +195,13 @@ def int_rows(rows):
         den = lcm(*(Fraction(x).denominator for x in row))
         out.append([int(x * den) for x in row])
     return out
+
+
+def primitive(t, p=0):
+    """An int-kernel term dict divided by the gcd of its coefficients over
+    the integers (p = 0); mod p it is returned as it is."""
+    content = 1 if p else gcd(*t.values())
+    return {e: c // content for e, c in t.items()}
 
 
 def matmul(a, b):

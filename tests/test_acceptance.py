@@ -13,17 +13,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
-from bisurf.biparam import lift_mixed
+import pytest
+
+from bisurf.biparam import lift_mixed, parse_parametrization
 from bisurf.matrixrep import (
     implicit_by_interpolation,
-    lci_diagnostic,
     membership,
     minors_gcd,
     representation_matrix,
     verify_substitution,
 )
 from bisurf.segre import basis, x_monomial
-from bisurf.tpoly import parse_tpoly
+from bisurf.tpoly import TPoly, parse_tpoly
 from bisurf.zcomplex import (
     SegreIdeal,
     _koszul_rows,
@@ -32,7 +33,7 @@ from bisurf.zcomplex import (
     strand_report,
 )
 
-from helpers import matmul, modular_rank_agrees, random_dense
+from helpers import fraction_nullspace, matmul, modular_rank_agrees, random_dense
 
 
 def _emit(line: str) -> None:
@@ -92,8 +93,9 @@ def test_criterion_3_segre_identity(identity_ideal, segre_param):
     with criterion(3, "standard embedding: 4x7 matrix, quadric gcd, strand (4,7,4,1)", 5):
         M = representation_matrix(identity_ideal, 1)
         assert (M.rows, M.cols) == (4, 7)
-        D = minors_gcd(M, 2)
-        assert D == parse_tpoly("T1*T4 - T2*T3")
+        F = implicit_by_interpolation(segre_param, 2)
+        D, power, residual = minors_gcd(M, F, 2)
+        assert D == parse_tpoly("T1*T4 - T2*T3") and power == 1 and residual.is_constant()
         rep = strand_report(identity_ideal, 1)
         dims = (rep.dim_coefficients, rep.dim_syzygies, rep.dim_cycles2, rep.dim_cycles3)
         assert dims == (4, 7, 4, 1)
@@ -110,11 +112,10 @@ def test_criterion_4_mixed_degree_lift(mixed_param):
         assert {M.rows, M.cols} == {36, 42}
         rep = strand_report(I, 5)
         assert rep.euler_char == 0
-        D = minors_gcd(M, rep.expected_det_degree, Random(0))
-        assert D.total_degree() == rep.expected_det_degree
         F = implicit_by_interpolation(mixed_param, rep.expected_det_degree)
         assert verify_substitution(F, mixed_param)
-        power, _, _ = lci_diagnostic(D, F)
+        D, power, _ = minors_gcd(M, F, rep.expected_det_degree, Random(0))
+        assert D.total_degree() == rep.expected_det_degree
         assert power == 6
 
 
@@ -196,3 +197,46 @@ def test_criterion_7_invariant_suites(identity_ideal, d2_ideal):
             d = I.degree
             for i in (1, 2, 3):
                 assert modular_rank_agrees(*_koszul_rows(I, i, nu + i * d), 3, prime_rng)
+
+
+def _implicit(capsys, path, *flags):
+    from bisurf.cli import main
+
+    code = main(["implicit", str(path), "--json", *flags])
+    out = capsys.readouterr().out
+    assert code == 0
+    return {k: parse_tpoly(v) if k in ("minors_gcd", "implicit_equation", "residual") else v
+            for k, v in json.loads(out).items()}
+
+
+@pytest.mark.parametrize("flags", [(), ("--saturate",)], ids=["default-nu", "saturate"])
+def test_criterion_8_non_lci_base_point(capsys, inputs_dir, flags):
+    # one base point, at s = t = 0, with local ideal (s,t)^2, which is not
+    # a complete intersection. The residual is the linear form L whose
+    # combination of the coordinates has no s^2, s*t or t^2 term: the kernel
+    # of the 3 x 4 matrix of those coefficients
+    path = inputs_dir / "non_lci.ex"
+    with criterion(8, "non-LCI base point: D = F * L", 120):
+        P = parse_parametrization(path.read_text(encoding="utf-8"))
+        lowest = [(2, 0, 0, 2), (1, 1, 1, 1), (0, 2, 2, 0)]  # s^2, s*t, t^2
+        (kernel,) = fraction_nullspace([[f.terms.get(m, 0) for f in P.fs] for m in lowest])
+        L = TPoly(dict(zip([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], kernel)))
+        rep = _implicit(capsys, path, *flags)
+        F = rep["implicit_equation"]
+        assert F.total_degree() == 4 and rep["power"] == 1
+        assert rep["residual"] == L.monic() == parse_tpoly("T1 - 34/9*T2 + 70/9*T3 + 19/3*T4")
+        assert rep["minors_gcd"] == (F * L).monic()
+        assert rep["base_points_lci"] is False and rep["substitution_ok"] is True
+
+
+@pytest.mark.parametrize("flags", [(), ("--saturate",)], ids=["default-nu", "saturate"])
+def test_criterion_9_cone_covered_twice(capsys, inputs_dir, flags):
+    # f1*f3 = f2^2: the image is a quadric cone covered twice, and the same
+    # non-LCI base point leaves the residual T4
+    with criterion(9, "cone with a non-LCI base point: D = F^2 * T4", 120):
+        rep = _implicit(capsys, inputs_dir / "non_lci_cone.ex", *flags)
+        F = parse_tpoly("T1*T3 - T2^2")
+        assert rep["implicit_equation"] == F and rep["power"] == 2
+        assert rep["residual"] == parse_tpoly("T4")
+        assert rep["minors_gcd"] == F * F * parse_tpoly("T4")
+        assert rep["base_points_lci"] is False

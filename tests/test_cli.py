@@ -1,10 +1,13 @@
 import json
+from random import Random
 
 from bisurf import matrixrep
 from bisurf.cli import main
 from bisurf.fields import PrimeField
 from bisurf.matrixrep import implicit_by_interpolation
 from bisurf.tpoly import TPoly, parse_tpoly
+
+from helpers import random_dense
 
 
 def run(capsys, *argv):
@@ -176,12 +179,21 @@ def test_nu_below_conservative_degree_accepted(capsys, inputs_dir):
 
 
 def test_implicit_checks_degree_of_minors_gcd(capsys, inputs_dir):
-    # the inputs share the factor s*t; at seed 0 the gcd of the drawn minors
-    # still carries an extra linear factor when the draws run out
-    code, out, err = run(capsys, "implicit", str(inputs_dir / "common_factor.ex"))
-    assert code == 2 and out == ""
-    assert "not finite" in err
-    assert "2000 sampled maximal minors has degree 3" in err and "expects 2" in err
+    # the inputs share the factor s*t. A line on which the gcd of two
+    # combinations of maximal minors has degree deg F = 2 certifies D = c*F,
+    # which the strand expects; the sampled minors used to stop at degree 3
+    # and exit 2. The warning keeps the exit code 2, and with a base locus
+    # that is not finite no base point is certified LCI.
+    common = str(inputs_dir / "common_factor.ex")
+    code, out, err = run(capsys, "implicit", common, "--json")
+    assert code == 2 and "not finite" in err
+    payload = json.loads(out)
+    assert payload["minors_gcd"] == payload["implicit_equation"] == "T1*T4 - T2*T3"
+    assert payload["minors_gcd_degree"] == 2 and payload["power"] == 1
+    assert payload["residual"] == "1" and payload["base_points_lci"] is False
+    code, out, err = run(capsys, "implicit", common)
+    assert code == 2 and "not finite" in err
+    assert "residual constant: yes" in out
 
 
 def test_implicit_d2_default_nu(capsys, inputs_dir):
@@ -198,7 +210,7 @@ def test_implicit_d2_default_nu(capsys, inputs_dir):
 
 
 def test_implicit_equation_not_dividing_minors_gcd(capsys, inputs_dir, monkeypatch):
-    monkeypatch.setattr(matrixrep, "minors_gcd", lambda M, degree, rng: parse_tpoly("T1^2"))
+    monkeypatch.setattr(matrixrep, "implicit_by_interpolation", lambda P, degree: parse_tpoly("T1"))
     code, out, err = run(capsys, "implicit", str(inputs_dir / "segre.ex"))
     assert code == 2 and out == ""
     assert "diagnostic: the implicit equation does not divide the minors gcd" in err
@@ -232,3 +244,15 @@ def test_implicit_mod_p_image_not_a_surface(capsys, inputs_dir):
     )
     assert code == 1 and out == ""
     assert "error:" in err and "degree 1" in err and "dimension 3" in err
+
+
+def test_implicit_dense_22_mod_p(capsys, tmp_path):
+    # one 16 x 28 block with deg D = 8; the sampled minors took more than
+    # 27 s here
+    path = tmp_path / "dense22.ex"
+    path.write_text(random_dense(2, Random(1)).to_text(), encoding="utf-8")
+    code, out, _ = run(capsys, "implicit", str(path), "--mod", "32003", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["minors_gcd_degree"] == 8 and payload["power"] == 1
+    assert payload["minors_gcd"] == payload["implicit_equation"]

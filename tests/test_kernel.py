@@ -12,7 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 from bisurf._expr import parse_expression
 from bisurf.biparam import PARAM_VARS, BiHomPoly
 from bisurf.fields import QQ, PrimeField
-from bisurf.tpoly import ExactDivisionError, TPoly, divides, exact_div, mvgcd, parse_tpoly
+from bisurf.tpoly import ExactDivisionError, TPoly, _div, _gcd, _ints, _mul, parse_tpoly
+
+from helpers import primitive
 
 FIELDS = [QQ, PrimeField(32003)]
 COEFFS = st.one_of(st.just(0), st.fractions(-40, 40, max_denominator=7))
@@ -94,10 +96,13 @@ def tpoly(data, field, max_terms=4):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_division_and_gcd_on_int_coefficients(field, data):
-    a, b, c = tpoly(data, field), tpoly(data, field), tpoly(data, field)
-    assert exact_div(a * b, b) == a
-    if not b.is_constant():
+    p = field.characteristic
+    a_t, b_t, c_t = (tpoly(data, field) for _ in range(3))
+    a, b, c = _ints(a_t), _ints(b_t), _ints(c_t)
+    assert _div(_mul(a, b, p), b, p) == a
+    if b.keys() != {(0, 0, 0, 0)}:
         with pytest.raises(ExactDivisionError):
-            exact_div(a * b + TPoly.constant(1, field), b)
-    g = mvgcd(a * c, b * c)
-    assert g == g.monic() and divides(c.monic(), g)
+            _div(_ints(a_t * b_t + TPoly.constant(1, field)), b, p)
+    c = primitive(c, p)  # a gcd over the integers leaves the content out
+    g = _gcd(_mul(a, c, p), _mul(b, c, p), p)
+    _div(g, c, p)  # raises unless c divides g

@@ -13,13 +13,12 @@ from bisurf.matrixrep import (
     _components,
     equation_report,
     implicit_by_interpolation,
-    lci_diagnostic,
     membership,
     minors_gcd,
     representation_matrix,
     verify_substitution,
 )
-from bisurf.tpoly import TPoly, parse_tpoly
+from bisurf.tpoly import ExactDivisionError, TPoly, parse_tpoly
 from bisurf.zcomplex import SegreIdeal, StrandError, _koszul_rows, working_strand
 
 from helpers import fraction_rank, random_dense
@@ -131,29 +130,30 @@ def test_membership_point_vanishing_mod_screen_prime(query_cases):
             assert membership(M, [SCREEN_PRIME * x for x in pt]) == membership(M, pt)
 
 
+ONE = parse_tpoly("1")
+
+
 def test_minors_gcd_identity(identity_matrix_rep):
-    assert minors_gcd(identity_matrix_rep, 2) == QUADRIC
+    assert minors_gcd(identity_matrix_rep, QUADRIC, 2) == (QUADRIC, 1, ONE)
 
 
-def test_minors_gcd_seeds_agree(identity_matrix_rep, d2_matrix_rep):
-    for M, degree in ((identity_matrix_rep, 2), (d2_matrix_rep, 7)):
-        first = minors_gcd(M, degree, Random(0))
+def test_minors_gcd_seeds_agree(identity_matrix_rep, d2_matrix_rep, d2_equation):
+    for M, F, degree in ((identity_matrix_rep, QUADRIC, 2), (d2_matrix_rep, d2_equation, 7)):
+        first = minors_gcd(M, F, degree, Random(0))
         for seed in (1, 7):
-            assert minors_gcd(M, degree, Random(seed)) == first
+            assert minors_gcd(M, F, degree, Random(seed)) == first
 
 
 @pytest.mark.parametrize("degree", [1, 3])
 def test_minors_gcd_rejects_wrong_strand_degree(identity_matrix_rep, degree):
-    # the 35 maximal minors of the 4 x 7 matrix have gcd T1*T4 - T2*T3: asking
-    # for degree 1 exhausts them; asking for degree 3 stops once the gcd falls
-    # below it, which Random(2) does in one step, from 4 to 2 (a gcd passing
-    # through degree 3 would be returned, since the stop trusts the degree)
-    with pytest.raises(StrandError, match=f"degree (at most )?2, but the strand at nu=1 expects {degree}"):
-        minors_gcd(identity_matrix_rep, degree, Random(2))
+    # a line on which the gcd of two combinations has the degree of F
+    # certifies D = c*F, whatever degree the strand expects
+    with pytest.raises(StrandError, match=f"has degree 2, but the strand at nu=1 expects {degree}"):
+        minors_gcd(identity_matrix_rep, QUADRIC, degree, Random(2))
 
 
 def test_minors_gcd_d2_degree(d2_matrix_rep, d2_equation):
-    D = minors_gcd(d2_matrix_rep, 7, Random(0))
+    D = minors_gcd(d2_matrix_rep, d2_equation, 7, Random(0))[0]
     assert D.total_degree() == 7
     assert D == d2_equation
 
@@ -161,7 +161,7 @@ def test_minors_gcd_d2_degree(d2_matrix_rep, d2_equation):
 def test_minors_gcd_rejects_rank_deficient(identity_ideal):
     M = representation_matrix(identity_ideal, 0)  # 1 x 0 matrix: no syzygies
     with pytest.raises(RankDeficientError):
-        minors_gcd(M, 0)
+        minors_gcd(M, QUADRIC, 0)
 
 
 def test_oracle_segre(segre_param):
@@ -198,39 +198,45 @@ def test_verify_substitution_with_denominators(field):
         assert not verify_substitution(parse_tpoly(eq.replace("F", f"({F})"), field), P), eq
 
 
+# minors_gcd returns the LCI split D = F^power * residual
+
 def test_lci_diagnostic_identity(identity_matrix_rep, segre_param):
-    D = minors_gcd(identity_matrix_rep, 2)
     F = implicit_by_interpolation(segre_param, 2)
-    power, residual, lci = lci_diagnostic(D, F)
-    assert power == 1 and lci and residual.is_constant()
+    D, power, residual = minors_gcd(identity_matrix_rep, F, 2)
+    assert D == F and power == 1 and residual.is_constant()
 
 
 def test_lci_diagnostic_d2(d2_matrix_rep, d2_equation):
-    D = minors_gcd(d2_matrix_rep, 7, Random(0))
-    power, residual, lci = lci_diagnostic(D, d2_equation)
-    assert power == 1 and lci
+    _, power, residual = minors_gcd(d2_matrix_rep, d2_equation, 7, Random(0))
+    assert power == 1 and residual == ONE
 
 
-def test_lci_diagnostic_error_paths(d2_equation):
+def test_lci_diagnostic_error_paths(identity_matrix_rep):
     with pytest.raises(ValueError):
-        lci_diagnostic(QUADRIC, parse_tpoly("3"))
-    with pytest.raises(ArithmeticError):
-        lci_diagnostic(QUADRIC, parse_tpoly("T1+T2"))
+        minors_gcd(identity_matrix_rep, parse_tpoly("3"), 2)
+    with pytest.raises(ExactDivisionError, match="does not divide"):
+        minors_gcd(identity_matrix_rep, parse_tpoly("T1+T2"), 2)
 
 
-def test_gcd_degree_matches_strand_degree(identity_ideal, d2_ideal):
+def test_gcd_degree_matches_strand_degree(identity_ideal, d2_ideal, d2_equation):
     from bisurf.zcomplex import strand_report
 
-    generic = SegreIdeal.from_parametrization(random_dense(1, Random(23)))
-    for I, nu in ((identity_ideal, 1), (d2_ideal, 2), (generic, 1)):
+    dense = random_dense(1, Random(23))
+    generic = SegreIdeal.from_parametrization(dense)
+    cases = (
+        (identity_ideal, 1, QUADRIC),
+        (d2_ideal, 2, d2_equation),
+        (generic, 1, implicit_by_interpolation(dense, 2)),
+    )
+    for I, nu, F in cases:
         M = representation_matrix(I, nu)
         degree = strand_report(I, nu).expected_det_degree
-        assert minors_gcd(M, degree, Random(0)).total_degree() == degree
+        assert minors_gcd(M, F, degree, Random(0))[0].total_degree() == degree
 
 
 def test_rank_drop_iff_gcd_vanishes(identity_matrix_rep, d2_matrix_rep, d2_equation):
     cases = [
-        (identity_matrix_rep, minors_gcd(identity_matrix_rep, 2), 60),
+        (identity_matrix_rep, minors_gcd(identity_matrix_rep, QUADRIC, 2)[0], 60),
         (d2_matrix_rep, d2_equation, 30),
     ]
     rng = Random(17)
@@ -323,8 +329,8 @@ def test_gf_coefficients_are_int_residues(inputs_dir, p):
     I = SegreIdeal.from_parametrization(P)
     nu, strand = working_strand(I, None, True)
     M = representation_matrix(I, nu)
-    D = minors_gcd(M, strand.expected_det_degree)
-    F = implicit_by_interpolation(P, D.total_degree())
+    F = implicit_by_interpolation(P, strand.expected_det_degree)
+    D = minors_gcd(M, F, strand.expected_det_degree)[0]
     rows, cols = _koszul_rows(I, 1, nu + I.degree)
 
     def residues(values):
@@ -340,3 +346,18 @@ def test_gf_coefficients_are_int_residues(inputs_dir, p):
         assert residues(x for row in m for x in row)
     assert residues(c for row in M.int_entries() for e in row for c in e)
     assert residues([F.eval((1, -2, 3, -4)), P.fs[0].eval((5, -6, 7, -8))])
+
+
+@pytest.mark.parametrize("name,p,saturate", [("segre.ex", 2, False), ("d2_example.ex", 7, True)])
+def test_folding_reaches_certified_gcd_mod_small_primes(inputs_dir, name, p, saturate):
+    # mod 2 two random binary forms often share a factor: on 400 lines of
+    # segre.ex two combinations left a gcd of degree 4 > 2 on 154, the nine
+    # folded mod 2 on 23, so more combinations are folded on each line
+    P = parse_parametrization((inputs_dir / name).read_text(encoding="utf-8"), PrimeField(p))
+    I = SegreIdeal.from_parametrization(P)
+    nu, strand = working_strand(I, None, saturate)
+    M = representation_matrix(I, nu)
+    F = implicit_by_interpolation(P, strand.expected_det_degree)
+    one = TPoly.constant(1, PrimeField(p))
+    for seed in range(8):
+        assert minors_gcd(M, F, strand.expected_det_degree, Random(seed)) == (F, 1, one), seed

@@ -23,7 +23,6 @@ from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
     implicit_by_interpolation,
-    lci_diagnostic,
     membership,
     minors_gcd,
     representation_matrix,
@@ -63,11 +62,10 @@ def test_pipeline_on_dense_bidegree_11(field, seed):
             acc = acc + a * f
         assert acc.is_zero()
     M = representation_matrix(I, nu)
-    D = minors_gcd(M, rep.expected_det_degree)
-    F = implicit_by_interpolation(P, D.total_degree())
+    F = implicit_by_interpolation(P, rep.expected_det_degree)
     assert verify_substitution(F, P)
-    power, residual, lci = lci_diagnostic(D, F)
-    assert power == 1 and lci and residual.is_constant()
+    D, power, residual = minors_gcd(M, F, rep.expected_det_degree)
+    assert D == F and power == 1 and residual.is_constant()
     rng = Random(seed)
     s, u, t, v = 0, 0, 0, 0
     while not ((s or u) and (t or v)):
