@@ -37,8 +37,8 @@ FIELDS = ((), ("--mod", "32003"))
 
 # Inputs written from random_dense(d, Random(1)), the benchmark's dense
 # texts: their syzygy kernels (81x144 for d = 3) are the largest QQ kernels
-# the suite pins. No implicit runs: over QQ the oracle alone takes seconds
-# on dense (2,2), and dense (3,3) takes minutes.
+# the suite pins. No implicit runs: the oracle alone takes about 10 s on
+# dense (2,2) over QQ, and ran past 15 minutes on dense (3,3) mod 32003.
 DENSE = {"dense22.ex": 2, "dense33.ex": 3}
 DENSE_CASES = [("dense22.ex",), ("dense22.ex", "--saturate"), ("dense33.ex",)]
 
