@@ -15,7 +15,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 from random import Random
 
@@ -58,7 +58,7 @@ class RepMatrix:
     """k x m matrix of linear forms; k = (nu+1)^2 rows over the degree-nu
     monomial basis, one column per syzygy."""
 
-    __slots__ = ("nu", "basis", "syzygies", "entries", "field", "_int_entries")
+    __slots__ = ("nu", "basis", "syzygies", "entries", "field", "_int_entries", "_blocks")
 
     def __init__(self, nu, row_basis, syzygies, field):
         self.nu = nu
@@ -73,7 +73,7 @@ class RepMatrix:
                 row.append(LinearForm([a.terms.get(quad, zero) for a in syz], field))
             rows.append(tuple(row))
         self.entries = tuple(rows)
-        self._int_entries = None
+        self._int_entries = self._blocks = None
 
     def int_entries(self):
         """The coefficients as 4-tuples of plain ints, built on first use:
@@ -169,14 +169,15 @@ def _components(M: RepMatrix):
 
 
 def _blocks(M: RepMatrix):
-    """The blocks of M with rows; RankDeficientError when M or one of them
-    has fewer columns than rows, so that every maximal minor vanishes."""
-    if M.cols < M.rows:
-        raise RankDeficientError(f"matrix has more rows ({M.rows}) than columns ({M.cols})")
-    blocks = [(rows, cols) for rows, cols in _components(M) if rows]
-    if any(len(cols) < len(rows) for rows, cols in blocks):
-        raise RankDeficientError("a block has fewer columns than rows; its maximal minors vanish")
-    return blocks
+    """The blocks of M with rows, found once per M; RankDeficientError when
+    one has fewer columns than rows, so that every maximal minor vanishes."""
+    if M._blocks is None:
+        blocks = [(rows, cols) for rows, cols in _components(M) if rows]
+        if any(len(cols) < len(rows) for rows, cols in blocks):
+            raise RankDeficientError(f"M ({M.rows} x {M.cols}) has a block with fewer columns "
+                                     f"than rows; its maximal minors vanish")
+        M._blocks = blocks
+    return M._blocks
 
 
 # Lines one minors_gcd call draws for its blocks, and again for each residual.
@@ -227,12 +228,13 @@ class _Block:
 
     def split(self, a, b):
         """The _Line through a and b (deg G, the power of F in G, the
-        quotient), or None when F or G vanishes there. F on the line
-        divides each combination first: gcd(f*q1, f*q2) = f*gcd(q1, q2)."""
+        quotient), or None when a, b span no line or F or G vanishes on it.
+        F divides each combination first: gcd(f*q1, f*q2) = f*gcd(q1, q2)."""
         p = self.p
+        wedge = [a[i] * b[j] - a[j] * b[i] for j in range(4) for i in range(j)]
         forms = zip(self.coeffs, _on_line(self.monos, a, b, p))
         f = _expr.modp(_expr.collect((e, c * x) for c, form in forms for e, x in form.items()), p)
-        if not f:
+        if not f or not any(x % p if p else x for x in wedge):
             return None
         content = 1 if p else gcd(*f.values())  # primitive over Z: integral quotients
         f = {e: c // content for e, c in f.items()}
@@ -259,32 +261,40 @@ class _Block:
         except ExactDivisionError:
             return _Line(degree, k, g, a, b)
 
-    def residual(self, line, r):
-        """The residual Q of degree r, D_b = c * F^power * Q, from `line` and
-        lines like it through its point a. The quotient on each is
-        c_j * Q(mu*a + lambda*b_j), with mu^r coefficient c_j * Q(a), so
-        it gives r linear equations in Q's coefficients; their kernel must
-        be one-dimensional, else (or if Q(a) = 0) a is redrawn."""
-        p, monos, top = self.p, _degree_monomials(r), (0, 0, r, 0)
-        keys = [(0, 0, r - i, i) for i in range(1, r + 1)]
-        degree, power, a, rows = line.degree, line.power, line.a, []
+    def residual(self, line, deg_f):
+        """(power, Q), D_b = c * F^power * Q of degree r, from C(r+2, 2) lines
+        like `line` through a new point a, and at least two. F divides the
+        quotient once more on a line where Q is a multiple of F, so the
+        power is the least on `line` and these. The quotient on line j is
+        c_j * Q(mu*a + lambda*b_j), whose mu^r coefficient is c_j * Q(a): r
+        linear equations in Q. No nonzero form of degree r vanishes on
+        C(r+2, 2) generic lines through a, so Q spans their kernel; if it
+        does not, or Q(a) = 0, a is redrawn."""
+        degree, power, a, lines = line.degree, line.power, self.draw(3) + [1], []
         for _ in range(_MAX_LINES):
-            if line and line[:2] == (degree, power):
-                q = line.quotient
-                lead = q.get(top, 0)
-                if lead:
-                    forms = _on_line(monos, a, line.b, p)
-                    rows += [[lead * x.get(key, 0) - q.get(key, 0) * x.get(top, 0) for x in forms]
-                             for key in keys]
-                if not lead or len(rows) >= len(monos) - 1:
-                    rows = [[x % p for x in row] for row in rows] if p else rows
-                    kernel = int_nullspace(rows, len(monos), p) if lead else []
-                    if len(kernel) == 1:
-                        return TPoly(dict(zip(monos, kernel[0])), self.field)
-                    a, rows = self.draw(4), []
             line = self.split(a, self.draw(4))
-        raise StrandError(f"no residual of degree {r} fits {_MAX_LINES} lines; the strand's "
-                          f"expected degree may be above deg D")
+            if line and line.degree == degree and line.power <= power:
+                if line.power < power:
+                    power, lines = line.power, []
+                r = degree - power * deg_f
+                lines.append(line)
+                if len(lines) >= max(2, comb(r + 2, 2)):
+                    Q = self.fit(lines, r)
+                    if Q is not None:
+                        return power, Q
+                    a, lines = self.draw(3) + [1], []
+        raise StrandError(f"no residual of degree {degree - power * deg_f} fits {_MAX_LINES} "
+                          f"lines; the strand's expected degree may be above deg D")
+
+    def fit(self, lines, r):
+        """The Q of degree r that is each line's quotient up to scale, or None."""
+        p, monos, top, rows = self.p, _degree_monomials(r), (0, 0, r, 0), []
+        for line in lines:
+            q, forms = line.quotient, _on_line(monos, line.a, line.b, p)
+            rows += [[q.get(top, 0) * x.get(key, 0) - q.get(key, 0) * x.get(top, 0) for x in forms]
+                     for key in ((0, 0, r - i, i) for i in range(1, r + 1))]
+        kernel = int_nullspace([[x % p for x in row] for row in rows] if p else rows, len(monos), p)
+        return TPoly(dict(zip(monos, kernel[0])), self.field) if len(kernel) == 1 else None
 
 
 def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
@@ -297,7 +307,7 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
     exact gcd G_b on a random line (see _Block), so deg G_b >= deg D_b.
     - deg G_b = deg F certifies D_b = c * F, with no probability.
     - Otherwise G_b = c * D_b on its line is trusted once the degrees sum to
-      `degree`, the strand's expected degree, and the residual interpolated.
+      `degree`, the strand's expected degree, and split by _Block.residual.
     Blocks above deg F take turns drawing lines until then, at most
     _MAX_LINES. StrandError when the sum differs from `degree`: certified
     below it, an upper bound above it. RankDeficientError for a block with
@@ -325,11 +335,10 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
                  f"the minors gcd has degree at most {found}" if found < degree else
                  f"the gcd on {drawn} random lines has degree {found} (an upper bound on deg D)")
         raise StrandError(f"{claim}, but the strand at nu={M.nu} expects {degree}")
-    residuals = [block.residual(line, r) for block, line in zip(blocks, best)
-                 if (r := line.degree - line.power * deg_f)]
-    power = sum(line.power for line in best)
-    D = _monic_product([F] * power + residuals, M.field)
-    return D, power, _monic_product(residuals, M.field)
+    splits = [block.residual(line, deg_f) if line.degree > deg_f else (1, TPoly.constant(1, M.field))
+              for block, line in zip(blocks, best)]
+    power, residuals = sum(k for k, _ in splits), [Q for _, Q in splits]
+    return _monic_product([F] * power + residuals, M.field), power, _monic_product(residuals, M.field)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +570,7 @@ def equation_report(
     I = SegreIdeal.from_parametrization(lift_mixed(P))
     nu, strand = working_strand(I, nu, saturate)
     M = representation_matrix(I, nu)
-    _blocks(M)
+    _blocks(M)  # the shape checks come before the oracle; minors_gcd reuses the blocks
     degree = strand.expected_det_degree
     try:
         F = implicit_by_interpolation(P, max(degree, 1))

@@ -6,10 +6,14 @@ import pytest
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
 from bisurf.exactla import SCREEN_PRIME, int_nullspace, int_rref
 from bisurf.fields import QQ, PrimeField
+from bisurf import matrixrep
 from bisurf.matrixrep import (
     _lift_primes,
     InterpolationError,
     RankDeficientError,
+    RepMatrix,
+    _Block,
+    _blocks,
     _components,
     equation_report,
     implicit_by_interpolation,
@@ -47,6 +51,7 @@ def test_lifted_matrix_shape(mixed_param):
     assert (M.rows, M.cols) == (36, 42)
     comps = _components(M)
     assert [(len(r), len(c)) for r, c in comps] == [(6, 7)] * 6
+    assert _blocks(M) == comps and _blocks(M) is _blocks(M)  # found once per M
 
 
 def test_reassembly_invariant(d2_matrix_rep, d2_ideal):
@@ -361,3 +366,75 @@ def test_folding_reaches_certified_gcd_mod_small_primes(inputs_dir, name, p, sat
     one = TPoly.constant(1, PrimeField(p))
     for seed in range(8):
         assert minors_gcd(M, F, strand.expected_det_degree, Random(seed)) == (F, 1, one), seed
+
+
+# minors_gcd on hand-made matrices: a 2 x 2 block [[T1, T2], [T2, T3]] gives
+# F = T1*T3 - T2^2, joined through its lower-left corner to a block whose
+# determinant is the residual Q, so D = F * Q. No line certifies it, and
+# the strand degree is trusted.
+
+CONE = "T1*T3 - T2^2"
+
+RESIDUALS = {
+    "T4^2 - T1*T2": ["T1,T2,0,0", "T2,T3,0,0", "T1,T4,T4,T1", "T2,T3,T2,T4"],
+    "T4^3 + T1*T2*T3": ["T1,T2,0,0,0", "T2,T3,0,0,0", "T1,T4,T4,T1,0", "T2,T1,0,T4,T2",
+                        "T3,T2,T3,0,T4"],
+    # deg Q = deg F: F on a line divides the quotient once more wherever Q
+    # there is a multiple of F, which over GF(3) is often
+    "(T1 + T2)^2 - (T1 + T2 + T3)*T4": ["T1,T2,0,0", "T2,T3,0,0", "T1,T4,T4,T1+T2",
+                                        "T2,T3,T1+T2,T1+T2+T3"],
+}
+
+
+def _rep_matrix(texts, field):
+    """A RepMatrix whose entries are the linear forms in texts, one string
+    of comma-separated entries per row; stand-in quadruples index the rows."""
+    entries = [[parse_tpoly(t, field) for t in row.split(",")] for row in texts]
+    quads = [(r, 0, 0, 0) for r in range(len(entries))]
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    syzygies = [
+        tuple(TPoly({q: row[j].terms[u] for q, row in zip(quads, entries) if u in row[j].terms}, field)
+              for u in units)
+        for j in range(len(entries[0]))
+    ]
+    return RepMatrix(0, quads, syzygies, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+@pytest.mark.parametrize("residual", list(RESIDUALS)[:2])
+def test_minors_gcd_residual_of_degree_above_one(residual, field):
+    # a residual of degree r needs C(r+2, 2) lines through one point: with
+    # fewer, cones over plane curves of degree r through them also fit
+    M = _rep_matrix(RESIDUALS[residual], field)
+    F, Q = parse_tpoly(CONE, field), parse_tpoly(residual, field)
+    for seed in range(4):
+        assert minors_gcd(M, F, M.rows, Random(seed)) == ((F * Q).monic(), 1, Q.monic()), seed
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_residual_takes_the_least_power_on_its_lines(field):
+    residual = list(RESIDUALS)[2]
+    M = _rep_matrix(RESIDUALS[residual], field)
+    F, Q = parse_tpoly(CONE, field), parse_tpoly(residual, field)
+    block = _Block(M, _blocks(M)[0], F, Random(0))
+    # on the line x = (0, lambda, -lambda, mu), Q = lambda^2 = -F
+    line = block.split([0, 0, 0, 1], [0, 1, -1, 0])
+    assert (line.degree, line.power) == (4, 2)
+    power, found = block.residual(line, 2)
+    assert power == 1 and found.monic() == Q.monic()
+    assert block.split([1, 2, 0, 1], [2, 4, 0, 2]) is None  # a and b span no line
+    for seed in range(4):
+        assert minors_gcd(M, F, 4, Random(seed)) == ((F * Q).monic(), 1, Q.monic()), seed
+
+
+def test_minors_gcd_diagnostics_on_trusted_degree(monkeypatch):
+    M = _rep_matrix(RESIDUALS["T4^2 - T1*T2"], QQ)
+    F = parse_tpoly(CONE)
+    # every line shows degree 4 = deg D, so 5 is certified too high
+    with pytest.raises(StrandError, match="has degree at most 4, but the strand at nu=0 expects 5"):
+        minors_gcd(M, F, 5)
+    with pytest.raises(StrandError, match=r"on 200 random lines has degree 4 \(an upper bound"):
+        minors_gcd(M, F, 3)
+    monkeypatch.setattr(matrixrep, "_MAX_LINES", 2)
+    with pytest.raises(StrandError, match="no residual of degree 2 fits 2 lines"):
+        minors_gcd(M, F, 4)
