@@ -7,14 +7,16 @@ they hold residues in [0, p). `int_rank` gives the rank, `int_rref` the
 nonzero rows of the reduced row echelon form and the pivot columns, and
 `int_nullspace` the canonical kernel basis built from it. The pivot rule is
 always "first nonzero entry in column order", so results are deterministic
-and the RREF is the unique one.
+and the RREF is the unique one. `int_kernel_line` finds a kernel of
+dimension at most 1 from one elimination modulo a prime.
 
 Over QQ the forward elimination is fraction-free, and the back-substitution
 combines each row with a multiple of a pivot row below it; both strip
 integer content to control coefficient growth. A Fraction is formed only for
 a returned entry, when each row is divided by its pivot. Before that,
 `int_rank`, and `int_rref` when there are at least as many rows as columns,
-eliminate the rows modulo the word-size prime SCREEN_PRIME = 2^31 - 1. That
+eliminate the rows modulo SCREEN_PRIME, the largest prime below 2^30, whose
+residues are single-digit CPython ints. That
 rank is only a lower bound over QQ, so it is used only when an exact upper
 bound meets it: full rank, min(rows, cols), for `int_rank`, or a bound its
 caller proves (`zcomplex` uses d_i d_(i+1) = 0); full column rank for
@@ -25,7 +27,8 @@ runs on the same rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 
 def _strip_content(row, start=0):
@@ -62,7 +65,12 @@ def _forward_int(rows, cols):
     return pivots
 
 
-def _forward_gf(rows, cols, p):
+def _forward_gf(rows, cols, p, record=None):
+    """In-place echelon form of residues mod p, each pivot scaled to 1;
+    returns the pivot columns. Each row operation runs over the nonzero
+    entries of the pivot row only. A record list receives, per pivot, the
+    row swapped into place, the pivot's inverse and the (row, multiplier)
+    pairs of the rows below it, so that _replay can repeat the operations."""
     pivots = []
     r = 0
     nrows = len(rows)
@@ -73,19 +81,38 @@ def _forward_gf(rows, cols, p):
         rows[r], rows[pr] = rows[pr], rows[r]
         pivot_row = rows[r]
         inv = pow(pivot_row[c], -1, p)
+        nonzero = []
         for j in range(c, cols):
-            pivot_row[j] = pivot_row[j] * inv % p
+            if pivot_row[j]:
+                y = pivot_row[j] = pivot_row[j] * inv % p
+                nonzero.append((j, y))
+        ops = []
         for i in range(r + 1, nrows):
-            v = rows[i][c]
+            ri = rows[i]
+            v = ri[c]
             if v:
-                ri = rows[i]
-                for j in range(c, cols):
-                    ri[j] = (ri[j] - v * pivot_row[j]) % p
+                for j, y in nonzero:
+                    ri[j] = (ri[j] - v * y) % p
+                ops.append((i, v))
+        if record is not None:
+            record.append((pr, inv, ops))
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return pivots
+
+
+def _replay(record, rhs, p):
+    """The right-hand side rhs (residues, changed in place) under the row
+    operations of a _forward_gf record."""
+    for r, (pr, inv, ops) in enumerate(record):
+        rhs[r], rhs[pr] = rhs[pr], rhs[r]
+        x = rhs[r] = rhs[r] * inv % p
+        if x:
+            for i, v in ops:
+                rhs[i] = (rhs[i] - v * x) % p
+    return rhs
 
 
 def _rref_gf(rows, cols, p):
@@ -95,13 +122,27 @@ def _rref_gf(rows, cols, p):
     for k in range(len(pivots) - 1, -1, -1):
         c = pivots[k]
         rk = rows[k]
+        nonzero = [(j, rk[j]) for j in range(c, cols) if rk[j]]
         for a in range(k):
-            v = rows[a][c]
+            ra = rows[a]
+            v = ra[c]
             if v:
-                ra = rows[a]
-                for j in range(c, cols):
-                    ra[j] = (ra[j] - v * rk[j]) % p
+                for j, y in nonzero:
+                    ra[j] = (ra[j] - v * y) % p
     return pivots
+
+
+def _solve_one_free(echelon, pivots, free, rhs, t, p):
+    """The x mod p with x[free] = t and echelon[k]·x = rhs[k] for each pivot
+    row k, when every column but free is a pivot: back-substitution from the
+    last pivot up. rhs None stands for zero."""
+    x = [0] * (len(pivots) + 1)
+    x[free] = t
+    for k in range(len(pivots) - 1, -1, -1):
+        c = pivots[k]
+        s = sum(map(mul, echelon[k][c + 1:], x[c + 1:]))
+        x[c] = ((rhs[k] if rhs else 0) - s) % p
+    return x
 
 
 def _rref_int(ints, cols):
@@ -135,9 +176,9 @@ def _rref_int(ints, cols):
 
 
 # ---------------------------------------------------------------------------
-# ranks and RREFs of int rows, screened modulo one word-size prime over QQ
+# ranks and RREFs of int rows, screened modulo one prime over QQ
 
-SCREEN_PRIME = 2_147_483_647  # 2^31 - 1
+SCREEN_PRIME = 1_073_741_789  # the largest prime below 2^30
 
 
 def _fewer_rows(rows, cols):
@@ -211,3 +252,90 @@ def int_nullspace(rows, cols, p=0):
                 v[pc] = -row[fc] % p if p else -row[fc]
         basis.append(v)
     return basis
+
+
+def _rational_reconstruction(u: int, m: int):
+    """The fraction a/b = u mod m with |a|, |b| <= sqrt(m/2), or None (Wang)."""
+    bound = isqrt(m // 2)
+    r0, r1, s0, s1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def _reconstruct(residues, m):
+    """The vector of Wang reconstructions, or None as soon as one fails."""
+    out = []
+    for u in residues:
+        x = _rational_reconstruction(u, m)
+        if x is None:
+            return None
+        out.append(x)
+    return out
+
+
+def _annihilates(rows, vec):
+    """rows·vec == 0 over QQ, on the vector times its common denominator."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    return not any(sum(map(mul, row, ints)) for row in rows)
+
+
+def int_kernel_line(rows, cols, p=0, prime=SCREEN_PRIME):
+    """(d, kernel) of int rows over QQ (p = 0) or of int residues mod p,
+    which are left as they are. d is the kernel dimension mod p, or over QQ
+    mod prime (a prime below 2^30), which bounds the dimension over QQ from
+    above. For d <= 1, kernel is the kernel: [] or [v], v as in
+    `int_nullspace` (last nonzero entry 1; Fractions over QQ); for d >= 2 it
+    is None.
+
+    One forward elimination mod the prime records its row operations. Full
+    rank returns at once; otherwise the one free column is set to 1 and the
+    pivot columns solved by back-substitution. Over QQ that vector v0 is
+    lifted p-adically (Dixon): the residual -S·x/prime^k is updated exactly
+    on the int rows S, each step replays the record on it mod the prime and
+    back-substitutes, and a residual not divisible by the prime leaves no
+    p-adic, hence no rational, kernel vector. After each step the digits are
+    reconstructed (Wang) and the candidate certified by S·v = 0. The kernel
+    vector with v[free] = 1 solves the pivot rows, which are invertible mod
+    the prime on the pivot columns, so by Cramer's rule its numerators and
+    denominators are at most the Hadamard bound H of those rows: once
+    prime^k > 2 H^2 a failed reconstruction or certificate shows the kernel
+    over QQ is zero.
+    """
+    q = p or prime
+    echelon = [[x % q for x in row] for row in rows]
+    record = []
+    pivots = _forward_gf(echelon, cols, q, record)
+    dim = cols - len(pivots)
+    if dim != 1:
+        return dim, [] if dim == 0 else None
+    free = next(c for c in range(cols) if c not in pivots)
+    x = _solve_one_free(echelon, pivots, free, None, 1, q)
+    if p:
+        return 1, [x]
+    order = list(range(len(rows)))
+    for r, (pr, _, _) in enumerate(record):
+        order[r], order[pr] = order[pr], order[r]
+    hadamard2 = prod(sum(a * a for a in rows[i]) for i in order[: len(pivots)])
+    residual = [-sum(map(mul, row, x)) // q for row in rows]
+    modulus = q
+    while True:
+        v = _reconstruct(x, modulus)
+        if v is not None and _annihilates(rows, v):
+            last = next(a for a in reversed(v) if a)
+            return 1, [[a / last for a in v]]
+        if modulus > 2 * hadamard2:
+            return 1, []
+        rhs = _replay(record, [a % q for a in residual], q)
+        y = _solve_one_free(echelon, pivots, free, rhs, 0, q)
+        residual = [a - sum(map(mul, row, y)) for a, row in zip(residual, rows)]
+        if any(a % q for a in residual):
+            return 1, []
+        residual = [a // q for a in residual]
+        x = [a + modulus * b for a, b in zip(x, y)]
+        modulus *= q

@@ -4,8 +4,9 @@ The matrix M has one row per degree-nu monomial of the quotient ring and one
 column per linear syzygy; its entries are linear forms in T1..T4. Its rank
 drops exactly on the surface (for isolated, locally complete intersection
 base points), and the gcd D of its maximal minors is the strand determinant.
-An independent oracle, the exact kernel of F -> F(f1..f4), finds the
-irreducible implicit equation F, which divides D; D is then found from its
+An independent oracle, the exact kernel of F -> F(f1..f4), lifted p-adically
+from one prime below 2^30, finds the irreducible implicit equation F, which
+divides D; D is then found from its
 restrictions to random lines and split as a power of F times a residual.
 """
 
@@ -13,16 +14,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 from operator import mul
 from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import int_nullspace, int_rank
-from .fields import is_prime
+from .exactla import SCREEN_PRIME, int_kernel_line, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import (
     ExactDivisionError,
@@ -122,9 +120,9 @@ def membership(M: RepMatrix, point):
 
     The point is scaled to ints by its common denominator, each entry is an
     int dot product with M's int coefficients, and `int_rank` ranks the
-    result: over QQ a full rank mod SCREEN_PRIME certifies an OFF answer, and
-    a lower one falls back to fraction-free elimination, so the rank of an ON
-    answer is exact too.
+    result: over QQ a full rank mod SCREEN_PRIME (the largest prime below
+    2^30) certifies an OFF answer, and a lower one falls back to
+    fraction-free elimination, so the rank of an ON answer is exact too.
 
     Returns (on_surface, rank)."""
     pt = [M.field.coerce(x) for x in point]
@@ -182,6 +180,11 @@ def _blocks(M: RepMatrix):
 
 # Lines one minors_gcd call draws for its blocks, and again for each residual.
 _MAX_LINES = 200
+
+# Over GF(p) with p below this, a block whose gcd is not certified is not
+# split: a plane has only p^2 + p + 1 points, and _Block.residual read a
+# wrong power, or fit no residual, on some seeds over GF(3) and GF(5).
+_MIN_SPLIT_PRIME = 7
 
 # Binary forms are int-kernel dicts on the exponents (0, 0, i, j) of
 # mu^i*lambda^j, so tpoly's gcd dehomogenizes lambda and runs univariate.
@@ -310,8 +313,9 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
       `degree`, the strand's expected degree, and split by _Block.residual.
     Blocks above deg F take turns drawing lines until then, at most
     _MAX_LINES. StrandError when the sum differs from `degree`: certified
-    below it, an upper bound above it. RankDeficientError for a block with
-    fewer columns than rows or a zero G_b on every line drawn."""
+    below it, an upper bound above it, and over GF(p) with p below
+    _MIN_SPLIT_PRIME for any block not certified. RankDeficientError for a
+    block with fewer columns than rows or a zero G_b on every line drawn."""
     if F.is_constant():
         raise ValueError("the implicit equation must be nonconstant")
     rng = rng or Random(0)
@@ -335,6 +339,11 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
                  f"the minors gcd has degree at most {found}" if found < degree else
                  f"the gcd on {drawn} random lines has degree {found} (an upper bound on deg D)")
         raise StrandError(f"{claim}, but the strand at nu={M.nu} expects {degree}")
+    p = M.field.characteristic
+    if 0 < p < _MIN_SPLIT_PRIME and any(line.degree > deg_f for line in best):
+        raise StrandError(f"over GF({p}) a block's minors gcd is not certified (degree above "
+                          f"deg F = {deg_f}), and GF({p}) has too few lines to split it; "
+                          f"run over QQ or mod a prime of at least {_MIN_SPLIT_PRIME}")
     splits = [block.residual(line, deg_f) if line.degree > deg_f else (1, TPoly.constant(1, M.field))
               for block, line in zip(blocks, best)]
     power, residuals = sum(k for k, _ in splits), [Q for _, Q in splits]
@@ -353,17 +362,10 @@ def _degree_monomials(deg: int):
     return out
 
 
-@cache
-def _lift_primes():
-    """The 64 largest primes below 2^62, in descending order; found on first
-    use, so importing the package stays cheap."""
-    out = []
-    n = (1 << 62) - 1
-    while len(out) < 64:
-        if is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
+# The four largest primes below 2^30, in descending order: the oracle's
+# kernels over QQ are lifted from the first one whose kernel has dimension at
+# most 1.
+_KERNEL_PRIMES = (SCREEN_PRIME, 1_073_741_783, 1_073_741_741, 1_073_741_723)
 
 
 def _integer_coordinates(P: Parametrization):
@@ -400,79 +402,47 @@ def _substitution_rows(layer, monos):
     return rows
 
 
-def _kernel_mod(rows, cols, p):
-    """(dimension, kernel vector) of the int matrix reduced mod p; the vector
-    is given only for dimension 1, scaled so its first nonzero entry is 1."""
-    kernel = int_nullspace([[x % p for x in row] for row in rows], cols, p)
-    if len(kernel) != 1:
-        return len(kernel), None
-    vec = kernel[0]
-    inv = pow(next(x for x in vec if x), -1, p)
-    return 1, [x * inv % p for x in vec]
-
-
-def _rational_reconstruction(u: int, m: int):
-    """The fraction a/b = u mod m with |a|, |b| <= sqrt(m/2), or None (Wang)."""
-    bound = isqrt(m // 2)
-    r0, r1, s0, s1 = m, u, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if abs(s1) > bound or gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
-def _lifted_kernel(rows, monos, P: Parametrization):
-    """The monic F spanning the kernel over QQ, from its images mod the lift
-    primes; None when the kernel is zero. Primes whose kernel is larger, or
-    whose leading entry lies further right, than the best seen are unlucky
-    and skipped. Two equal successive lifts are certified by substitution."""
-    best = None
-    primes = _lift_primes()
-    for p in primes:
-        dim, vec = _kernel_mod(rows, len(monos), p)
-        if dim == 0:
-            return None
-        key = (dim, vec.index(1) if vec else 0)
-        if best is None or key < best:
-            best, modulus, residues, previous = key, 1, [0] * len(monos), None
-        if key != best or vec is None:
-            continue
-        step = pow(modulus, -1, p)
-        residues = [a + modulus * ((b - a) * step % p) for a, b in zip(residues, vec)]
-        modulus *= p
-        lifted = [_rational_reconstruction(x, modulus) for x in residues]
-        if None in lifted:
-            continue
-        if lifted == previous:
-            candidate = TPoly(dict(zip(monos, lifted)), P.field)
-            if verify_substitution(candidate, P):
-                return candidate
-        previous = lifted
+def _kernel(rows, monos, field):
+    """[] or [v]: the kernel of the substitution matrix on the monomials
+    monos, which must have dimension at most 1. Over QQ it is found with the
+    first of _KERNEL_PRIMES whose kernel has dimension at most 1 (a larger
+    kernel mod a prime may be unlucky); InterpolationError when none has."""
+    p = field.characteristic
+    if p:
+        dim, kernel = int_kernel_line(rows, len(monos), p)
+        if kernel is None:
+            raise InterpolationError(
+                f"the kernel of the substitution map in degree {sum(monos[0])} has "
+                f"dimension {dim} over {field.name}: the image is not a surface"
+            )
+        return kernel
+    seen = []
+    for prime in _KERNEL_PRIMES:
+        dim, kernel = int_kernel_line(rows, len(monos), 0, prime)
+        if kernel is not None:
+            return kernel
+        seen.append(dim)
     raise InterpolationError(
         f"the kernel in degree {sum(monos[0])} did not lift "
-        f"over {len(primes)} primes (smallest dimension seen: {best[0]})"
+        f"over {len(seen)} primes (smallest dimension seen: {min(seen)})"
     )
 
 
 def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
     """The lowest-degree homogeneous equation vanishing on the image.
 
-    For deg = 1, 2, ... the routine forms the exact matrix of the linear map
-    F -> F(f1..f4) on degree-deg forms (one column per monomial of F, the
+    For deg = 1, 2, ... the routine forms the exact matrix S of the linear
+    map F -> F(f1..f4) on degree-deg forms (one column per monomial of F, the
     expansion of f^e built from the previous degree by one multiplication,
     one row per (s,u,t,v) monomial). Its kernel is the degree-deg part of the
     ideal of the image, so the first nonzero kernel is spanned by the
-    implicit equation. Over GF(p) one elimination mod p finds it, and a kernel
-    of dimension above 1 raises InterpolationError (the image mod p is not a
-    surface). Over QQ the kernel is computed modulo the fixed primes of
-    _lift_primes() and lifted by CRT and rational reconstruction; any zero
-    kernel mod p rejects the degree, which is sound because the kernel
-    only grows mod p, and the lift is returned once two successive
-    reconstructions agree and exact substitution certifies it. The result is
-    monic in the canonical term order.
+    implicit equation. `exactla.int_kernel_line` finds it from one
+    elimination modulo a prime below 2^30: over GF(p) modulo p, where a
+    kernel of dimension above 1 raises InterpolationError (the image mod p
+    is not a surface); over QQ modulo the first of _KERNEL_PRIMES whose
+    kernel has dimension at most 1, lifted p-adically and certified by the
+    exact product S·v = 0, which is F(f1..f4) = 0 in the monomial basis.
+    The result is monic in the canonical term order.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -484,20 +454,12 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
         # descending graded lex, so monos[0] leads and a vector whose first
         # nonzero entry is 1 gives a monic polynomial
         monos = _degree_monomials(deg)
-        rows = _substitution_rows(layer, monos)
-        if not p:
-            F = _lifted_kernel(rows, monos, P)
-            if F is not None:
-                return F
-            continue
-        dim, vec = _kernel_mod(rows, len(monos), p)
-        if dim > 1:
-            raise InterpolationError(
-                f"the kernel of the substitution map in degree {deg} has "
-                f"dimension {dim} over {P.field.name}: the image is not a surface"
-            )
-        if dim == 1:
-            return TPoly(dict(zip(monos, vec)), P.field)
+        kernel = _kernel(_substitution_rows(layer, monos), monos, P.field)
+        if kernel:
+            vec = kernel[0]
+            lead = next(x for x in vec if x)
+            coeffs = [x * pow(lead, -1, p) % p for x in vec] if p else [x / lead for x in vec]
+            return TPoly(dict(zip(monos, coeffs)), P.field)
     raise _DegreeBoundError(f"no equation of degree at most {max_degree}")
 
 

@@ -13,8 +13,9 @@ QQ from the generators scaled by their common denominator, which changes no
 rank and no kernel, over GF(p) from their residues. The syzygy basis is the
 canonical kernel of the first piece. Over QQ the ranks behind the cycle
 dimensions and the saturation pieces come from one elimination of those rows
-modulo exactla.SCREEN_PRIME, used only with an exact certificate (full rank,
-or d_i d_(i+1) = 0), and from fraction-free elimination otherwise.
+modulo exactla.SCREEN_PRIME, the largest prime below 2^30, used only with an
+exact certificate (full rank, or d_i d_(i+1) = 0), and from fraction-free
+elimination otherwise.
 """
 
 from __future__ import annotations

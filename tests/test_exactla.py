@@ -3,7 +3,8 @@ from random import Random
 
 import pytest
 
-from bisurf.exactla import int_nullspace, int_rank, int_rref
+from bisurf import exactla
+from bisurf.exactla import SCREEN_PRIME, int_kernel_line, int_nullspace, int_rank, int_rref
 
 from helpers import (
     BadPrimeError,
@@ -161,6 +162,80 @@ def test_gf_rref_and_nullspace_match_sympy(p):
         assert len(ns) == cols - r == cols - int_rank(rows, cols, p)
         assert all(type(x) is int and 0 <= x < p for v in ns for x in v)
         assert annihilates(rows, ns, p)
+
+    check()
+
+
+def _replays(monkeypatch):
+    """A list that grows by one for each Dixon step of int_kernel_line."""
+    steps = []
+    replay = exactla._replay
+
+    def counted(record, rhs, p):
+        steps.append(p)
+        return replay(record, rhs, p)
+
+    monkeypatch.setattr(exactla, "_replay", counted)
+    return steps
+
+
+def test_kernel_line_examples(monkeypatch):
+    q = SCREEN_PRIME
+    steps = _replays(monkeypatch)
+    assert int_kernel_line(identity(3), 3) == (0, [])
+    assert int_kernel_line([[1, 1, 1]], 3) == (2, None)
+    assert int_kernel_line([[1, 1, 1]], 3, 7) == (2, None)
+    assert int_kernel_line([[1, 6]], 2, 7) == (1, [[1, 1]])
+    assert not steps  # nothing is lifted over GF(p) or for full rank
+    # one-dimensional mod q, zero over QQ: the Hadamard bound of the pivot
+    # row is 1, so the failed certificate at q ends it; with large pivot
+    # rows the residual of the first step is not divisible by q
+    assert int_kernel_line([[1, 0], [0, q]], 2) == (1, [])
+    a, b = 2**64 + 13, 3**40
+    assert int_kernel_line([[a, b], [q * 5, q * 7]], 2) == (1, [])
+    assert len(steps) == 1
+    # q divides kernel entries: the kernel mod q is (1, 0, 0), so the free
+    # column is the first one, and the lift gives (1, q, q) over QQ
+    rows = [[q, -1, 0], [0, 1, -1]]
+    assert int_kernel_line(rows, 3) == (1, int_nullspace(copy(rows), 3))
+    assert int_kernel_line(rows, 3)[1] == [[Fraction(1, q), 1, 1]]
+    assert int_kernel_line([[1, -q]], 2) == (1, [[q, 1]])
+    # the kernel (1, n) with n near 2^200 takes many Dixon steps
+    steps.clear()
+    n = 2**200 + 235
+    assert int_kernel_line([[n, -1], [2 * n, -2]], 2) == (1, [[Fraction(1, n), 1]])
+    assert len(steps) >= 10
+
+
+def test_kernel_line_matches_nullspace_on_large_entries():
+    # differential: corank-one int matrices with entries up to 2^64, so the
+    # kernel's numerators take several Dixon steps, against the
+    # fraction-free kernel over QQ
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    big = st.integers(-(2**64), 2**64)
+
+    @st.composite
+    def corank_one(draw):
+        cols = draw(st.integers(2, 7))
+        rows = draw(st.lists(st.lists(big, min_size=cols, max_size=cols),
+                             min_size=cols - 1, max_size=cols - 1))
+        picks = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(0, cols - 2), st.integers(0, cols - 2))
+        for a, b, i, j in draw(st.lists(picks, max_size=3)):
+            rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        return draw(st.permutations(rows))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(corank_one())
+    def check(rows):
+        cols = len(rows[0])
+        expected = int_nullspace(copy(rows), cols)
+        dim, kernel = int_kernel_line(rows, cols)
+        assert dim >= len(expected)
+        assert kernel == (expected if dim <= 1 else None)
+        if kernel:
+            assert all(type(x) is Fraction for x in kernel[0])
 
     check()
 

@@ -37,8 +37,11 @@ FIELDS = ((), ("--mod", "32003"))
 
 # Inputs written from random_dense(d, Random(1)), the benchmark's dense
 # texts: their syzygy kernels (81x144 for d = 3) are the largest QQ kernels
-# the suite pins. No implicit runs: the oracle alone takes about 10 s on
-# dense (2,2) over QQ, and ran past 15 minutes on dense (3,3) mod 32003.
+# the suite pins. One implicit run: dense (2,2) over QQ, the only F here
+# whose coefficients (88 bits) take several Dixon steps; it takes about
+# 2.2 s, 1.5 s of it the oracle (2-core machine, Python 3.11.7). Over
+# GF(32003) it adds nothing the other implicit runs do not pin, and dense
+# (3,3) ran past 15 minutes mod 32003.
 DENSE = {"dense22.ex": 2, "dense33.ex": 3}
 DENSE_CASES = [("dense22.ex",), ("dense22.ex", "--saturate"), ("dense33.ex",)]
 
@@ -61,7 +64,8 @@ def argvs():
         for command in ("info", "matrix")
         for field in FIELDS
     ]
-    return json_runs + text_runs + warning_runs + dense_runs
+    dense_implicit = [["implicit", "dense22.ex", "--json"]]
+    return json_runs + text_runs + warning_runs + dense_runs + dense_implicit
 
 
 def _sha256(text):

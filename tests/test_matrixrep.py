@@ -4,11 +4,10 @@ from random import Random
 import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
-from bisurf.exactla import SCREEN_PRIME, int_nullspace, int_rref
-from bisurf.fields import QQ, PrimeField
+from bisurf.exactla import SCREEN_PRIME, int_kernel_line, int_nullspace, int_rref
+from bisurf.fields import QQ, PrimeField, is_prime
 from bisurf import matrixrep
 from bisurf.matrixrep import (
-    _lift_primes,
     InterpolationError,
     RankDeficientError,
     RepMatrix,
@@ -282,31 +281,57 @@ def _scaled_segre(a, b, c):
     )
 
 
+def _kernel_calls(monkeypatch):
+    """A list that receives (prime, dimension mod prime, kernel size or None)
+    for each int_kernel_line call of the oracle."""
+    calls = []
+
+    def spy(rows, cols, p=0, prime=SCREEN_PRIME):
+        dim, kernel = int_kernel_line(rows, cols, p, prime)
+        calls.append((prime, dim, None if kernel is None else len(kernel)))
+        return dim, kernel
+
+    monkeypatch.setattr(matrixrep, "int_kernel_line", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "a,b,c",
     [
         (10**20 + 39, 10**20 + 3, 10**20 + 7),
-        # the first lift prime kills f3: modulo it the kernel is nonzero in
-        # degree 1 and four-dimensional in degree 2, so that prime is unlucky
-        (10**20 + 39, 10**20 + 3, _lift_primes()[0]),
+        # the first kernel prime kills f3: modulo it the kernel is nonzero in
+        # degree 1 (the lift shows it is zero over QQ) and four-dimensional in
+        # degree 2, so that prime is unlucky and the next one lifts F
+        (10**20 + 39, 10**20 + 3, SCREEN_PRIME),
     ],
 )
-def test_oracle_lifts_over_several_primes(a, b, c):
+def test_oracle_lifts_over_several_primes(a, b, c, monkeypatch):
     ratio = Fraction(a, b * c)
     assert ratio.numerator > 2**62 and ratio.denominator > 2**62
+    calls = _kernel_calls(monkeypatch)
     F = implicit_by_interpolation(_scaled_segre(a, b, c), 2)
     assert F == TPoly({(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): -ratio})
+    if c == SCREEN_PRIME:
+        assert calls == [(c, 1, 0), (c, 4, None), (matrixrep._KERNEL_PRIMES[1], 1, 1)]
 
 
-def test_oracle_skips_prime_dividing_leading_coefficient():
-    # F = p*T1*T3 + T1*T4 - T2*T3 with p the first lift prime: modulo p the
-    # kernel is still one-dimensional but starts at T1*T4, so it is skipped
-    p = _lift_primes()[0]
+def test_oracle_skips_prime_dividing_leading_coefficient(monkeypatch):
+    # F = p*T1*T3 + T1*T4 - T2*T3 with p the first kernel prime: modulo p the
+    # kernel is still one-dimensional but starts at T1*T4; its free column is
+    # T2*T3, so the lift from p itself recovers the leading coefficient p
+    p = SCREEN_PRIME
     P = parse_parametrization(f"degree: 1 1\nf1: s*t\nf2: {p}*s*t + s*v\nf3: u*t\nf4: u*v\n")
+    calls = _kernel_calls(monkeypatch)
     F = implicit_by_interpolation(P, 2)
     assert F == TPoly(
         {(1, 0, 1, 0): Fraction(1), (1, 0, 0, 1): Fraction(1, p), (0, 1, 1, 0): Fraction(-1, p)}
     )
+    assert calls == [(p, 0, 0), (p, 1, 1)]
+
+
+def test_kernel_primes_are_the_largest_below_2_30():
+    primes = [n for n in range(2**30 - 1, 2**30 - 200, -2) if is_prime(n)]
+    assert matrixrep._KERNEL_PRIMES == tuple(primes[:4]) and primes[0] == SCREEN_PRIME
 
 
 def test_oracle_rejects_a_curve_over_qq():
@@ -425,6 +450,19 @@ def test_residual_takes_the_least_power_on_its_lines(field):
     assert block.split([1, 2, 0, 1], [2, 4, 0, 2]) is None  # a and b span no line
     for seed in range(4):
         assert minors_gcd(M, F, 4, Random(seed)) == ((F * Q).monic(), 1, Q.monic()), seed
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_small_prime_rejects_uncertified_block(p):
+    # GF(3) and GF(5) have too few lines: _Block.residual fit no residual
+    # on some seeds, or read a wrong power; certified blocks (segre.ex mod 2)
+    # are unaffected
+    field = PrimeField(p)
+    M = _rep_matrix(RESIDUALS[list(RESIDUALS)[2]], field)
+    F = parse_tpoly(CONE, field)
+    for seed in range(4):
+        with pytest.raises(StrandError, match=rf"over GF\({p}\) .* run over QQ or mod a prime of at least 7"):
+            minors_gcd(M, F, 4, Random(seed))
 
 
 def test_minors_gcd_diagnostics_on_trusted_degree(monkeypatch):
