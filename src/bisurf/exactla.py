@@ -8,7 +8,10 @@ nonzero rows of the reduced row echelon form and the pivot columns, and
 `int_nullspace` the canonical kernel basis built from it. The pivot rule is
 always "first nonzero entry in column order", so results are deterministic
 and the RREF is the unique one. `int_kernel_line` finds a kernel of
-dimension at most 1 from one elimination modulo a prime.
+dimension at most 1 from one elimination modulo a prime, lifted p-adically
+and certified over QQ; `matrixrep.membership` ranks each block of M(pt) with
+it, on the block's transpose, so that a corank of 0 or 1 is exact without
+fraction-free elimination.
 
 Over QQ the forward elimination is fraction-free, and the back-substitution
 combines each row with a multiple of a pivot row below it; both strip
@@ -305,7 +308,8 @@ def int_kernel_line(rows, cols, p=0, prime=SCREEN_PRIME):
     the prime on the pivot columns, so by Cramer's rule its numerators and
     denominators are at most the Hadamard bound H of those rows: once
     prime^k > 2 H^2 a failed reconstruction or certificate shows the kernel
-    over QQ is zero.
+    over QQ is zero. H and the first residual are computed only when the
+    first reconstruction, from v0 alone, fails.
     """
     q = p or prime
     echelon = [[x % q for x in row] for row in rows]
@@ -318,17 +322,18 @@ def int_kernel_line(rows, cols, p=0, prime=SCREEN_PRIME):
     x = _solve_one_free(echelon, pivots, free, None, 1, q)
     if p:
         return 1, [x]
-    order = list(range(len(rows)))
-    for r, (pr, _, _) in enumerate(record):
-        order[r], order[pr] = order[pr], order[r]
-    hadamard2 = prod(sum(a * a for a in rows[i]) for i in order[: len(pivots)])
-    residual = [-sum(map(mul, row, x)) // q for row in rows]
-    modulus = q
+    modulus, residual = q, None
     while True:
         v = _reconstruct(x, modulus)
         if v is not None and _annihilates(rows, v):
             last = next(a for a in reversed(v) if a)
             return 1, [[a / last for a in v]]
+        if residual is None:
+            order = list(range(len(rows)))
+            for r, (pr, _, _) in enumerate(record):
+                order[r], order[pr] = order[pr], order[r]
+            hadamard2 = prod(sum(a * a for a in rows[i]) for i in order[: len(pivots)])
+            residual = [-sum(map(mul, row, x)) // q for row in rows]
         if modulus > 2 * hadamard2:
             return 1, []
         rhs = _replay(record, [a % q for a in residual], q)

@@ -20,7 +20,7 @@ from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import SCREEN_PRIME, int_kernel_line, int_nullspace, int_rank
+from .exactla import SCREEN_PRIME, _forward_int, int_kernel_line, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import (
     ExactDivisionError,
@@ -118,11 +118,18 @@ def membership(M: RepMatrix, point):
     """Exact rank of M at a projective point; the rank drops iff the point
     lies on the surface (under the locally-complete-intersection hypothesis).
 
-    The point is scaled to ints by its common denominator, each entry is an
-    int dot product with M's int coefficients, and `int_rank` ranks the
-    result: over QQ a full rank mod SCREEN_PRIME (the largest prime below
-    2^30) certifies an OFF answer, and a lower one falls back to
-    fraction-free elimination, so the rank of an ON answer is exact too.
+    The point is scaled to ints by its common denominator, and M(pt) is
+    ranked block by block (the connected blocks of `_components`; a block
+    with fewer columns than rows is ranked too), each entry an int dot
+    product with the block's cached int coefficients. Over GF(p) each block
+    is ranked by `int_rank`. Over QQ `int_kernel_line` takes the left kernel
+    of a k_b-row block, the kernel of its transpose, from one elimination
+    modulo SCREEN_PRIME (the largest prime below 2^30): dimension 0 mod q
+    certifies rank k_b; dimension 1 gives rank k_b - 1 with a lifted vector
+    v certified by v·M_b(pt) = 0, or rank k_b when the lift certifies the
+    left kernel over QQ is zero. A larger kernel mod q (a singular point, or
+    a point that is zero mod q) falls back to fraction-free elimination of
+    that block, so every rank is exact.
 
     Returns (on_surface, rank)."""
     pt = [M.field.coerce(x) for x in point]
@@ -130,8 +137,14 @@ def membership(M: RepMatrix, point):
         raise ValueError("(0,0,0,0) is not a projective point")
     den = lcm(*(x.denominator for x in pt))
     x1, x2, x3, x4 = (x.numerator * (den // x.denominator) for x in pt)
-    rows = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in row] for row in M.int_entries()]
-    r = int_rank(rows, M.cols, M.field.characteristic)
+    p, r = M.field.characteristic, 0
+    for (rows, cols), table in zip(*_shapes(M)):
+        lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in line] for line in table]
+        if p:
+            r += int_rank(lines, len(cols), p)
+            continue
+        _, kernel = int_kernel_line(lines, len(rows))
+        r += len(rows) - len(kernel) if kernel is not None else len(_forward_int(lines, len(rows)))
     return r < M.rows, r
 
 
@@ -166,16 +179,30 @@ def _components(M: RepMatrix):
     return sorted(comps, key=lambda rc: rc[0][0] if rc[0] else M.rows + rc[1][0])
 
 
-def _blocks(M: RepMatrix):
-    """The blocks of M with rows, found once per M; RankDeficientError when
-    one has fewer columns than rows, so that every maximal minor vanishes."""
+def _shapes(M: RepMatrix):
+    """(blocks, tables), found once per M: the blocks of M with rows, and
+    for each the int coefficient table that `membership` evaluates, the
+    block's columns over QQ (the rows of its transpose) and its rows over
+    GF(p)."""
     if M._blocks is None:
+        ints = M.int_entries()
         blocks = [(rows, cols) for rows, cols in _components(M) if rows]
-        if any(len(cols) < len(rows) for rows, cols in blocks):
-            raise RankDeficientError(f"M ({M.rows} x {M.cols}) has a block with fewer columns "
-                                     f"than rows; its maximal minors vanish")
-        M._blocks = blocks
+        if M.field.characteristic:
+            tables = [[[ints[i][j] for j in cols] for i in rows] for rows, cols in blocks]
+        else:
+            tables = [[[ints[i][j] for i in rows] for j in cols] for rows, cols in blocks]
+        M._blocks = blocks, tables
     return M._blocks
+
+
+def _blocks(M: RepMatrix):
+    """The blocks of M with rows; RankDeficientError when one has fewer
+    columns than rows, so that every maximal minor vanishes."""
+    blocks = _shapes(M)[0]
+    if any(len(cols) < len(rows) for rows, cols in blocks):
+        raise RankDeficientError(f"M ({M.rows} x {M.cols}) has a block with fewer columns "
+                                 f"than rows; its maximal minors vanish")
+    return blocks
 
 
 # Lines one minors_gcd call draws for its blocks, and again for each residual.

@@ -45,6 +45,16 @@ FIELDS = ((), ("--mod", "32003"))
 DENSE = {"dense22.ex": 2, "dense33.ex": 3}
 DENSE_CASES = [("dense22.ex",), ("dense22.ex", "--saturate"), ("dense33.ex",)]
 
+# Membership at an image point and an off point of dense (2,2), and at a
+# regular image point (rank 8 of 9) and the singular point (1,0,0,0) (rank
+# 6 of 9) of d2_example.
+MEMBERSHIP_CASES = [
+    ("dense22.ex", "--saturate", "--point", "229,93,-507,398"),
+    ("dense22.ex", "--saturate", "--point", "1,2,3,4"),
+    ("d2_example.ex", "--saturate", "--point", "15,11,40,12"),
+    ("d2_example.ex", "--saturate", "--point", "1,0,0,0"),
+]
+
 
 def argvs():
     """Every golden argv; the input is named relative to inputs/, or is one
@@ -65,7 +75,12 @@ def argvs():
         for field in FIELDS
     ]
     dense_implicit = [["implicit", "dense22.ex", "--json"]]
-    return json_runs + text_runs + warning_runs + dense_runs + dense_implicit
+    membership_runs = [
+        ["membership", case[0], *case[1:], "--json", *field]
+        for case in MEMBERSHIP_CASES
+        for field in FIELDS
+    ]
+    return json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
 
 
 def _sha256(text):

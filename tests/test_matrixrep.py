@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
-from bisurf.exactla import SCREEN_PRIME, int_kernel_line, int_nullspace, int_rref
+from bisurf.exactla import SCREEN_PRIME, _forward_int, int_kernel_line, int_nullspace, int_rref
 from bisurf.fields import QQ, PrimeField, is_prime
 from bisurf import matrixrep
 from bisurf.matrixrep import (
@@ -132,6 +132,62 @@ def test_membership_point_vanishing_mod_screen_prime(query_cases):
     for M, on, random_points in query_cases:
         for pt in on + random_points:
             assert membership(M, [SCREEN_PRIME * x for x in pt]) == membership(M, pt)
+
+
+def test_membership_reads_off_a_point_that_is_on_mod_screen_prime(query_cases, identity_matrix_rep):
+    # pt + q*e4 is pt mod q, an ON point of corank 1 in each block there;
+    # only the lift's certificate that the left kernel over QQ is zero reads
+    # it OFF
+    cases = [(M, on) for M, on, _ in query_cases] + [(identity_matrix_rep, [(1, 1, 1, 1)])]
+    for M, on in cases:
+        for pt in on:
+            shifted = [*pt[:3], pt[3] + SCREEN_PRIME]
+            assert membership(M, shifted) == (False, fraction_rank(evaluated(M, shifted))), pt
+
+
+def _fallback_calls(monkeypatch):
+    """A list that receives the row and column counts of each fraction-free
+    elimination membership falls back to."""
+    calls = []
+
+    def spy(rows, cols):
+        calls.append((len(rows), cols))
+        return _forward_int(rows, cols)
+
+    monkeypatch.setattr(matrixrep, "_forward_int", spy)
+    return calls
+
+
+def test_membership_falls_back_only_above_corank_one(query_cases, d2_matrix_rep, monkeypatch):
+    calls, seen = _fallback_calls(monkeypatch), []
+    for M, on, _ in query_cases:
+        for pt in on:
+            calls.clear()
+            seen.append((M.rows - membership(M, pt)[1], len(calls)))
+    # (corank, fallbacks): dense (2,2) has corank 1 in its one block, lifted
+    # mixed23 corank 1 in each of its six blocks, except at the image of
+    # t = 0, (128, -128, -128, -128), where it is 2 in each
+    assert seen == [(1, 0)] * 3 + [(6, 0), (6, 0), (12, 6)]
+    calls.clear()
+    # the singular point (1,0,0,0) of d2_example: rank 6 of 9
+    assert membership(d2_matrix_rep, (1, 0, 0, 0)) == (True, 6)
+    assert calls == [(12, 9)]
+    # q times a regular image point (rank 8) is zero mod q
+    assert membership(d2_matrix_rep, [SCREEN_PRIME * x for x in (15, 11, 40, 12)]) == (True, 8)
+    assert calls == [(12, 9)] * 2
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_membership_ranks_a_block_with_fewer_columns_than_rows(field):
+    # blocks: rows 0-1 on column 0 (2 x 1), rows 2-3 on columns 1-2, and
+    # the zero row 4 with no column
+    M = _rep_matrix(["T1, 0, 0", "T2, 0, 0", "0, T3, T4", "0, T1, T2", "0, 0, 0"], field)
+    assert [(len(r), len(c)) for r, c in _components(M)] == [(2, 1), (2, 2), (1, 0)]
+    with pytest.raises(RankDeficientError):
+        _blocks(M)
+    for pt in ((1, 1, 1, 1), (1, 2, 3, 4), (0, 0, 1, 1), (0, 0, 0, 1)):
+        r = fraction_rank(evaluated(M, pt))
+        assert membership(M, pt) == (True, r), pt
 
 
 ONE = parse_tpoly("1")
