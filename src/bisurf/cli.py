@@ -85,7 +85,10 @@ def _parse_point(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise InputError("--point needs four comma-separated rationals")
-    return [Fraction(p.strip()) for p in parts]
+    try:
+        return [Fraction(p.strip()) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--point {text}: each coordinate must be a rational") from None
 
 
 def _hypothesis_warning(P: Parametrization) -> bool:

@@ -8,10 +8,11 @@ nonzero rows of the reduced row echelon form and the pivot columns, and
 `int_nullspace` the canonical kernel basis built from it. The pivot rule is
 always "first nonzero entry in column order", so results are deterministic
 and the RREF is the unique one. `int_kernel_line` finds a kernel of
-dimension at most 1 from one elimination modulo a prime, lifted p-adically
-and certified over QQ; `matrixrep.membership` ranks each block of M(pt) with
-it, on the block's transpose, so that a corank of 0 or 1 is exact without
-fraction-free elimination.
+dimension at most 1 from one elimination modulo p, over QQ modulo
+SCREEN_PRIME, lifted p-adically and certified; a larger dimension is only
+reported, and its callers over QQ fall back to fraction-free elimination.
+`matrixrep.membership` ranks each block of M(pt) with it, on the block's
+transpose, and the implicitization oracle finds F with it.
 
 Over QQ the forward elimination is fraction-free, and the back-substitution
 combines each row with a multiple of a pivot row below it; both strip
@@ -288,30 +289,29 @@ def _annihilates(rows, vec):
     return not any(sum(map(mul, row, ints)) for row in rows)
 
 
-def int_kernel_line(rows, cols, p=0, prime=SCREEN_PRIME):
+def int_kernel_line(rows, cols, p=0):
     """(d, kernel) of int rows over QQ (p = 0) or of int residues mod p,
     which are left as they are. d is the kernel dimension mod p, or over QQ
-    mod prime (a prime below 2^30), which bounds the dimension over QQ from
-    above. For d <= 1, kernel is the kernel: [] or [v], v as in
-    `int_nullspace` (last nonzero entry 1; Fractions over QQ); for d >= 2 it
-    is None.
+    mod q = SCREEN_PRIME, which bounds the dimension over QQ from above. For
+    d <= 1, kernel is the kernel: [] or [v], v as in `int_nullspace` (last
+    nonzero entry 1; Fractions over QQ); for d >= 2 it is None.
 
-    One forward elimination mod the prime records its row operations. Full
+    One forward elimination mod p or q records its row operations. Full
     rank returns at once; otherwise the one free column is set to 1 and the
     pivot columns solved by back-substitution. Over QQ that vector v0 is
-    lifted p-adically (Dixon): the residual -S·x/prime^k is updated exactly
-    on the int rows S, each step replays the record on it mod the prime and
-    back-substitutes, and a residual not divisible by the prime leaves no
-    p-adic, hence no rational, kernel vector. After each step the digits are
+    lifted q-adically (Dixon): the residual -S·x/q^k is updated exactly on
+    the int rows S, each step replays the record on it mod q and
+    back-substitutes, and a residual not divisible by q leaves no q-adic,
+    hence no rational, kernel vector. After each step the digits are
     reconstructed (Wang) and the candidate certified by S·v = 0. The kernel
     vector with v[free] = 1 solves the pivot rows, which are invertible mod
-    the prime on the pivot columns, so by Cramer's rule its numerators and
+    q on the pivot columns, so by Cramer's rule its numerators and
     denominators are at most the Hadamard bound H of those rows: once
-    prime^k > 2 H^2 a failed reconstruction or certificate shows the kernel
-    over QQ is zero. H and the first residual are computed only when the
-    first reconstruction, from v0 alone, fails.
+    q^k > 2 H^2 a failed reconstruction or certificate shows the kernel over
+    QQ is zero. H and the first residual are computed only when the first
+    reconstruction, from v0 alone, fails.
     """
-    q = p or prime
+    q = p or SCREEN_PRIME
     echelon = [[x % q for x in row] for row in rows]
     record = []
     pivots = _forward_gf(echelon, cols, q, record)

@@ -389,12 +389,6 @@ def _degree_monomials(deg: int):
     return out
 
 
-# The four largest primes below 2^30, in descending order: the oracle's
-# kernels over QQ are lifted from the first one whose kernel has dimension at
-# most 1.
-_KERNEL_PRIMES = (SCREEN_PRIME, 1_073_741_783, 1_073_741_741, 1_073_741_723)
-
-
 def _integer_coordinates(P: Parametrization):
     """Term dicts of f1..f4 with plain int coefficients: residues in [0, p)
     over GF(p); over QQ all four scaled by one common denominator, which
@@ -431,28 +425,21 @@ def _substitution_rows(layer, monos):
 
 def _kernel(rows, monos, field):
     """[] or [v]: the kernel of the substitution matrix on the monomials
-    monos, which must have dimension at most 1. Over QQ it is found with the
-    first of _KERNEL_PRIMES whose kernel has dimension at most 1 (a larger
-    kernel mod a prime may be unlucky); InterpolationError when none has."""
+    monos, which must have dimension at most 1, else InterpolationError.
+    Over QQ a kernel of dimension at least 2 modulo SCREEN_PRIME may be
+    unlucky, so `int_nullspace` then finds the kernel over QQ from the same
+    rows."""
     p = field.characteristic
-    if p:
-        dim, kernel = int_kernel_line(rows, len(monos), p)
-        if kernel is None:
-            raise InterpolationError(
-                f"the kernel of the substitution map in degree {sum(monos[0])} has "
-                f"dimension {dim} over {field.name}: the image is not a surface"
-            )
-        return kernel
-    seen = []
-    for prime in _KERNEL_PRIMES:
-        dim, kernel = int_kernel_line(rows, len(monos), 0, prime)
-        if kernel is not None:
-            return kernel
-        seen.append(dim)
-    raise InterpolationError(
-        f"the kernel in degree {sum(monos[0])} did not lift "
-        f"over {len(seen)} primes (smallest dimension seen: {min(seen)})"
-    )
+    dim, kernel = int_kernel_line(rows, len(monos), p)
+    if kernel is None and not p:
+        kernel = int_nullspace(rows, len(monos))
+        dim = len(kernel)
+    if dim > 1:
+        raise InterpolationError(
+            f"the kernel of the substitution map in degree {sum(monos[0])} has "
+            f"dimension {dim} over {field.name}: the image is not a surface"
+        )
+    return kernel
 
 
 def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
@@ -464,11 +451,11 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
     one row per (s,u,t,v) monomial). Its kernel is the degree-deg part of the
     ideal of the image, so the first nonzero kernel is spanned by the
     implicit equation. `exactla.int_kernel_line` finds it from one
-    elimination modulo a prime below 2^30: over GF(p) modulo p, where a
-    kernel of dimension above 1 raises InterpolationError (the image mod p
-    is not a surface); over QQ modulo the first of _KERNEL_PRIMES whose
-    kernel has dimension at most 1, lifted p-adically and certified by the
-    exact product S·v = 0, which is F(f1..f4) = 0 in the monomial basis.
+    elimination modulo p over GF(p), and over QQ modulo SCREEN_PRIME, lifted
+    p-adically and certified by the exact product S·v = 0, which is
+    F(f1..f4) = 0 in the monomial basis; a kernel of dimension at least 2
+    modulo SCREEN_PRIME is computed over QQ by `int_nullspace`. A kernel of
+    dimension above 1 raises InterpolationError (the image is not a surface).
     The result is monic in the canonical term order.
     """
     if max_degree < 1:

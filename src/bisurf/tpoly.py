@@ -13,8 +13,6 @@ gcd on s,u,t,v forms and matrixrep its determinants and gcds on binary forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from itertools import combinations
 from math import gcd, lcm
 
 from . import _expr
@@ -209,44 +207,19 @@ def _div(a, b, p):
     not divide a, which over the integers includes a leading coefficient
     that does not divide.
 
-    Inside, every exponent is packed into one int: the total degree, then
-    the four exponents, each in a field of deg(a).bit_length() bits. Every
-    term met has total degree at most deg(a), so the fields never carry, the
-    order of packed ints is lead_key's, and a product of monomials is a sum
-    of packed ints (Monagan and Pearce, CASC 2007). The remainder's packed
-    exponents wait in a heap; one whose term has cancelled since it was
-    pushed is skipped when popped."""
-    if not a:
-        return {}
-    deg = max(map(sum, a))
-    if max(map(sum, b)) > deg:
-        raise ExactDivisionError("division is not exact")
-    w = deg.bit_length()
-    mask = (1 << w) - 1
-
-    def pack(e):
-        return ((((e[0] + e[1] + e[2] + e[3]) << w | e[0]) << w | e[1]) << w | e[2]) << w | e[3]
-
+    The remainder is keyed by lead_key, so its max is its leading term in
+    graded lex order. Each step removes that term, and every term it adds is
+    smaller than the one removed, so the loop ends."""
     b_exp = max(b, key=lead_key)
     b_lc = b[b_exp]
-    b_key = pack(b_exp)
-    b_rest = [(pack(e), c) for e, c in b.items() if e != b_exp]
+    b_rest = [(e, c) for e, c in b.items() if e != b_exp]
     inv = pow(b_lc, -1, p) if p else 0
-    rem = {pack(e): c for e, c in a.items()}
-    heap = [-k for k in rem]
-    heapify(heap)
+    rem = {lead_key(e): c for e, c in a.items()}
     quot = {}
-    while heap:
-        k = -heappop(heap)
-        c = rem.pop(k, 0)
-        if not c:
-            continue
-        qe = (
-            (k >> 3 * w & mask) - b_exp[0],
-            (k >> 2 * w & mask) - b_exp[1],
-            (k >> w & mask) - b_exp[2],
-            (k & mask) - b_exp[3],
-        )
+    while rem:
+        k = max(rem)
+        c = rem.pop(k)
+        qe = (k[1] - b_exp[0], k[2] - b_exp[1], k[3] - b_exp[2], k[4] - b_exp[3])
         if min(qe) < 0:
             raise ExactDivisionError("division is not exact")
         if p:
@@ -255,20 +228,16 @@ def _div(a, b, p):
             qc, r = divmod(c, b_lc)
             if r:
                 raise ExactDivisionError("division is not exact")
-        quot[qe] = qc  # leading terms strictly decrease, so qe is new
-        qk = k - b_key
-        for bk, bc in b_rest:
-            tk = qk + bk
-            s = rem.get(tk)
-            if s is None:
-                rem[tk] = -qc * bc % p if p else -qc * bc
-                heappush(heap, -tk)
-                continue
-            s = (s - qc * bc) % p if p else s - qc * bc
+        quot[qe] = qc
+        for e, bc in b_rest:
+            tk = lead_key((qe[0] + e[0], qe[1] + e[1], qe[2] + e[2], qe[3] + e[3]))
+            s = rem.get(tk, 0) - qc * bc
+            if p:
+                s %= p
             if s:
                 rem[tk] = s
             else:
-                del rem[tk]
+                rem.pop(tk, None)
     return quot
 
 
@@ -420,32 +389,10 @@ def _gcd(a, b, p):
 # ---------------------------------------------------------------------------
 # determinants of polynomial matrices
 
-def _det_expand(grid, p):
-    """Laplace expansion from the last row up: the minors on the last i rows,
-    one per set of i columns, each built from the minors one row lower; mod
-    p the sums are reduced once, at the end."""
-    n = len(grid)
-    minors = {(j,): entry for j, entry in enumerate(grid[-1])}
-    for i in range(2, n + 1):
-        row = grid[n - i]
-        above = {}
-        for cols in combinations(range(n), i):
-            acc = {}
-            for t, j in enumerate(cols):
-                if row[j]:
-                    piece = _expr.mul(row[j], minors[cols[:t] + cols[t + 1:]])
-                    acc = _expr.sub(acc, piece) if t % 2 else _expr.add(acc, piece)
-            above[cols] = acc
-        minors = above
-    return _expr.modp(minors[tuple(range(n))], p)
-
-
 def _det(grid, p):
-    """Determinant of a square grid of int-kernel polynomials: cofactor
-    expansion up to 4x4, fraction-free Bareiss elimination above that."""
+    """Determinant of a square grid of int-kernel polynomials by
+    fraction-free Bareiss elimination."""
     n = len(grid)
-    if n <= 4:
-        return _det_expand(grid, p)
     m = [list(row) for row in grid]
     prev = None
     sign = 1

@@ -69,6 +69,14 @@ def test_membership_rejects_zero_point(capsys, inputs_dir):
     assert code == 1 and "projective" in err
 
 
+def test_membership_rejects_a_zero_denominator(capsys, inputs_dir):
+    # Fraction("1/0") raises ZeroDivisionError, which escaped as a traceback
+    for point in ("1/0,1,1,1", "x,1,1,1", "1,1,1"):
+        code, out, err = run(capsys, "membership", str(inputs_dir / "segre.ex"), "--point", point)
+        assert code == 1 and out == ""
+        assert err.startswith("error: --point") and "Traceback" not in err
+
+
 def test_implicit_segre(capsys, inputs_dir):
     code, out, _ = run(capsys, "implicit", str(inputs_dir / "segre.ex"))
     assert code == 0

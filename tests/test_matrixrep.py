@@ -5,7 +5,7 @@ import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
 from bisurf.exactla import SCREEN_PRIME, _forward_int, int_kernel_line, int_nullspace, int_rref
-from bisurf.fields import QQ, PrimeField, is_prime
+from bisurf.fields import QQ, PrimeField
 from bisurf import matrixrep
 from bisurf.matrixrep import (
     InterpolationError,
@@ -342,9 +342,9 @@ def _kernel_calls(monkeypatch):
     for each int_kernel_line call of the oracle."""
     calls = []
 
-    def spy(rows, cols, p=0, prime=SCREEN_PRIME):
-        dim, kernel = int_kernel_line(rows, cols, p, prime)
-        calls.append((prime, dim, None if kernel is None else len(kernel)))
+    def spy(rows, cols, p=0):
+        dim, kernel = int_kernel_line(rows, cols, p)
+        calls.append((p or SCREEN_PRIME, dim, None if kernel is None else len(kernel)))
         return dim, kernel
 
     monkeypatch.setattr(matrixrep, "int_kernel_line", spy)
@@ -355,9 +355,9 @@ def _kernel_calls(monkeypatch):
     "a,b,c",
     [
         (10**20 + 39, 10**20 + 3, 10**20 + 7),
-        # the first kernel prime kills f3: modulo it the kernel is nonzero in
-        # degree 1 (the lift shows it is zero over QQ) and four-dimensional in
-        # degree 2, so that prime is unlucky and the next one lifts F
+        # SCREEN_PRIME kills f3: modulo it the kernel is nonzero in degree 1
+        # (the lift shows it is zero over QQ) and four-dimensional in degree
+        # 2, so that prime is unlucky and int_nullspace finds F over QQ
         (10**20 + 39, 10**20 + 3, SCREEN_PRIME),
     ],
 )
@@ -365,10 +365,20 @@ def test_oracle_lifts_over_several_primes(a, b, c, monkeypatch):
     ratio = Fraction(a, b * c)
     assert ratio.numerator > 2**62 and ratio.denominator > 2**62
     calls = _kernel_calls(monkeypatch)
+    fallbacks = []
+
+    def nullspace_spy(rows, cols, p=0):
+        fallbacks.append((cols, p))
+        return int_nullspace(rows, cols, p)
+
+    monkeypatch.setattr(matrixrep, "int_nullspace", nullspace_spy)
     F = implicit_by_interpolation(_scaled_segre(a, b, c), 2)
     assert F == TPoly({(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): -ratio})
     if c == SCREEN_PRIME:
-        assert calls == [(c, 1, 0), (c, 4, None), (matrixrep._KERNEL_PRIMES[1], 1, 1)]
+        assert calls == [(c, 1, 0), (c, 4, None)]
+        assert fallbacks == [(10, 0)]
+    else:
+        assert fallbacks == []
 
 
 def test_oracle_skips_prime_dividing_leading_coefficient(monkeypatch):
@@ -385,16 +395,11 @@ def test_oracle_skips_prime_dividing_leading_coefficient(monkeypatch):
     assert calls == [(p, 0, 0), (p, 1, 1)]
 
 
-def test_kernel_primes_are_the_largest_below_2_30():
-    primes = [n for n in range(2**30 - 1, 2**30 - 200, -2) if is_prime(n)]
-    assert matrixrep._KERNEL_PRIMES == tuple(primes[:4]) and primes[0] == SCREEN_PRIME
-
-
 def test_oracle_rejects_a_curve_over_qq():
     # the image is the line T1 = T2, T3 = T4: two linear forms vanish on it
-    # modulo every prime, so no single equation lifts
+    # over QQ, so no single equation lifts
     P = parse_parametrization("degree: 1 1\nf1: s*t\nf2: s*t\nf3: u*v\nf4: u*v\n")
-    with pytest.raises(InterpolationError, match="dimension seen: 2"):
+    with pytest.raises(InterpolationError, match="degree 1 has dimension 2 over QQ"):
         implicit_by_interpolation(P, 2)
 
 

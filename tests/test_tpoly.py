@@ -175,6 +175,37 @@ def test_int_kernel_regressions():
     assert _monic(_gcd(ip("1/3*T1^2 - 1/3*T2^2"), ip("2*T1 + 2*T2"), 0), QQ) == tp("T1 + T2")
 
 
+def binary_form(rng, deg, p):
+    """A dense form of degree deg in T3, T4 with coefficients up to 2^64 in
+    size (residues mod p), whose T3^deg coefficient is nonzero."""
+    form = {}
+    for i in range(deg + 1):
+        c = rng.randrange(p) if p else rng.randint(-(2**64), 2**64)
+        if c or i == deg:
+            form[(0, 0, i, deg - i)] = c or 1
+    return form
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_exact_div_on_binary_forms(p):
+    rng = Random(15)
+    for _ in range(20):
+        a = binary_form(rng, rng.randint(0, 10), p)
+        b = binary_form(rng, rng.randint(1, 10), p)
+        ab = _mul(a, b, p)
+        assert max(map(sum, ab)) <= 20
+        assert _div(ab, b, p) == a
+        # only the last term the division reaches, T4^n, is off
+        n = max(map(sum, ab))
+        last = (0, 0, 0, n)
+        ab[last] = (ab.get(last, 0) + 1) % p if p else ab.get(last, 0) + 1
+        with pytest.raises(ExactDivisionError):
+            _div({e: c for e, c in ab.items() if c}, b, p)
+        # a divisor of degree deg a + deg b > deg a
+        with pytest.raises(ExactDivisionError):
+            _div(a, _mul(b, {(0, 0, max(map(sum, a)), 0): 1}, p), p)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_exact_div_with_denominators(field):
     p = field.characteristic
@@ -210,8 +241,10 @@ def test_mvgcd_with_denominators(field):
 def test_bareiss_polydet_at_points(field):
     p = field.characteristic
     rng = Random(14)
-    for n in (5, 6):
+    for n in range(1, 7):
         grid = [[_ints(rational_tpoly(rng, 1, 3, field)) for _ in range(n)] for _ in range(n)]
+        if n % 2 == 0:
+            grid[0][0] = {}  # the first pivot needs a row swap
         det = _det(grid, p)
         for _ in range(3):
             point = [field.coerce(rng.randint(-5, 5)) for _ in range(4)]

@@ -10,8 +10,9 @@ temporary directory; the change side is the working tree as it stands. It
 writes one JSON file: both revisions, a digest of the working tree's
 uncommitted changes, a machine note, the seeds, and per workload and metric
 the values, medians and quartiles of both sides and the number of pairs the
-change won. Standard library only; run it from anywhere inside the
-repository.
+change won. When a run fails, the pairs finished so far are written, with
+the failure under "incomplete", and the error is raised. Standard library
+only; run it from anywhere inside the repository.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -83,7 +85,9 @@ def run_once(tree, workload, seed, seconds):
     wall = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+        code = proc.returncode
+        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited {code}"
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} {how}:\n{proc.stderr}")
     result = json.loads(lines[-1])
     result["wall_s"] = wall
     return result
@@ -122,6 +126,24 @@ def compare(metric, base, change):
             "median_change_rel": rel, "spread_rel": spread, "verdict": verdict}
 
 
+def workload_entry(runs, metrics):
+    """Totals and per-metric comparisons over the pairs both sides finished;
+    a comparison needs at least two pairs."""
+    n = min(len(rs) for rs in runs.values())
+    runs = {side: rs[:n] for side, rs in runs.items()}
+    entry = {side: {"correct": all(r["correct"] for r in rs),
+                    "attempted": sum(r["attempted"] for r in rs),
+                    "failed": sum(r["failed"] for r in rs),
+                    "wall_s": sum(r["wall_s"] for r in rs)} for side, rs in runs.items()}
+    if n >= 2:
+        entry["metrics"] = {
+            m["name"]: compare(m, [r["metrics"][m["name"]]["value"] for r in runs["base"]],
+                               [r["metrics"][m["name"]]["value"] for r in runs["change"]])
+            for m in metrics
+        }
+    return entry
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD~1", help="git revision to compare against")
@@ -150,24 +172,21 @@ def main(argv=None):
         trees = {"base": base_tree, "change": str(root)}
         for workload in workloads:
             runs = {"base": [], "change": []}
-            for k, seed in enumerate(seeds):
-                for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
-                    result = run_once(trees[side], workload, seed, seconds)
-                    runs[side].append(result)
-                    print(f"{workload} seed {seed} {side}: "
-                          + ", ".join(f"{m}={v['value']:.4g}" for m, v in result["metrics"].items()),
-                          file=sys.stderr)
-            entry = {side: {"correct": all(r["correct"] for r in rs),
-                            "attempted": sum(r["attempted"] for r in rs),
-                            "failed": sum(r["failed"] for r in rs),
-                            "wall_s": sum(r["wall_s"] for r in rs)} for side, rs in runs.items()}
-            entry["metrics"] = {
-                m["name"]: compare(m, [r["metrics"][m["name"]]["value"] for r in runs["base"]],
-                                   [r["metrics"][m["name"]]["value"] for r in runs["change"]])
-                for m in spec["end_to_end"]
-            }
-            report["workloads"][workload] = entry
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+            try:
+                for k, seed in enumerate(seeds):
+                    for side in ("base", "change") if k % 2 == 0 else ("change", "base"):
+                        result = run_once(trees[side], workload, seed, seconds)
+                        runs[side].append(result)
+                        print(f"{workload} seed {seed} {side}: "
+                              + ", ".join(f"{m}={v['value']:.4g}"
+                                          for m, v in result["metrics"].items()),
+                              file=sys.stderr)
+            except RuntimeError as exc:
+                report["incomplete"] = f"{workload} seed {seed} {side}: {exc}"
+                raise
+            finally:
+                report["workloads"][workload] = workload_entry(runs, spec["end_to_end"])
+                Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, entry in report["workloads"].items():
         for name, m in entry["metrics"].items():
             print(f"{workload:15} {name:15} {m['base']['median']:10.4g} -> {m['change']['median']:10.4g}"
