@@ -207,20 +207,23 @@ def _div(a, b, p):
     not divide a, which over the integers includes a leading coefficient
     that does not divide.
 
-    The remainder is keyed by lead_key, so its max is its leading term in
-    graded lex order. Each step removes that term, and every term it adds is
-    smaller than the one removed, so the loop ends."""
+    Every monomial is keyed by lead_key, (total degree,) + exponents, so the
+    max of the remainder is its leading term in graded lex order and the key
+    of a product is the sum of the keys. Each step removes the leading term,
+    and every term it adds is smaller than the one removed, so the loop
+    ends."""
     b_exp = max(b, key=lead_key)
     b_lc = b[b_exp]
-    b_rest = [(e, c) for e, c in b.items() if e != b_exp]
+    b_key = lead_key(b_exp)
+    b_rest = [(lead_key(e), c) for e, c in b.items() if e != b_exp]
     inv = pow(b_lc, -1, p) if p else 0
     rem = {lead_key(e): c for e, c in a.items()}
     quot = {}
     while rem:
         k = max(rem)
         c = rem.pop(k)
-        qe = (k[1] - b_exp[0], k[2] - b_exp[1], k[3] - b_exp[2], k[4] - b_exp[3])
-        if min(qe) < 0:
+        qk = (k[0] - b_key[0], k[1] - b_key[1], k[2] - b_key[2], k[3] - b_key[3], k[4] - b_key[4])
+        if min(qk) < 0:
             raise ExactDivisionError("division is not exact")
         if p:
             qc = c * inv % p
@@ -228,9 +231,9 @@ def _div(a, b, p):
             qc, r = divmod(c, b_lc)
             if r:
                 raise ExactDivisionError("division is not exact")
-        quot[qe] = qc
-        for e, bc in b_rest:
-            tk = lead_key((qe[0] + e[0], qe[1] + e[1], qe[2] + e[2], qe[3] + e[3]))
+        quot[qk[1:]] = qc
+        for bk, bc in b_rest:
+            tk = (qk[0] + bk[0], qk[1] + bk[1], qk[2] + bk[2], qk[3] + bk[3], qk[4] + bk[4])
             s = rem.get(tk, 0) - qc * bc
             if p:
                 s %= p

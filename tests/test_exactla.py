@@ -5,6 +5,7 @@ import pytest
 
 from bisurf import exactla
 from bisurf.exactla import SCREEN_PRIME, int_kernel_line, int_nullspace, int_rank, int_rref
+from bisurf.fields import is_prime
 
 from helpers import (
     BadPrimeError,
@@ -177,6 +178,11 @@ def _replays(monkeypatch):
 
     monkeypatch.setattr(exactla, "_replay", counted)
     return steps
+
+
+def test_screen_prime_is_the_largest_below_2_30():
+    assert is_prime(SCREEN_PRIME)
+    assert not any(is_prime(n) for n in range(SCREEN_PRIME + 2, 2**30, 2))
 
 
 def test_kernel_line_examples(monkeypatch):
