@@ -55,6 +55,11 @@ MEMBERSHIP_CASES = [
     ("d2_example.ex", "--saturate", "--point", "1,0,0,0"),
 ]
 
+# The only sample inputs whose minors gcd has a residual factor: non_lci.ex
+# (D = F*L, L with fractional coefficients once monic) and the cone
+# (D = F^2*T4, a power above 1).
+NON_LCI_CASES = [("non_lci.ex", "--saturate"), ("non_lci_cone.ex", "--saturate")]
+
 
 def argvs():
     """Every golden argv; the input is named relative to inputs/, or is one
@@ -80,7 +85,13 @@ def argvs():
         for case in MEMBERSHIP_CASES
         for field in FIELDS
     ]
-    return json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
+    non_lci_runs = [
+        ["implicit", case[0], *case[1:], "--json", *field]
+        for case in NON_LCI_CASES
+        for field in FIELDS
+    ]
+    return (json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
+            + non_lci_runs)
 
 
 def _sha256(text):
