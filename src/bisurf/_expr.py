@@ -260,6 +260,8 @@ def format_terms(terms, names) -> str:
     ordered = sorted(terms.items(), key=lambda kv: lead_key(kv[0]), reverse=True)
     for i, (e, c) in enumerate(ordered):
         mono = monomial_text(e, names)
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator  # the same text, without Fraction negation and printing
         minus = c < 0  # never for GF(p) residues
         mag = -c if minus else c
         if mono and mag == 1:

@@ -13,7 +13,7 @@ gcd on s,u,t,v forms and matrixrep its determinants and gcds on binary forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from . import _expr
 from ._expr import lead_key
@@ -194,12 +194,46 @@ def _monic(t, field) -> TPoly:
 
 
 def _monic_product(polys, field) -> TPoly:
-    """The product of polys, made monic once, multiplied in the int kernel."""
+    """The product of polys, made monic once, multiplied in the int kernel by
+    Kronecker substitution in T3: the terms of a factor that share the key
+    (e1, e2, e3 + e4) become one int whose w-bit slot j holds the coefficient
+    of T3^j, so a pair of keys costs one int product. w holds every
+    coefficient of the product: over the integers |c| <= prod ||f||_1, plus a
+    sign bit, and the slots are read signed; over GF(p) the unreduced slots
+    are at most prod len(f)*(p-1), and each is reduced once at the end."""
     p = field.characteristic
-    acc = {_ZERO_EXP: 1}
-    for f in polys:
-        acc = _mul(acc, _ints(f), p)
-    return _monic(acc, field)
+    fs = [_ints(f) for f in polys]
+    if p:
+        w = prod(len(f) * (p - 1) for f in fs).bit_length()
+    else:
+        w = prod(sum(map(abs, f.values())) for f in fs).bit_length() + 1
+    acc = {(0, 0, 0): 1}
+    for f in fs:
+        packed = {}
+        for (e1, e2, e3, e4), c in f.items():
+            k = (e1, e2, e3 + e4)
+            packed[k] = packed.get(k, 0) + (c << w * e3)
+        out = {}
+        for (a1, a2, a3), x in acc.items():
+            for (b1, b2, b3), y in packed.items():
+                k = (a1 + b1, a2 + b2, a3 + b3)
+                out[k] = out.get(k, 0) + x * y
+        acc = out
+    mask, top = (1 << w) - 1, 1 << (w - 1)
+    terms = {}
+    for (e1, e2, s), x in acc.items():
+        for j in range(s + 1):
+            c = x & mask
+            if p:
+                x >>= w
+                c %= p
+            else:
+                if c & top:
+                    c -= 1 << w
+                x = (x - c) >> w
+            if c:
+                terms[e1, e2, j, s - j] = c
+    return _monic(terms, field)
 
 
 def _div(a, b, p):

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from random import Random
 
 import pytest
 
 from bisurf._expr import evaluate
+from bisurf.exactla import SCREEN_PRIME
 from bisurf.fields import QQ, PrimeField
 from bisurf.tpoly import (
     ExactDivisionError,
@@ -14,6 +17,7 @@ from bisurf.tpoly import (
     _gcd,
     _ints,
     _monic,
+    _monic_product,
     _mul,
     parse_tpoly,
 )
@@ -204,6 +208,68 @@ def test_exact_div_on_binary_forms(p):
         # a divisor of degree deg a + deg b > deg a
         with pytest.raises(ExactDivisionError):
             _div(a, _mul(b, {(0, 0, max(map(sum, a)), 0): 1}, p), p)
+
+
+# _monic_product packs each factor by Kronecker substitution in T3: one int
+# per key (e1, e2, e3 + e4), slot j of w bits holding the coefficient of
+# T3^j. Its reference is the plain TPoly product made monic.
+
+PRODUCT_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003), PrimeField(SCREEN_PRIME)]
+
+
+def plain_product(factors, field):
+    return reduce(mul, factors, TPoly.constant(1, field)).monic()
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_monic_product_matches_plain_product(field):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    p = field.characteristic
+    if p:
+        coefficients = st.integers(1, p - 1)
+    else:
+        coefficients = st.builds(Fraction, st.integers(1, 2**64) | st.integers(-(2**64), -1),
+                                 st.integers(1, 2**16))
+    exponents = st.tuples(*[st.integers(0, 2)] * 4)
+    factor = st.dictionaries(exponents, coefficients, min_size=1, max_size=3).map(
+        lambda terms: TPoly(terms, field))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.lists(factor, max_size=7), factor, st.integers(0, 8))
+    def check(factors, repeated, power):
+        factors = [repeated] * power + factors
+        assert _monic_product(factors, field) == plain_product(factors, field)
+
+    check()
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=str)
+def test_monic_product_tight_bounds(field):
+    """The slot width is exact for a product of monomials, whose one
+    coefficient is +-prod |c|: held in slot 0 of its key (a power of T4), it
+    carries into slot 1 if w is one bit short or the slots are read unsigned."""
+    p = field.characteristic
+    for signs in ((1, 1, 1), (-1, 1, 1), (-1, -1, -1), (1, -1, 1, -1)):
+        # over GF(p) every coefficient is the largest residue p - 1
+        factors = [TPoly({(0, 0, 0, k % 2): field.coerce(-1 if p else s * (2**64 - k))}, field)
+                   for k, s in enumerate(signs)]
+        product = _monic_product(factors, field)
+        assert product == plain_product(factors, field) == tp(f"T4^{len(signs) // 2}", field)
+    if not p:
+        constants = [TPoly.constant(c, field) for c in (3, -5, 7)] + [tp("-T4^2")]
+        assert _monic_product(constants, field) == tp("T4^2")
+    # all-negative coefficients: an odd number of such factors leaves every
+    # coefficient of the product negative before it is made monic
+    negative = tp("-3*T1*T4 - 2*T2*T3 - 5*T3^2 - 7*T4 - 1", field)
+    for n in range(1, 6):
+        assert _monic_product([negative] * n, field) == plain_product([negative] * n, field)
+    # a form in T3, T4 only is one key with many slots; one in T1, T2 only is
+    # many keys with one slot each
+    t3 = tp("-4*T3^5 + 3*T3^4*T4 - T3^2*T4^3 + 9*T3*T4^4 - 2*T4^5", field)
+    t12 = tp("-4*T1^3 + 3*T1^2*T2 - T1*T2^2 + 9*T2^3 - 2*T1 + 5", field)
+    for factors in ([t3] * 6, [t12] * 6, [t3, t12, negative] * 2):
+        assert _monic_product(factors, field) == plain_product(factors, field)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
