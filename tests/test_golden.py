@@ -60,6 +60,11 @@ MEMBERSHIP_CASES = [
 # (D = F^2*T4, a power above 1).
 NON_LCI_CASES = [("non_lci.ex", "--saturate"), ("non_lci_cone.ex", "--saturate")]
 
+# `info --saturate` on the inputs whose saturation index the other runs do
+# not reach: both non-LCI inputs, common_factor.ex (exit 2), dense (3,3), and
+# lifted mixed23 mod 32003, the only d = 6 saturation (about 1.5 s).
+SATURATE_CASES = ["non_lci.ex", "non_lci_cone.ex", "common_factor.ex", "dense33.ex"]
+
 
 def argvs():
     """Every golden argv; the input is named relative to inputs/, or is one
@@ -90,8 +95,11 @@ def argvs():
         for case in NON_LCI_CASES
         for field in FIELDS
     ]
+    saturate_runs = [
+        ["info", case, "--saturate", "--json", *field] for case in SATURATE_CASES for field in FIELDS
+    ] + [["info", "mixed23.ex", "--saturate", "--json", "--mod", "32003"]]
     return (json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
-            + non_lci_runs)
+            + non_lci_runs + saturate_runs)
 
 
 def _sha256(text):
