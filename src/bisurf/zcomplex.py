@@ -12,7 +12,7 @@ One builder, _koszul_rows, makes the int rows of every Koszul piece: over
 QQ from the generators scaled by their common denominator, which changes no
 rank and no kernel, over GF(p) from their residues. The syzygy basis is the
 canonical kernel of the first piece. Over QQ the ranks behind the cycle
-dimensions and the saturation pieces come from one elimination of those rows
+dimensions and the saturation index come from one elimination of those rows
 modulo exactla.SCREEN_PRIME, the largest prime below 2^30, used only with an
 exact certificate (full rank, or d_i d_(i+1) = 0), and from fraction-free
 elimination otherwise.
@@ -20,7 +20,7 @@ elimination otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 from math import lcm
 
@@ -30,8 +30,6 @@ from .segre import basis
 from .tpoly import _ints, _scale_of
 
 _SUBSETS = {i: tuple(combinations(range(4), i)) for i in range(5)}
-# X1..X4 as the bidegree (1,1) monomials s*t, s*v, u*t, u*v
-_X_EXPS = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
 
 
 class StrandError(RuntimeError):
@@ -171,25 +169,14 @@ class StrandReport:
     sat_indeg: int | None = None
 
     def as_dict(self):
-        return {
-            "nu": self.nu,
-            "d": self.d,
-            "dim_coefficients": self.dim_coefficients,
-            "dim_syzygies": self.dim_syzygies,
-            "dim_cycles2": self.dim_cycles2,
-            "dim_cycles3": self.dim_cycles3,
-            "euler_char": self.euler_char,
-            "expected_det_degree": self.expected_det_degree,
-            "base_points_degree": self.base_points_degree,
-            "nu_conservative": self.nu_conservative,
-            "nu_optimized": self.nu_optimized,
-            "sat_indeg": self.sat_indeg,
-        }
+        return asdict(self)
 
 
 def strand_report(I: SegreIdeal, nu: int) -> StrandReport:
     """Dimensions of the degree-nu strand, its Euler characteristic, the
     expected determinant degree, and the implied total base-point degree."""
+    if nu < 0:
+        raise ValueError("negative degree")
     d = I.degree
     dim_a = (nu + 1) ** 2
     z1 = cycle_space_dim(I, 1, nu + d)
@@ -214,51 +201,6 @@ def strand_report(I: SegreIdeal, nu: int) -> StrandReport:
 # ---------------------------------------------------------------------------
 # saturation index by graded linear algebra
 
-class _Subspace:
-    """Subspace of the degree-n graded piece, stored as its nonzero RREF rows
-    (unique)."""
-
-    __slots__ = ("degree", "rows", "pivots")
-
-    def __init__(self, degree, rows, pivots):
-        self.degree = degree
-        self.rows = rows
-        self.pivots = tuple(pivots)
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, _Subspace)
-            and self.degree == other.degree
-            and self.pivots == other.pivots
-            and self.rows == other.rows
-        )
-
-
-def _span(rows, degree, p, dim) -> _Subspace:
-    """The span of int rows (int residues over GF(p)), which it consumes."""
-    return _Subspace(degree, *int_rref(rows, dim, p))
-
-
-def ideal_piece(I: SegreIdeal, n: int) -> _Subspace:
-    """The degree-n piece of the ideal, spanned by monomial multiples of the
-    generators: the columns of the first Koszul differential in degree n."""
-    rows = _koszul_rows(I, 1, n)[0]
-    return _span([list(col) for col in zip(*rows)], n, I.field.characteristic, (n + 1) ** 2)
-
-
-def _variable_mult_matrices(n: int):
-    """Multiplication by X1..X4 from degree n to n+1, as coefficient maps."""
-    src = basis(n)
-    dst = basis(n + 1)
-    return [
-        [dst.index[tuple(a + b for a, b in zip(quad, x))] for quad in src] for x in _X_EXPS
-    ]
-
-
 def _cleared(row):
     """A row of Fractions times its common denominator, as ints; the scaling
     keeps the span and the kernel."""
@@ -266,67 +208,48 @@ def _cleared(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _colon_by_irrelevant(sub: _Subspace, n: int, p: int) -> _Subspace:
-    """The degree-n piece of (J : (X1..X4)) given the degree-(n+1) piece of J,
-    over QQ (p = 0) or GF(p)."""
-    dim_n = (n + 1) ** 2
-    dim_n1 = (n + 2) ** 2
-    if sub.dim == dim_n1:  # J is all of degree n+1, so the colon is all of degree n
-        return _Subspace(n, [[int(i == j) for j in range(dim_n)] for i in range(dim_n)], range(dim_n))
-    mults = _variable_mult_matrices(n)
-    pivset = dict(zip(sub.pivots, range(sub.dim)))
-    red = sub.rows
-    constraints = []
-    for targets in mults:
-        # multiplication by one variable sends the basis monomial in column c
-        # to the single target monomial targets[c], and distinct monomials to
-        # distinct targets, so each entry is set at most once
-        for q in range(dim_n1):
-            if q in pivset:
-                continue
-            row = [0] * dim_n
-            touched = False
-            for c in range(dim_n):
-                tq = targets[c]
-                if tq == q:
-                    row[c] = 1
-                    touched = True
-                elif tq in pivset:
-                    v = red[pivset[tq]][q]
-                    if v:
-                        row[c] = -v % p if p else -v
-                        touched = True
-            if touched:
-                constraints.append(row if p else _cleared(row))
-    kernel = int_nullspace(constraints, dim_n, p)
-    return _span(kernel if p else [_cleared(v) for v in kernel], n, p, dim_n)
-
-
 def saturation_indeg(I: SegreIdeal) -> int:
-    """Least degree (at most d) in which the saturation of I is nonzero.
+    """Least degree n <= d in which the saturation of I is nonzero: the least
+    n with (I : m^(2d))_n nonzero, m = (X1..X4), or d if there is none.
 
-    Iterates J -> (J : (X1..X4)) on graded pieces tracked in a degree window,
-    stopping when the chain repeats on the common window or after 2d steps;
-    the result is only trustworthy for lowering the critical degree when the
-    downstream validation agrees, so callers re-validate.
+    f of degree n lies in I : m^(2d) when f*x lies in I_(n+2d) for every
+    bidegree (2d,2d) monomial x, each a product of 2d of the X's. Given the
+    RREF of I_(n+2d), a form lies in it when each free coordinate q equals
+    the sum, over the pivot coordinates t, of its coefficient at t times
+    RREF[t][q]. Multiplication by x sends the degree-n monomials to distinct
+    targets t, so for each x and q this is one row over degree n: RREF[t][q]
+    where t is a pivot, -1 where t = q, 0 elsewhere. n is the answer when
+    these rows have rank below (n+1)^2.
+
+    This is the index that iterating J -> J : m gives on pieces tracked on
+    degrees [0, 3d - k] after k steps, stopped when degree 0 becomes nonzero,
+    when the chain repeats, or after 2d steps. With J_k = I : m^k: a colon
+    in degree n reads only degree n+1, and J_k grows with k. So a nonzero
+    degree 0 at step k is nonzero in J_(2d); a chain that repeats at step
+    k <= 2d repeats on [0, 3d - j] at every step j >= k, so J_k = J_(2d) on
+    [0, d]; otherwise step 2d holds J_(2d) on [0, d]. The result is only
+    trustworthy for lowering the critical degree when the downstream
+    validation agrees, so callers re-validate.
     """
     d = I.degree
-    top = 3 * d
-    current = {n: ideal_piece(I, n) for n in range(top + 1)}
-    for step in range(1, 2 * d + 1):
-        new_top = top - step
-        nxt = {
-            n: _colon_by_irrelevant(current[n + 1], n, I.field.characteristic)
-            for n in range(new_top + 1)
-        }
-        if nxt[0].dim > 0:
-            return 0
-        stable = all(nxt[n] == current[n] for n in range(new_top + 1))
-        current = nxt
-        if stable:
-            break
+    p = I.field.characteristic
+    xs = basis(2 * d).quads
     for n in range(d + 1):
-        if current[n].dim > 0:
+        src = basis(n).quads
+        top = n + 2 * d
+        index = basis(top).index
+        rows = _koszul_rows(I, 1, top)[0]
+        red, pivots = int_rref([list(col) for col in zip(*rows)], len(index), p)
+        pivot_row = dict(zip(pivots, red))
+        free = [q for q in range(len(index)) if q not in pivot_row]
+        constraints = []
+        for x in xs:
+            targets = [index[m] for m, _ in _times(x, [(quad, 1) for quad in src])]
+            for q in free:
+                row = [pivot_row[t][q] if t in pivot_row else -int(t == q) for t in targets]
+                if any(row):
+                    constraints.append([v % p for v in row] if p else _cleared(row))
+        if int_rank(constraints, len(src), p) < len(src):
             return n
     return d
 

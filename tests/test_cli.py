@@ -178,6 +178,17 @@ def test_nu_with_nonzero_euler_is_a_diagnostic(capsys, inputs_dir):
         assert "nu=1" in err and "Euler characteristic 3" in err
 
 
+def test_info_rejects_negative_nu(capsys, inputs_dir):
+    # info used to exit 0 with a base-point degree of 8 on d2_example at -1,
+    # and exit 2 on segre at -5 from the Euler characteristic of (nu+1)^2
+    # coefficients; matrix and membership already refused
+    for name, nu in (("d2_example.ex", "-1"), ("segre.ex", "-5")):
+        for command in ("info", "matrix"):
+            code, out, err = run(capsys, command, str(inputs_dir / name), "--nu", nu)
+            assert code == 1 and out == ""
+            assert "negative degree" in err
+
+
 def test_nu_below_conservative_degree_accepted(capsys, inputs_dir):
     # mixed23 lifts to bidegree (6,6): nu=5 is below 2d-1 = 11, but its strand is exact
     code, out, _ = run(capsys, "info", str(inputs_dir / "mixed23.ex"), "--nu", "5", "--json")

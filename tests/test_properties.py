@@ -5,7 +5,8 @@ four bilinear forms with independent coefficient vectors map P1 x P1
 isomorphically onto a smooth quadric, so the theory promises D = F exactly
 and a rank drop of M exactly on F = 0. The strand bookkeeping over QQ on
 dense bidegree (2,2) and lifted (1,2) inputs, against plain Fraction ranks
-and against GF(32003).
+and against GF(32003). The base-point degree and the saturation index of
+dense bidegree (2,2) inputs with simple base points at corners of P1 x P1.
 """
 
 from fractions import Fraction
@@ -28,7 +29,14 @@ from bisurf.matrixrep import (
     representation_matrix,
     verify_substitution,
 )
-from bisurf.zcomplex import SegreIdeal, _koszul_rows, choose_nu, linear_syzygies, strand_report
+from bisurf.zcomplex import (
+    SegreIdeal,
+    _koszul_rows,
+    choose_nu,
+    linear_syzygies,
+    saturation_indeg,
+    strand_report,
+)
 
 from helpers import fraction_rank, int_rows, random_dense
 
@@ -110,3 +118,25 @@ def test_certified_strand_ranks(make, seed):
     with mock.patch.object(zcomplex, "cycle_space_dim", fraction_cycle_dim):
         assert rep == strand_report(I, nu)
     assert rep == strand_report(SegreIdeal.from_parametrization(over(P, PrimeField(32003))), nu)
+
+
+# The corner monomials s^2t^2, u^2v^2, s^2v^2 and u^2t^2 of bidegree (2,2).
+# A dense draw with k of them dropped from every generator has k simple base
+# points, at those corners of P1 x P1. The saturation is then their ideal,
+# whose least degree holds a (1,1) form through up to three corners and
+# needs degree 2 for all four.
+CORNERS = [(2, 0, 2, 0), (0, 2, 0, 2), (2, 0, 0, 2), (0, 2, 2, 0)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_saturation_indeg_at_corner_base_points(field, seed):
+    P = over(random_dense(2, Random(seed)), field)
+    for k in range(5):
+        I = SegreIdeal(
+            BiHomPoly((2, 2), {e: c for e, c in f.terms.items() if e not in CORNERS[:k]}, field)
+            for f in P.fs
+        )
+        assert strand_report(I, 3).base_points_degree == k
+        assert saturation_indeg(I) == (0, 1, 1, 1, 2)[k]

@@ -2,7 +2,13 @@ from random import Random
 
 import pytest
 
-from bisurf.biparam import BiHomPoly, InputError, Parametrization, parse_parametrization
+from bisurf.biparam import (
+    BiHomPoly,
+    InputError,
+    Parametrization,
+    lift_mixed,
+    parse_parametrization,
+)
 from bisurf.exactla import SCREEN_PRIME
 from bisurf.fields import PrimeField
 from bisurf.zcomplex import (
@@ -157,11 +163,22 @@ def test_euler_vanishes_at_and_above_nu0(identity_ideal, d2_ideal):
             assert strand_report(I, nu).euler_char == 0
 
 
-def test_saturation_indeg_examples(identity_ideal, d2_ideal):
+def test_saturation_indeg_examples(identity_ideal, d2_ideal, inputs_dir):
     assert saturation_indeg(d2_ideal) == 1
     assert saturation_indeg(identity_ideal) == 0
     generic = SegreIdeal.from_parametrization(random_dense(2, Random(1)))
     assert saturation_indeg(generic) == 0
+
+    def ideal(name, field=None):
+        text = (inputs_dir / name).read_text(encoding="utf-8")
+        return SegreIdeal.from_parametrization(
+            lift_mixed(parse_parametrization(text, field_override=field))
+        )
+
+    for name in ("common_factor.ex", "non_lci.ex", "non_lci_cone.ex"):
+        assert saturation_indeg(ideal(name)) == 1
+    # lifted to bidegree (6,6): no nonzero saturation piece up to d, so d
+    assert saturation_indeg(ideal("mixed23.ex", PrimeField(32003))) == 6
 
 
 def test_choose_nu_degrees(identity_ideal, d2_ideal):
