@@ -65,6 +65,11 @@ NON_LCI_CASES = [("non_lci.ex", "--saturate"), ("non_lci_cone.ex", "--saturate")
 # lifted mixed23 mod 32003, the only d = 6 saturation (about 1.5 s).
 SATURATE_CASES = ["non_lci.ex", "non_lci_cone.ex", "common_factor.ex", "dense33.ex"]
 
+# four_points.ex, the one sample input whose saturation index (2) reads the
+# nonzero entries of the kernel of I_(n+2d): its optimized nu0 = 1 gives the
+# paper's square 4 x 4 M, with D = F.
+FOUR_POINTS_COMMANDS = ("info", "matrix", "implicit")
+
 
 def argvs():
     """Every golden argv; the input is named relative to inputs/, or is one
@@ -98,8 +103,13 @@ def argvs():
     saturate_runs = [
         ["info", case, "--saturate", "--json", *field] for case in SATURATE_CASES for field in FIELDS
     ] + [["info", "mixed23.ex", "--saturate", "--json", "--mod", "32003"]]
+    four_points_runs = [
+        [command, "four_points.ex", "--saturate", "--json", *field]
+        for command in FOUR_POINTS_COMMANDS
+        for field in FIELDS
+    ]
     return (json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
-            + non_lci_runs + saturate_runs)
+            + non_lci_runs + saturate_runs + four_points_runs)
 
 
 def _sha256(text):

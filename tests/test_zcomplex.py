@@ -177,6 +177,10 @@ def test_saturation_indeg_examples(identity_ideal, d2_ideal, inputs_dir):
 
     for name in ("common_factor.ex", "non_lci.ex", "non_lci_cone.ex"):
         assert saturation_indeg(ideal(name)) == 1
+    # four base points in general position: index 2 over both fields, read
+    # off the nonzero entries of the kernel of I_(n+2d)
+    for field in (None, PrimeField(32003)):
+        assert saturation_indeg(ideal("four_points.ex", field)) == 2
     # lifted to bidegree (6,6): no nonzero saturation piece up to d, so d
     assert saturation_indeg(ideal("mixed23.ex", PrimeField(32003))) == 6
 
