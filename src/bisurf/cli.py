@@ -48,11 +48,12 @@ def _build_arg_parser():
 
     def common(p, point=False, equation=False):
         p.add_argument("input", help="parametrization input file")
-        p.add_argument(
+        nu = p.add_mutually_exclusive_group()  # nu is given, or lowered by the saturation index
+        nu.add_argument(
             "--nu", type=int, default=None,
             help="override the working degree (its strand must have Euler characteristic 0)",
         )
-        p.add_argument("--saturate", action="store_true", help="lower nu via the saturation index")
+        nu.add_argument("--saturate", action="store_true", help="lower nu via the saturation index")
         p.add_argument("--mod", type=int, default=None, metavar="P", help="work over GF(P)")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomized internals")
         p.add_argument("--json", action="store_true", help="machine-readable output")

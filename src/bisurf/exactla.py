@@ -2,30 +2,25 @@
 
 Every function takes a list of int rows and a column count, plus p: p = 0
 means the rows are over QQ (a caller with rational rows clears their
-denominators first, which changes no rank, RREF or kernel), and p > 0 means
-they hold residues in [0, p). `int_rank` gives the rank, `int_rref` the
-nonzero rows of the reduced row echelon form and the pivot columns, and
-`int_nullspace` the canonical kernel basis built from it. The pivot rule is
-always "first nonzero entry in column order", so results are deterministic
-and the RREF is the unique one. `int_kernel_line` finds a kernel of
-dimension at most 1 from one elimination modulo p, over QQ modulo
-SCREEN_PRIME, lifted p-adically and certified; a larger dimension is only
-reported, and its callers over QQ fall back to fraction-free elimination.
-`matrixrep.membership` ranks each block of M(pt) with it, on the block's
-transpose, and the implicitization oracle finds F with it.
+denominators first, which changes no rank or kernel), and p > 0 means they
+hold residues in [0, p). `int_rank` gives the rank and `int_nullspace` the
+canonical kernel basis, read off the unique RREF (the pivot rule is always
+"first nonzero entry in column order", so results are deterministic).
+`int_nullspace` picks its method from the shape and from one elimination
+modulo p, over QQ modulo SCREEN_PRIME: a kernel of dimension at most 1 there
+comes from `_kernel_line`, lifted p-adically and certified over QQ, and a
+larger one from the RREF. `matrixrep.membership` ranks each block of M(pt)
+with `_kernel_line`, on the block's transpose.
 
 Over QQ the forward elimination is fraction-free, and the back-substitution
 combines each row with a multiple of a pivot row below it; both strip
 integer content to control coefficient growth. A Fraction is formed only for
 a returned entry, when each row is divided by its pivot. Before that,
-`int_rank`, and `int_rref` when there are at least as many rows as columns,
-eliminate the rows modulo SCREEN_PRIME, the largest prime below 2^30, whose
-residues are single-digit CPython ints. That
-rank is only a lower bound over QQ, so it is used only when an exact upper
-bound meets it: full rank, min(rows, cols), for `int_rank`, or a bound its
-caller proves (`zcomplex` uses d_i d_(i+1) = 0); full column rank for
-`int_rref`, whose RREF is then [I; 0]. Otherwise fraction-free elimination
-runs on the same rows.
+`int_rank` eliminates the rows modulo SCREEN_PRIME, the largest prime below
+2^30, whose residues are single-digit CPython ints. That rank is only a
+lower bound over QQ, so it is used only when an exact upper bound meets it:
+full rank, min(rows, cols), or a bound its caller proves (`zcomplex` uses
+d_i d_(i+1) = 0). Otherwise fraction-free elimination runs on the same rows.
 """
 
 from __future__ import annotations
@@ -119,23 +114,6 @@ def _replay(record, rhs, p):
     return rhs
 
 
-def _rref_gf(rows, cols, p):
-    """In-place reduced echelon form of plain ints mod p; returns the pivot
-    columns, and the first len(pivots) rows hold the nonzero rows."""
-    pivots = _forward_gf(rows, cols, p)
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        rk = rows[k]
-        nonzero = [(j, rk[j]) for j in range(c, cols) if rk[j]]
-        for a in range(k):
-            ra = rows[a]
-            v = ra[c]
-            if v:
-                for j, y in nonzero:
-                    ra[j] = (ra[j] - v * y) % p
-    return pivots
-
-
 def _solve_one_free(echelon, pivots, free, rhs, t, p):
     """The x mod p with x[free] = t and echelon[k]·x = rhs[k] for each pivot
     row k, when every column but free is a pivot: back-substitution from the
@@ -180,7 +158,7 @@ def _rref_int(ints, cols):
 
 
 # ---------------------------------------------------------------------------
-# ranks and RREFs of int rows, screened modulo one prime over QQ
+# ranks and kernels of int rows, screened modulo one prime over QQ
 
 SCREEN_PRIME = 1_073_741_789  # the largest prime below 2^30
 
@@ -217,47 +195,6 @@ def int_rank(rows, cols, p=0, upper=None) -> int:
     return len(_forward_int([list(row) for row in rows], cols))
 
 
-def int_rref(rows, cols, p=0):
-    """(the nonzero rows of the RREF, the pivot columns) of int rows over QQ
-    (p = 0; Fraction entries) or of int residues mod p; consumes the rows.
-
-    Over QQ, when there are at least as many rows as columns, a screen rank
-    equal to cols certifies full column rank, so the RREF is [I; 0] with
-    pivots 0..cols-1 and no elimination over QQ runs.
-    """
-    if not rows or not cols:
-        return [], []
-    if p:
-        pivots = _rref_gf(rows, cols, p)
-        return rows[: len(pivots)], pivots
-    if len(rows) >= cols and screen_rank(rows, cols) == cols:
-        zero, one = Fraction(0), Fraction(1)
-        return [[one if j == i else zero for j in range(cols)] for i in range(cols)], list(range(cols))
-    return _rref_int(rows, cols)
-
-
-def int_nullspace(rows, cols, p=0):
-    """Canonical kernel basis of int rows over QQ (p = 0) or of int residues
-    mod p, which it consumes: one vector per free column of the RREF, in
-    column order, with that column 1, the other free columns 0 and each
-    pivot column the negated RREF entry. The entries are Fractions over QQ
-    and residues in [0, p) over GF(p)."""
-    reduced, pivots = int_rref(rows, cols, p)
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
-    pivset = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivset:
-            continue
-        v = [zero] * cols
-        v[fc] = one
-        for row, pc in zip(reduced, pivots):
-            if row[fc]:
-                v[pc] = -row[fc] % p if p else -row[fc]
-        basis.append(v)
-    return basis
-
-
 def _rational_reconstruction(u: int, m: int):
     """The fraction a/b = u mod m with |a|, |b| <= sqrt(m/2), or None (Wang)."""
     bound = isqrt(m // 2)
@@ -289,18 +226,20 @@ def _annihilates(rows, vec):
     return not any(sum(map(mul, row, ints)) for row in rows)
 
 
-def int_kernel_line(rows, cols, p=0):
-    """(d, kernel) of int rows over QQ (p = 0) or of int residues mod p,
-    which are left as they are. d is the kernel dimension mod p, or over QQ
-    mod q = SCREEN_PRIME, which bounds the dimension over QQ from above. For
-    d <= 1, kernel is the kernel: [] or [v], v as in `int_nullspace` (last
-    nonzero entry 1; Fractions over QQ); for d >= 2 it is None.
+def _kernel_line(rows, cols, p=0):
+    """(pivots, kernel) of int rows over QQ (p = 0) or of int residues mod p.
+    pivots are the pivot columns mod p, or over QQ mod q = SCREEN_PRIME, so
+    d = cols - len(pivots) bounds the kernel dimension over QQ from above.
+    For d <= 1, kernel is the kernel: [] or [v], v as in `int_nullspace`
+    (last nonzero entry 1; Fractions over QQ); for d >= 2 it is None. Over
+    GF(p) the rows are left in echelon form, each pivot 1; over QQ they are
+    left as they are, as the lift reads them.
 
-    One forward elimination mod p or q records its row operations. Full
-    rank returns at once; otherwise the one free column is set to 1 and the
-    pivot columns solved by back-substitution. Over QQ that vector v0 is
-    lifted q-adically (Dixon): the residual -S·x/q^k is updated exactly on
-    the int rows S, each step replays the record on it mod q and
+    One forward elimination mod p or q runs, over QQ recording its row
+    operations. Full rank returns at once; otherwise the one free column is
+    set to 1 and the pivot columns solved by back-substitution. Over QQ that
+    vector v0 is lifted q-adically (Dixon): the residual -S·x/q^k is updated
+    exactly on the int rows S, each step replays the record on it mod q and
     back-substitutes, and a residual not divisible by q leaves no q-adic,
     hence no rational, kernel vector. After each step the digits are
     reconstructed (Wang) and the candidate certified by S·v = 0. The kernel
@@ -312,22 +251,22 @@ def int_kernel_line(rows, cols, p=0):
     reconstruction, from v0 alone, fails.
     """
     q = p or SCREEN_PRIME
-    echelon = [[x % q for x in row] for row in rows]
-    record = []
+    echelon = rows if p else [[x % q for x in row] for row in rows]
+    record = None if p else []
     pivots = _forward_gf(echelon, cols, q, record)
     dim = cols - len(pivots)
     if dim != 1:
-        return dim, [] if dim == 0 else None
+        return pivots, [] if dim == 0 else None
     free = next(c for c in range(cols) if c not in pivots)
     x = _solve_one_free(echelon, pivots, free, None, 1, q)
     if p:
-        return 1, [x]
+        return pivots, [x]
     modulus, residual = q, None
     while True:
         v = _reconstruct(x, modulus)
         if v is not None and _annihilates(rows, v):
             last = next(a for a in reversed(v) if a)
-            return 1, [[a / last for a in v]]
+            return pivots, [[a / last for a in v]]
         if residual is None:
             order = list(range(len(rows)))
             for r, (pr, _, _) in enumerate(record):
@@ -335,12 +274,58 @@ def int_kernel_line(rows, cols, p=0):
             hadamard2 = prod(sum(a * a for a in rows[i]) for i in order[: len(pivots)])
             residual = [-sum(map(mul, row, x)) // q for row in rows]
         if modulus > 2 * hadamard2:
-            return 1, []
+            return pivots, []
         rhs = _replay(record, [a % q for a in residual], q)
         y = _solve_one_free(echelon, pivots, free, rhs, 0, q)
         residual = [a - sum(map(mul, row, y)) for a, row in zip(residual, rows)]
         if any(a % q for a in residual):
-            return 1, []
+            return pivots, []
         residual = [a // q for a in residual]
         x = [a + modulus * b for a, b in zip(x, y)]
         modulus *= q
+
+
+def int_nullspace(rows, cols, p=0):
+    """Canonical kernel basis of int rows over QQ (p = 0) or of int residues
+    mod p, which it consumes: one vector per free column of the RREF, in
+    column order, with that column 1, the other free columns 0 and each
+    pivot column the negated RREF entry. The entries are Fractions over QQ
+    and residues in [0, p) over GF(p).
+
+    Over QQ with cols - len(rows) >= 2 the kernel has dimension at least 2,
+    and fraction-free elimination runs at once. Otherwise `_kernel_line`
+    returns a kernel of dimension at most 1 (mod p, or over QQ mod
+    SCREEN_PRIME); above that the RREF is finished, over GF(p) by
+    back-elimination of the echelon form `_kernel_line` left, and over QQ by
+    fraction-free elimination of the rows.
+    """
+    if p or cols - len(rows) <= 1:
+        pivots, kernel = _kernel_line(rows, cols, p)
+        if kernel is not None:
+            return kernel
+    if p:
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            rk = rows[k]
+            nonzero = [(j, rk[j]) for j in range(c, cols) if rk[j]]
+            for a in range(k):
+                ra = rows[a]
+                v = ra[c]
+                if v:
+                    for j, y in nonzero:
+                        ra[j] = (ra[j] - v * y) % p
+    else:
+        rows, pivots = _rref_int(rows, cols)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    pivset = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivset:
+            continue
+        v = [zero] * cols
+        v[fc] = one
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = -row[fc] % p if p else -row[fc]
+        basis.append(v)
+    return basis

@@ -20,7 +20,7 @@ from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import SCREEN_PRIME, _forward_int, int_kernel_line, int_nullspace, int_rank
+from .exactla import _forward_int, _kernel_line, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import (
     ExactDivisionError,
@@ -30,6 +30,7 @@ from .tpoly import (
     _div,
     _gcd,
     _ints,
+    _monic,
     _monic_product,
     _mul,
     _pow,
@@ -122,14 +123,15 @@ def membership(M: RepMatrix, point):
     ranked block by block (the connected blocks of `_components`; a block
     with fewer columns than rows is ranked too), each entry an int dot
     product with the block's cached int coefficients. Over GF(p) each block
-    is ranked by `int_rank`. Over QQ `int_kernel_line` takes the left kernel
-    of a k_b-row block, the kernel of its transpose, from one elimination
-    modulo SCREEN_PRIME (the largest prime below 2^30): dimension 0 mod q
-    certifies rank k_b; dimension 1 gives rank k_b - 1 with a lifted vector
-    v certified by v·M_b(pt) = 0, or rank k_b when the lift certifies the
-    left kernel over QQ is zero. A larger kernel mod q (a singular point, or
-    a point that is zero mod q) falls back to fraction-free elimination of
-    that block, so every rank is exact.
+    is ranked by `int_rank`. Over QQ `exactla._kernel_line` takes the left
+    kernel of a k_b-row block, the kernel of its transpose, from one
+    elimination modulo SCREEN_PRIME (the largest prime below 2^30):
+    dimension 0 mod q certifies rank k_b; dimension 1 gives rank k_b - 1
+    with a lifted vector v certified by v·M_b(pt) = 0, or rank k_b when the
+    lift certifies the left kernel over QQ is zero. A larger kernel mod q (a
+    singular point, or a point that is zero mod q) falls back to
+    fraction-free forward elimination of that block, so every rank is exact
+    without the RREF that `int_nullspace` would finish there.
 
     Returns (on_surface, rank)."""
     pt = [M.field.coerce(x) for x in point]
@@ -143,7 +145,7 @@ def membership(M: RepMatrix, point):
         if p:
             r += int_rank(lines, len(cols), p)
             continue
-        _, kernel = int_kernel_line(lines, len(rows))
+        _, kernel = _kernel_line(lines, len(rows))
         r += len(rows) - len(kernel) if kernel is not None else len(_forward_int(lines, len(rows)))
     return r < M.rows, r
 
@@ -423,25 +425,6 @@ def _substitution_rows(layer, monos):
     return rows
 
 
-def _kernel(rows, monos, field):
-    """[] or [v]: the kernel of the substitution matrix on the monomials
-    monos, which must have dimension at most 1, else InterpolationError.
-    Over QQ a kernel of dimension at least 2 modulo SCREEN_PRIME may be
-    unlucky, so `int_nullspace` then finds the kernel over QQ from the same
-    rows."""
-    p = field.characteristic
-    dim, kernel = int_kernel_line(rows, len(monos), p)
-    if kernel is None and not p:
-        kernel = int_nullspace(rows, len(monos))
-        dim = len(kernel)
-    if dim > 1:
-        raise InterpolationError(
-            f"the kernel of the substitution map in degree {sum(monos[0])} has "
-            f"dimension {dim} over {field.name}: the image is not a surface"
-        )
-    return kernel
-
-
 def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
     """The lowest-degree homogeneous equation vanishing on the image.
 
@@ -450,13 +433,13 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
     expansion of f^e built from the previous degree by one multiplication,
     one row per (s,u,t,v) monomial). Its kernel is the degree-deg part of the
     ideal of the image, so the first nonzero kernel is spanned by the
-    implicit equation. `exactla.int_kernel_line` finds it from one
-    elimination modulo p over GF(p), and over QQ modulo SCREEN_PRIME, lifted
-    p-adically and certified by the exact product S·v = 0, which is
-    F(f1..f4) = 0 in the monomial basis; a kernel of dimension at least 2
-    modulo SCREEN_PRIME is computed over QQ by `int_nullspace`. A kernel of
-    dimension above 1 raises InterpolationError (the image is not a surface).
-    The result is monic in the canonical term order.
+    implicit equation. `int_nullspace` finds it: from one elimination modulo
+    p over GF(p), and over QQ modulo SCREEN_PRIME, lifted p-adically and
+    certified by the exact product S·v = 0, which is F(f1..f4) = 0 in the
+    monomial basis, or from the RREF over QQ when the kernel modulo
+    SCREEN_PRIME is larger. A kernel of dimension above 1 raises
+    InterpolationError (the image is not a surface). The result is monic in
+    the canonical term order.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -465,15 +448,15 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
     layer = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
     for deg in range(1, max_degree + 1):
         layer = _next_layer(layer, fs, deg, p)
-        # descending graded lex, so monos[0] leads and a vector whose first
-        # nonzero entry is 1 gives a monic polynomial
         monos = _degree_monomials(deg)
-        kernel = _kernel(_substitution_rows(layer, monos), monos, P.field)
+        kernel = int_nullspace(_substitution_rows(layer, monos), len(monos), p)
+        if len(kernel) > 1:
+            raise InterpolationError(
+                f"the kernel of the substitution map in degree {deg} has "
+                f"dimension {len(kernel)} over {P.field.name}: the image is not a surface"
+            )
         if kernel:
-            vec = kernel[0]
-            lead = next(x for x in vec if x)
-            coeffs = [x * pow(lead, -1, p) % p for x in vec] if p else [x / lead for x in vec]
-            return TPoly(dict(zip(monos, coeffs)), P.field)
+            return _monic({m: x for m, x in zip(monos, kernel[0]) if x}, P.field)
     raise _DegreeBoundError(f"no equation of degree at most {max_degree}")
 
 

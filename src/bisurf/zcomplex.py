@@ -11,10 +11,11 @@ a product of monomials is a sum of exponents.
 One builder, _koszul_rows, makes the int rows of every Koszul piece: over
 QQ from the generators scaled by their common denominator, which changes no
 rank and no kernel, over GF(p) from their residues. The syzygy basis is the
-canonical kernel of the first piece. Over QQ the ranks behind the cycle
-dimensions and the saturation index come from one elimination of those rows
-modulo exactla.SCREEN_PRIME, the largest prime below 2^30, used only with an
-exact certificate (full rank, or d_i d_(i+1) = 0), and from fraction-free
+canonical kernel of the first piece, and the saturation index is read off
+the kernels of the pieces of I. Over QQ the ranks behind the cycle
+dimensions come from one elimination of those rows modulo
+exactla.SCREEN_PRIME, the largest prime below 2^30, used only with an exact
+certificate (full rank, or d_i d_(i+1) = 0), and from fraction-free
 elimination otherwise.
 """
 
@@ -25,7 +26,7 @@ from itertools import combinations
 from math import lcm
 
 from .biparam import BiHomPoly, InputError, Parametrization
-from .exactla import int_nullspace, int_rank, int_rref, screen_rank
+from .exactla import int_nullspace, int_rank, screen_rank
 from .segre import basis
 from .tpoly import _ints, _scale_of
 
@@ -213,13 +214,14 @@ def saturation_indeg(I: SegreIdeal) -> int:
     n with (I : m^(2d))_n nonzero, m = (X1..X4), or d if there is none.
 
     f of degree n lies in I : m^(2d) when f*x lies in I_(n+2d) for every
-    bidegree (2d,2d) monomial x, each a product of 2d of the X's. Given the
-    RREF of I_(n+2d), a form lies in it when each free coordinate q equals
-    the sum, over the pivot coordinates t, of its coefficient at t times
-    RREF[t][q]. Multiplication by x sends the degree-n monomials to distinct
-    targets t, so for each x and q this is one row over degree n: RREF[t][q]
-    where t is a pivot, -1 where t = q, 0 elsewhere. n is the answer when
-    these rows have rank below (n+1)^2.
+    bidegree (2d,2d) monomial x, each a product of 2d of the X's, that is,
+    when f*x is orthogonal to each vector v of the kernel of the spanning
+    rows of I_(n+2d). Multiplication by x sends the degree-n monomials to
+    distinct targets t, so for each x and v this is one row over degree n,
+    v[t]; n is the answer when these rows have rank below (n+1)^2. v is 1 at
+    its free coordinate q and -RREF[t][q] at each pivot t, so the row is the
+    negated row of the RREF test (RREF[t][q] at pivots, -1 at q), with the
+    same rank and index.
 
     This is the index that iterating J -> J : m gives on pieces tracked on
     degrees [0, 3d - k] after k steps, stopped when degree 0 becomes nonzero,
@@ -239,16 +241,14 @@ def saturation_indeg(I: SegreIdeal) -> int:
         top = n + 2 * d
         index = basis(top).index
         rows = _koszul_rows(I, 1, top)[0]
-        red, pivots = int_rref([list(col) for col in zip(*rows)], len(index), p)
-        pivot_row = dict(zip(pivots, red))
-        free = [q for q in range(len(index)) if q not in pivot_row]
+        kernel = int_nullspace([list(col) for col in zip(*rows)], len(index), p)
         constraints = []
         for x in xs:
             targets = [index[m] for m, _ in _times(x, [(quad, 1) for quad in src])]
-            for q in free:
-                row = [pivot_row[t][q] if t in pivot_row else -int(t == q) for t in targets]
+            for v in kernel:
+                row = [v[t] for t in targets]
                 if any(row):
-                    constraints.append([v % p for v in row] if p else _cleared(row))
+                    constraints.append(row if p else _cleared(row))
         if int_rank(constraints, len(src), p) < len(src):
             return n
     return d

@@ -47,11 +47,11 @@ def fraction_rank(rows) -> int:
     return rank
 
 
-def fraction_rref(rows):
-    """Plain Gauss-Jordan over the rationals: (the reduced rows, all of them,
-    and the pivot columns), with the first nonzero entry in column order as
-    pivot."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+def fraction_rref(rows, p=0):
+    """Plain Gauss-Jordan over the rationals, or over GF(p) on residues when
+    p > 0: (the reduced rows, all of them, and the pivot columns), with the
+    first nonzero entry in column order as pivot."""
+    rows = [[x % p for x in row] for row in rows] if p else [[Fraction(x) for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     pivots = []
     for c in range(ncols):
@@ -60,26 +60,29 @@ def fraction_rref(rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        rows[r] = [x * inv % p if p else x * inv for x in rows[r]]
         for i in range(len(rows)):
             f = rows[i][c]
             if i != r and f:
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, pivots
 
 
-def fraction_nullspace(rows):
+def fraction_nullspace(rows, p=0):
     """Kernel basis vectors from fraction_rref: one per free column in order,
-    with that column set to 1 and the other free columns to 0."""
-    reduced, pivots = fraction_rref(rows)
+    with that column set to 1 and the other free columns to 0; Fractions
+    over QQ, residues over GF(p)."""
+    reduced, pivots = fraction_rref(rows, p)
     ncols = len(rows[0]) if rows else 0
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [zero] * ncols
+        v[fc] = one
         for k, pc in enumerate(pivots):
-            v[pc] = -reduced[k][fc]
+            v[pc] = -reduced[k][fc] % p if p else -reduced[k][fc]
         basis.append(v)
     return basis
 

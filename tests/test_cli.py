@@ -189,6 +189,18 @@ def test_info_rejects_negative_nu(capsys, inputs_dir):
             assert "negative degree" in err
 
 
+def test_nu_and_saturate_are_a_usage_error(capsys, inputs_dir):
+    # info used to take --nu, drop --saturate and exit 0 without an
+    # "optimized nu0" line
+    path = str(inputs_dir / "segre.ex")
+    for command, extra in (("info", ()), ("matrix", ()), ("implicit", ()),
+                           ("membership", ("--point", "1,1,1,1"))):
+        for flags in (("--nu", "3", "--saturate"), ("--saturate", "--nu", "3")):
+            code, out, err = run(capsys, command, path, *flags, *extra)
+            assert code == 1 and out == ""
+            assert "not allowed with argument" in err
+
+
 def test_nu_below_conservative_degree_accepted(capsys, inputs_dir):
     # mixed23 lifts to bidegree (6,6): nu=5 is below 2d-1 = 11, but its strand is exact
     code, out, _ = run(capsys, "info", str(inputs_dir / "mixed23.ex"), "--nu", "5", "--json")

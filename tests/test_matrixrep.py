@@ -4,7 +4,8 @@ from random import Random
 import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
-from bisurf.exactla import SCREEN_PRIME, _forward_int, int_kernel_line, int_nullspace, int_rref
+from bisurf import exactla
+from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel_line, int_nullspace
 from bisurf.fields import QQ, PrimeField
 from bisurf import matrixrep
 from bisurf.matrixrep import (
@@ -339,15 +340,15 @@ def _scaled_segre(a, b, c):
 
 def _kernel_calls(monkeypatch):
     """A list that receives (prime, dimension mod prime, kernel size or None)
-    for each int_kernel_line call of the oracle."""
+    for each _kernel_line call of the oracle's int_nullspace."""
     calls = []
 
     def spy(rows, cols, p=0):
-        dim, kernel = int_kernel_line(rows, cols, p)
-        calls.append((p or SCREEN_PRIME, dim, None if kernel is None else len(kernel)))
-        return dim, kernel
+        pivots, kernel = _kernel_line(rows, cols, p)
+        calls.append((p or SCREEN_PRIME, cols - len(pivots), None if kernel is None else len(kernel)))
+        return pivots, kernel
 
-    monkeypatch.setattr(matrixrep, "int_kernel_line", spy)
+    monkeypatch.setattr(exactla, "_kernel_line", spy)
     return calls
 
 
@@ -357,7 +358,7 @@ def _kernel_calls(monkeypatch):
         (10**20 + 39, 10**20 + 3, 10**20 + 7),
         # SCREEN_PRIME kills f3: modulo it the kernel is nonzero in degree 1
         # (the lift shows it is zero over QQ) and four-dimensional in degree
-        # 2, so that prime is unlucky and int_nullspace finds F over QQ
+        # 2, so that prime is unlucky and the RREF over QQ finds F
         (10**20 + 39, 10**20 + 3, SCREEN_PRIME),
     ],
 )
@@ -366,18 +367,20 @@ def test_oracle_lifts_over_several_primes(a, b, c, monkeypatch):
     assert ratio.numerator > 2**62 and ratio.denominator > 2**62
     calls = _kernel_calls(monkeypatch)
     fallbacks = []
+    rref_int = exactla._rref_int
 
-    def nullspace_spy(rows, cols, p=0):
-        fallbacks.append((cols, p))
-        return int_nullspace(rows, cols, p)
+    def rref_spy(rows, cols):
+        fallbacks.append(cols)
+        return rref_int(rows, cols)
 
-    monkeypatch.setattr(matrixrep, "int_nullspace", nullspace_spy)
+    monkeypatch.setattr(exactla, "_rref_int", rref_spy)
     F = implicit_by_interpolation(_scaled_segre(a, b, c), 2)
     assert F == TPoly({(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): -ratio})
     if c == SCREEN_PRIME:
         assert calls == [(c, 1, 0), (c, 4, None)]
-        assert fallbacks == [(10, 0)]
+        assert fallbacks == [10]
     else:
+        assert calls == [(SCREEN_PRIME, 0, 0), (SCREEN_PRIME, 1, 1)]
         assert fallbacks == []
 
 
@@ -432,8 +435,10 @@ def test_gf_coefficients_are_int_residues(inputs_dir, p):
     for poly in (D, F, I.gs[0] * I.gs[3], *P.fs):
         assert residues(poly.terms.values()), poly
     assert residues(c for syz in M.syzygies for a in syz for c in a.terms.values())
-    red = int_rref([list(row) for row in rows], cols, p)[0]
-    for m in (rows, red, int_nullspace([list(row) for row in rows], cols, p)):
+    # the rows int_nullspace consumes, reduced in place over GF(p)
+    reduced = [list(row) for row in rows]
+    kernel = int_nullspace(reduced, cols, p)
+    for m in (rows, reduced, kernel):
         assert residues(x for row in m for x in row)
     assert residues(c for row in M.int_entries() for e in row for c in e)
     assert residues([F.eval((1, -2, 3, -4)), P.fs[0].eval((5, -6, 7, -8))])

@@ -6,7 +6,8 @@ isomorphically onto a smooth quadric, so the theory promises D = F exactly
 and a rank drop of M exactly on F = 0. The strand bookkeeping over QQ on
 dense bidegree (2,2) and lifted (1,2) inputs, against plain Fraction ranks
 and against GF(32003). The base-point degree and the saturation index of
-dense bidegree (2,2) inputs with simple base points at corners of P1 x P1.
+bidegree (2,2) inputs with simple base points at corners of P1 x P1, and at
+random points.
 """
 
 from fractions import Fraction
@@ -38,7 +39,7 @@ from bisurf.zcomplex import (
     strand_report,
 )
 
-from helpers import fraction_rank, int_rows, random_dense
+from helpers import det_bareiss, fraction_nullspace, fraction_rank, int_rows, random_dense
 
 FIELDS = [QQ, PrimeField(32003)]
 MONOMIALS = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
@@ -140,3 +141,50 @@ def test_saturation_indeg_at_corner_base_points(field, seed):
         )
         assert strand_report(I, 3).base_points_degree == k
         assert saturation_indeg(I) == (0, 1, 1, 1, 2)[k]
+
+
+# The bidegree (2,2) monomials s^i u^(2-i) t^j v^(2-j).
+MONOMIALS_22 = [(i, 2 - i, j, 2 - j) for i in range(3) for j in range(3)]
+
+
+def _value(e, point):
+    s, u, t, v = point
+    return s ** e[0] * u ** e[1] * t ** e[2] * v ** e[3]
+
+
+def through_points(seed, k):
+    """(k distinct points of P1 x P1 with nonzero coordinates, four random
+    int combinations of a basis of the (2,2) forms through them), the basis
+    from the Fraction kernel of the forms' values at the points."""
+    rng = Random(seed)
+    distinct = {}
+    while len(distinct) < k:
+        s, u, t, v = (rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(4))
+        distinct.setdefault((Fraction(s, u), Fraction(t, v)), (s, u, t, v))
+    points = list(distinct.values())
+    # a zero row keeps the column count when there are no points
+    values = [[_value(e, pt) for e in MONOMIALS_22] for pt in points] + [[0] * 9]
+    span = int_rows(fraction_nullspace(values))
+    fs = []
+    for _ in range(4):
+        weights = [rng.randint(-9, 9) for _ in span]
+        coeffs = [sum(w * b[i] for w, b in zip(weights, span)) for i in range(9)]
+        fs.append(BiHomPoly((2, 2), {e: Fraction(c) for e, c in zip(MONOMIALS_22, coeffs) if c}, QQ))
+    return points, Parametrization(fs)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_saturation_indeg_at_general_base_points(field, seed):
+    # the saturation is the ideal of the k simple base points; its least
+    # degree is 0 without points, 1 while a (1,1) form passes through them
+    # and 2 when the k x 4 matrix of the (1,1) monomials at them has rank 4
+    p = field.characteristic
+    for k in range(5):
+        points, P = through_points(seed, k)
+        I = SegreIdeal.from_parametrization(over(P, field))
+        assert strand_report(I, 3).base_points_degree == k
+        bilinear = [[_value(e, pt) for e in MONOMIALS] for pt in points]
+        full = k == 4 and det_bareiss(bilinear, p) != 0
+        assert saturation_indeg(I) == (0 if k == 0 else 2 if full else 1)
