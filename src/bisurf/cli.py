@@ -46,16 +46,21 @@ def _build_arg_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, point=False, equation=False):
+    def common(p, nu=True, seed=False, point=False, equation=False):
+        """The input and the flags the subcommand reads; any other flag is
+        a usage error."""
         p.add_argument("input", help="parametrization input file")
-        nu = p.add_mutually_exclusive_group()  # nu is given, or lowered by the saturation index
-        nu.add_argument(
-            "--nu", type=int, default=None,
-            help="override the working degree (its strand must have Euler characteristic 0)",
-        )
-        nu.add_argument("--saturate", action="store_true", help="lower nu via the saturation index")
+        if nu:  # nu is given, or lowered by the saturation index
+            group = p.add_mutually_exclusive_group()
+            group.add_argument(
+                "--nu", type=int, default=None,
+                help="override the working degree (its strand must have Euler characteristic 0)",
+            )
+            group.add_argument("--saturate", action="store_true",
+                               help="lower nu via the saturation index")
         p.add_argument("--mod", type=int, default=None, metavar="P", help="work over GF(P)")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomized internals")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed for all randomized internals")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         if point:
             p.add_argument("--point", required=True, help="projective point a,b,c,d")
@@ -65,9 +70,10 @@ def _build_arg_parser():
     common(sub.add_parser("info", help="strand dimensions, Euler characteristic, degrees"))
     common(sub.add_parser("matrix", help="emit the representation matrix"))
     common(sub.add_parser("membership", help="point membership by rank drop"), point=True)
-    common(sub.add_parser("implicit", help="implicit equation via gcd of minors"))
-    common(sub.add_parser("verify", help="check an equation vanishes on the input"), equation=True)
-    common(sub.add_parser("lift", help="rewrite mixed bidegree input to equal bidegree"))
+    common(sub.add_parser("implicit", help="implicit equation via gcd of minors"), seed=True)
+    common(sub.add_parser("verify", help="check an equation vanishes on the input"),
+           nu=False, equation=True)
+    common(sub.add_parser("lift", help="rewrite mixed bidegree input to equal bidegree"), nu=False)
     return ap
 
 

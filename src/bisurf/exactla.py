@@ -18,9 +18,10 @@ integer content to control coefficient growth. A Fraction is formed only for
 a returned entry, when each row is divided by its pivot. Before that,
 `int_rank` eliminates the rows modulo SCREEN_PRIME, the largest prime below
 2^30, whose residues are single-digit CPython ints. That rank is only a
-lower bound over QQ, so it is used only when an exact upper bound meets it:
-full rank, min(rows, cols), or a bound its caller proves (`zcomplex` uses
-d_i d_(i+1) = 0). Otherwise fraction-free elimination runs on the same rows.
+lower bound over QQ, so it is used only when it is full, min(rows, cols).
+Otherwise fraction-free elimination runs on the same rows. `zcomplex` ranks
+only the columns of a Koszul piece d_i outside the pivot rows of d_(i+1),
+where a full rank is the one that d_i d_(i+1) = 0 certifies.
 """
 
 from __future__ import annotations
@@ -179,17 +180,16 @@ def screen_rank(rows, cols, p=SCREEN_PRIME) -> int:
     return len(_forward_gf([[x % p for x in row] for row in rows], cols, p))
 
 
-def int_rank(rows, cols, p=0, upper=None) -> int:
+def int_rank(rows, cols, p=0) -> int:
     """Exact rank of int rows over QQ (p = 0), or of int residues mod p; the
     rows are left as they are.
 
-    Over QQ the screen rank r is returned only when an exact upper bound
-    meets it: min(rows, cols), or upper(), a bound the caller proves and pays
-    for only when the first one fails. Otherwise fraction-free elimination
-    runs on a copy of the rows.
+    Over QQ the screen rank is returned only when it is full, min(rows,
+    cols), an exact upper bound. Otherwise fraction-free elimination runs on
+    a copy of the rows.
     """
     r = screen_rank(rows, cols, p or SCREEN_PRIME)
-    if p or r == min(len(rows), cols) or (upper is not None and r == upper()):
+    if p or r == min(len(rows), cols):
         return r
     rows, cols = _fewer_rows(rows, cols)
     return len(_forward_int([list(row) for row in rows], cols))

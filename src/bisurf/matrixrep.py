@@ -489,7 +489,15 @@ def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
 
 @dataclass(frozen=True)
 class EquationReport:
-    """Results of one implicitization run."""
+    """Results of one implicitization run.
+
+    substitution_ok is True in every report. F is an exact kernel vector of
+    the substitution matrix S of `implicit_by_interpolation`, and S·F = 0 is
+    F(f1..f4) = 0 in the monomial basis: over QQ the lifted vector is
+    certified by that exact product, and the RREF and the elimination mod p
+    are exact. That certificate is what the field reports; F is not
+    substituted a second time.
+    """
 
     nu: int
     matrix_rows: int

@@ -8,15 +8,17 @@ representation matrix is valid (optionally lowered via the saturation index).
 Ring elements of degree n are bidegree (n,n) forms in s,u,t,v (see segre), so
 a product of monomials is a sum of exponents.
 
-One builder, _koszul_rows, makes the int rows of every Koszul piece: over
-QQ from the generators scaled by their common denominator, which changes no
-rank and no kernel, over GF(p) from their residues. The syzygy basis is the
-canonical kernel of the first piece, and the saturation index is read off
-the kernels of the pieces of I. Over QQ the ranks behind the cycle
-dimensions come from one elimination of those rows modulo
-exactla.SCREEN_PRIME, the largest prime below 2^30, used only with an exact
-certificate (full rank, or d_i d_(i+1) = 0), and from fraction-free
-elimination otherwise.
+One builder, _koszul_blocks, lays out every Koszul piece: over QQ from the
+generators scaled by their common denominator, which changes no rank and no
+kernel, over GF(p) from their residues. _koszul_rows writes it as int rows
+and _koszul_columns as int columns. The syzygy basis is the canonical
+kernel of the first piece, and the saturation index is read off the kernels
+of the pieces of I. A cycle dimension ranks only the columns of d_i that
+the pivot rows of d_(i+1) at the same degree leave, after one elimination
+of d_(i+1) modulo p, over QQ modulo exactla.SCREEN_PRIME, the largest prime
+below 2^30. Over QQ a full rank of those columns modulo that prime is
+certified by d_i d_(i+1) = 0; otherwise they are ranked by fraction-free
+elimination.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import combinations
 from math import lcm
 
 from .biparam import BiHomPoly, InputError, Parametrization
-from .exactla import int_nullspace, int_rank, screen_rank
+from .exactla import SCREEN_PRIME, _forward_gf, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import _ints, _scale_of
 
@@ -80,15 +82,16 @@ def _times(exp, terms):
     return [((a0 + b0, a1 + b1, a2 + b2, a3 + b3), c) for (b0, b1, b2, b3), c in terms]
 
 
-def _koszul_rows(I: SegreIdeal, i: int, mu: int):
-    """(int rows, column count) of the degree-mu piece of the i-th Koszul
-    differential, with the generators as ints: over QQ scaled by their
-    common denominator, over GF(p) the residues.
+def _koszul_blocks(I: SegreIdeal, i: int, mu: int):
+    """(row count, source monomials, target index, blocks) of the degree-mu
+    piece of the i-th Koszul differential, with the generators as ints: over
+    QQ scaled by their common denominator, over GF(p) the residues.
 
     Columns are indexed by (size-i subset S, source monomial), rows by
-    (size-(i-1) subset T, target monomial). The block for T = S minus {j}
-    is sign(j, S) times multiplication by g_j, where sign(j, S) is (-1) to
-    the 0-based position of j in sorted S.
+    (size-(i-1) subset T, target monomial). blocks holds, for each S in
+    order, the (first row of T, int terms) pairs of its nonzero blocks: the
+    block for T = S minus {j} is sign(j, S) times multiplication by g_j,
+    where sign(j, S) is (-1) to the 0-based position of j in sorted S.
     """
     if not 1 <= i <= 4:
         raise ValueError("Koszul index out of range")
@@ -98,24 +101,45 @@ def _koszul_rows(I: SegreIdeal, i: int, mu: int):
     dst_dim = (dst_deg + 1) ** 2 if dst_deg >= 0 else 0
     n_rows = dst_dim * len(_SUBSETS[i - 1])
     if src_deg < 0:
-        return [[] for _ in range(n_rows)], 0
-    src = basis(src_deg).quads
-    dst = basis(dst_deg).index
+        return n_rows, (), None, []
     p = I.field.characteristic
     den = _scale_of(I.gs)
     gens = [list(_ints(g, den).items()) for g in I.gs]
     negated = [[(e, (-c) % p if p else -c) for e, c in terms] for terms in gens]
-    cols = len(src) * len(_SUBSETS[i])
-    rows = [[0] * cols for _ in range(n_rows)]
     t_pos = {T: k for k, T in enumerate(_SUBSETS[i - 1])}
-    for s_idx, S in enumerate(_SUBSETS[i]):
-        for pos, j in enumerate(S):
-            row0 = t_pos[S[:pos] + S[pos + 1:]] * dst_dim
-            terms = negated[j] if pos % 2 else gens[j]
+    blocks = [[(t_pos[S[:pos] + S[pos + 1:]] * dst_dim, negated[j] if pos % 2 else gens[j])
+               for pos, j in enumerate(S)] for S in _SUBSETS[i]]
+    return n_rows, basis(src_deg).quads, basis(dst_deg).index, blocks
+
+
+def _koszul_rows(I: SegreIdeal, i: int, mu: int):
+    """(int rows, column count) of the degree-mu piece of the i-th Koszul
+    differential, indexed as in _koszul_blocks."""
+    n_rows, src, dst, blocks = _koszul_blocks(I, i, mu)
+    cols = len(src) * len(blocks)
+    rows = [[0] * cols for _ in range(n_rows)]
+    for s_idx, block in enumerate(blocks):
+        for row0, terms in block:
             for c, quad in enumerate(src, s_idx * len(src)):
                 for q, v in _times(quad, terms):
                     rows[row0 + dst[q]][c] = v
     return rows, cols
+
+
+def _koszul_columns(I: SegreIdeal, i: int, mu: int, skip=()):
+    """(int columns, row count) of the same piece, one list per column in
+    order, with the columns whose index is in skip left out."""
+    n_rows, src, dst, blocks = _koszul_blocks(I, i, mu)
+    columns = []
+    for s_idx, block in enumerate(blocks):
+        for c, quad in enumerate(src, s_idx * len(src)):
+            if c not in skip:
+                col = [0] * n_rows
+                for row0, terms in block:
+                    for q, v in _times(quad, terms):
+                        col[row0 + dst[q]] = v
+                columns.append(col)
+    return columns, n_rows
 
 
 def linear_syzygies(I: SegreIdeal, nu: int):
@@ -136,20 +160,38 @@ def linear_syzygies(I: SegreIdeal, nu: int):
     ]
 
 
+def _pivot_rows(I: SegreIdeal, i: int, mu: int):
+    """The pivot columns of the transpose of the degree-mu piece of d_i mod
+    p, over QQ mod SCREEN_PRIME: rows of d_i on which a square submatrix of
+    it is invertible mod that prime."""
+    columns, n_rows = _koszul_columns(I, i, mu)
+    if not columns:
+        return []
+    q = I.field.characteristic
+    if not q:
+        q = SCREEN_PRIME
+        columns = [[x % q for x in col] for col in columns]
+    return _forward_gf(columns, n_rows, q)
+
+
 def cycle_space_dim(I: SegreIdeal, i: int, mu: int) -> int:
     """Dimension of the degree-mu kernel of the i-th Koszul differential.
 
-    Over QQ the rank mod SCREEN_PRIME counts when it is full, or when it
-    meets cols - rank(d_(i+1)) at the same mu: d_i d_(i+1) = 0 bounds the
-    rank of d_i by that, and the rank of d_(i+1) mod the prime is a lower
-    bound on its own rank. Otherwise the rank is computed exactly.
+    The columns of d_i and the rows of d_(i+1) at the same mu are indexed by
+    the same (subset, monomial) pairs. The pivot rows P of d_(i+1) mod p, or
+    over QQ mod SCREEN_PRIME, carry a square submatrix d_(i+1)[P, C] that is
+    invertible mod that prime, hence over QQ. So for each k in P some
+    y = d_(i+1) x has y_k = 1 and y_j = 0 on the rest of P, and d_i y = 0
+    puts column k of d_i in the span of the columns outside P. Those columns
+    alone have the rank of d_i, over QQ and over GF(p), and only they are
+    ranked. Over QQ their rank mod the prime counts when it is full; a full
+    column rank there is rank_q(d_i) + rank_q(d_(i+1)) = cols, which
+    d_i d_(i+1) = 0 certifies. Otherwise they are ranked by fraction-free
+    elimination.
     """
-    rows, cols = _koszul_rows(I, i, mu)
-
-    def upper():
-        return cols - screen_rank(*_koszul_rows(I, i + 1, mu))
-
-    return cols - int_rank(rows, cols, I.field.characteristic, upper if i < 4 else None)
+    dropped = set(_pivot_rows(I, i + 1, mu)) if i < 4 else ()
+    columns, n_rows = _koszul_columns(I, i, mu, dropped)
+    return len(columns) + len(dropped) - int_rank(columns, n_rows, I.field.characteristic)
 
 
 @dataclass(frozen=True)
@@ -240,8 +282,7 @@ def saturation_indeg(I: SegreIdeal) -> int:
         src = basis(n).quads
         top = n + 2 * d
         index = basis(top).index
-        rows = _koszul_rows(I, 1, top)[0]
-        kernel = int_nullspace([list(col) for col in zip(*rows)], len(index), p)
+        kernel = int_nullspace(_koszul_columns(I, 1, top)[0], len(index), p)
         constraints = []
         for x in xs:
             targets = [index[m] for m, _ in _times(x, [(quad, 1) for quad in src])]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from random import Random
 
 from bisurf.biparam import BiHomPoly, Parametrization
@@ -23,9 +24,10 @@ from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField, is_prime
 
 
-def fraction_rank(rows) -> int:
-    """Plain Gaussian elimination rank over the rationals."""
-    rows = [[Fraction(x) for x in row] for row in rows]
+def fraction_rank(rows, p=0) -> int:
+    """Plain Gaussian elimination rank over the rationals, or over GF(p) on
+    residues when p > 0."""
+    rows = [[x % p for x in row] for row in rows] if p else [[Fraction(x) for x in row] for row in rows]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -36,11 +38,12 @@ def fraction_rank(rows) -> int:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
-        pv = prow[c]
+        inv = pow(prow[c], -1, p) if p else 1 / prow[c]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][c] / pv
+            f = rows[i][c] * inv
             if f:
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
+                rows[i] = [(a - f * b) % p if p else a - f * b if b else a
+                           for a, b in zip(rows[i], prow)]
         rank += 1
         if rank == len(rows):
             break
@@ -210,7 +213,7 @@ def primitive(t, p=0):
 def matmul(a, b):
     """Product of two matrices given as lists of rows."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 class BadPrimeError(ValueError):

@@ -201,6 +201,52 @@ def test_nu_and_saturate_are_a_usage_error(capsys, inputs_dir):
             assert "not allowed with argument" in err
 
 
+def _commands(inputs_dir, tmp_path):
+    """argv of each subcommand on segre.ex, with only its required flags."""
+    path = str(inputs_dir / "segre.ex")
+    eq_file = tmp_path / "eq.txt"
+    eq_file.write_text("T1*T4 - T2*T3\n", encoding="utf-8")
+    return {
+        "info": ("info", path),
+        "matrix": ("matrix", path),
+        "membership": ("membership", path, "--point", "1,1,1,1"),
+        "implicit": ("implicit", path),
+        "verify": ("verify", path, "--equation", str(eq_file)),
+        "lift": ("lift", path),
+    }
+
+
+def _rejected(capsys, argvs, flags):
+    for argv in argvs:
+        code, out, err = run(capsys, *argv, *flags)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
+
+def test_seed_only_on_implicit(capsys, inputs_dir, tmp_path):
+    # info --seed 3 and lift --seed 2 used to exit 0 with the seed ignored
+    commands = _commands(inputs_dir, tmp_path)
+    _rejected(capsys, [argv for name, argv in commands.items() if name != "implicit"],
+              ("--seed", "3"))
+
+
+def test_nu_not_on_verify_or_lift(capsys, inputs_dir, tmp_path):
+    # verify ... --nu 7 and lift --nu 4 used to exit 0 with the degree ignored
+    commands = _commands(inputs_dir, tmp_path)
+    _rejected(capsys, [commands["verify"], commands["lift"]], ("--nu", "7"))
+
+
+def test_saturate_not_on_verify_or_lift(capsys, inputs_dir, tmp_path):
+    commands = _commands(inputs_dir, tmp_path)
+    _rejected(capsys, [commands["verify"], commands["lift"]], ("--saturate",))
+
+
+def test_commands_without_the_rejected_flags_succeed(capsys, inputs_dir, tmp_path):
+    for argv in _commands(inputs_dir, tmp_path).values():
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out and not err
+
+
 def test_nu_below_conservative_degree_accepted(capsys, inputs_dir):
     # mixed23 lifts to bidegree (6,6): nu=5 is below 2d-1 = 11, but its strand is exact
     code, out, _ = run(capsys, "info", str(inputs_dir / "mixed23.ex"), "--nu", "5", "--json")

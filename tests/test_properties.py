@@ -11,6 +11,7 @@ random points.
 """
 
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 from unittest import mock
 
@@ -20,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from bisurf import zcomplex
-from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed
+from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed, parse_parametrization
 from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
@@ -34,6 +35,7 @@ from bisurf.zcomplex import (
     SegreIdeal,
     _koszul_rows,
     choose_nu,
+    cycle_space_dim,
     linear_syzygies,
     saturation_indeg,
     strand_report,
@@ -42,6 +44,8 @@ from bisurf.zcomplex import (
 from helpers import det_bareiss, fraction_nullspace, fraction_rank, int_rows, random_dense
 
 FIELDS = [QQ, PrimeField(32003)]
+INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+SAMPLES = sorted(path.name for path in INPUTS.glob("*.ex"))
 MONOMIALS = [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]
 
 
@@ -104,8 +108,12 @@ def lifted_12(seed):
 
 
 def fraction_cycle_dim(I, i, mu):
+    """cols - the rank of the whole piece of d_i, by plain elimination over
+    the ideal's field, on the transpose when it has fewer rows."""
     rows, cols = _koszul_rows(I, i, mu)
-    return cols - fraction_rank(rows)
+    if len(rows) > cols:
+        rows = [list(col) for col in zip(*rows)]
+    return cols - fraction_rank(rows, I.field.characteristic)
 
 
 @pytest.mark.parametrize("make", [dense_22, lifted_12], ids=["dense22", "lifted12"])
@@ -119,6 +127,29 @@ def test_certified_strand_ranks(make, seed):
     with mock.patch.object(zcomplex, "cycle_space_dim", fraction_cycle_dim):
         assert rep == strand_report(I, nu)
     assert rep == strand_report(SegreIdeal.from_parametrization(over(P, PrimeField(32003))), nu)
+
+
+def sample_ideal(name, field):
+    if name == "dense22":
+        text = random_dense(2, Random(1)).to_text()
+    else:
+        text = (INPUTS / name).read_text(encoding="utf-8")
+    return SegreIdeal.from_parametrization(lift_mixed(parse_parametrization(text, field_override=field)))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(7)], ids=str)
+@pytest.mark.parametrize("name", SAMPLES + ["dense22"])
+def test_cycle_dims_against_the_whole_matrix(name, field):
+    # cycle_space_dim ranks only the columns of d_i outside the pivot rows of
+    # d_(i+1); every degree up to 2d-1 of the bidegree (2,2) inputs, and for
+    # lifted mixed23 nu = 5, the benchmark's, and 6, the least degree with
+    # a piece of d_(i+1)
+    I = sample_ideal(name, None if field is QQ else field)
+    d = I.degree
+    for nu in (range(2 * d) if d <= 2 else (d - 1, d)):
+        for i in (1, 2, 3):
+            mu = nu + i * d
+            assert cycle_space_dim(I, i, mu) == fraction_cycle_dim(I, i, mu), (nu, i)
 
 
 # The corner monomials s^2t^2, u^2v^2, s^2v^2 and u^2t^2 of bidegree (2,2).

@@ -9,10 +9,12 @@ from bisurf.biparam import (
     lift_mixed,
     parse_parametrization,
 )
+from bisurf import exactla
 from bisurf.exactla import SCREEN_PRIME
 from bisurf.fields import PrimeField
 from bisurf.zcomplex import (
     SegreIdeal,
+    _koszul_columns,
     _koszul_rows,
     choose_nu,
     cycle_space_dim,
@@ -111,11 +113,55 @@ def test_cycle_dim1_equals_syzygy_count(identity_ideal, d2_ideal):
 
 
 def test_differentials_compose_to_zero(identity_ideal, d2_ideal):
-    for I, mus in ((identity_ideal, (2, 3, 4)), (d2_ideal, (6, 8))):
+    # cycle_space_dim drops columns of d_i by the pivot rows of d_(i+1), so
+    # the column index of d_i and the row index of d_(i+1) must name the same
+    # (subset, monomial): d_i d_(i+1) = 0 as int matrices, mod p over GF(p)
+    gf7 = PrimeField(7)
+    d2_mod7 = SegreIdeal(BiHomPoly(g.bidegree, {e: gf7.coerce(c) for e, c in g.terms.items()}, gf7)
+                         for g in d2_ideal.gs)
+    dense = SegreIdeal.from_parametrization(random_dense(2, Random(1)))
+    # at mu = 4d every piece d1..d4 is nonzero
+    for I, mus in ((identity_ideal, (2, 3, 4, 5)), (d2_ideal, (6, 8)), (d2_mod7, (8,)),
+                   (dense, (8,))):
+        p = I.field.characteristic
         for mu in mus:
-            d1, d2, d3 = (_koszul_rows(I, i, mu)[0] for i in (1, 2, 3))
-            assert not any(any(row) for row in matmul(d1, d2))
-            assert not any(any(row) for row in matmul(d2, d3))
+            for i in (1, 2, 3):
+                (di, cols), (dnext, _) = _koszul_rows(I, i, mu), _koszul_rows(I, i + 1, mu)
+                assert len(dnext) == cols and (mu < 4 * I.degree or any(map(any, dnext))), (mu, i)
+                product = matmul(di, dnext)
+                assert not any(x % p if p else x for row in product for x in row), (mu, i)
+
+
+def test_koszul_columns_transpose_the_rows(d2_ideal):
+    for i, mu in ((1, 4), (2, 6), (3, 8), (4, 8), (2, 3)):
+        rows, cols = _koszul_rows(d2_ideal, i, mu)
+        skip = set(range(0, cols, 3))
+        columns, n_rows = _koszul_columns(d2_ideal, i, mu, skip)
+        assert n_rows == len(rows)
+        assert columns == [[row[c] for row in rows] for c in range(cols) if c not in skip]
+
+
+def test_strand_fallbacks(monkeypatch, inputs_dir):
+    # over QQ a rank mod q that is not full falls back to fraction-free
+    # elimination, on the columns of d_i outside the pivot rows of d_(i+1):
+    # the d1 and d2 ranks of the inputs with base points at 2d-1 = 3 (whose
+    # whole pieces are 36 x 64 and 144 x 96), and those of lifted mixed23 at
+    # nu = 5, where d_(i+1) has no columns. Dense inputs take none.
+    shapes = []
+    real = exactla._forward_int
+    monkeypatch.setattr(exactla, "_forward_int",
+                        lambda rows, cols: shapes.append((len(rows), cols)) or real(rows, cols))
+    for P, nu, expected in (
+        (random_dense(2, Random(1)), 3, []),
+        (random_dense(3, Random(1)), 5, []),
+        (parse_parametrization((inputs_dir / "d2_example.ex").read_text(encoding="utf-8")), 3,
+         [(36, 40), (80, 144)]),
+        (lift_mixed(parse_parametrization((inputs_dir / "mixed23.ex").read_text(encoding="utf-8"))),
+         5, [(144, 144), (216, 576)]),
+    ):
+        del shapes[:]
+        strand_report(SegreIdeal.from_parametrization(P), nu)
+        assert shapes == expected
 
 
 def test_identity_strand_report(identity_ideal):
