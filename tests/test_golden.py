@@ -26,6 +26,7 @@ from helpers import random_dense
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
+EQUATIONS = Path(__file__).resolve().parent / "equations"
 
 CASES = [
     ("segre.ex",),
@@ -70,11 +71,18 @@ SATURATE_CASES = ["non_lci.ex", "non_lci_cone.ex", "common_factor.ex", "dense33.
 # paper's square 4 x 4 M, with D = F.
 FOUR_POINTS_COMMANDS = ("info", "matrix", "implicit")
 
+# `verify` of each reference equation (copies of perfbench/refs, named
+# relative to equations/) on d2_example (F of degree 7) and on unlifted
+# mixed23 (mixed bidegree): VERIFIED on its own input, FAILED on the other.
+VERIFY_CASES = [(source, equation) for source in ("d2_example.ex", "mixed23.ex")
+                for equation in ("d2_example.txt", "mixed23.txt")]
+
 
 def argvs():
     """Every golden argv; the input is named relative to inputs/, or is one
-    of DENSE. The text `matrix` runs pin the printed row basis, and
-    common_factor.ex pins the input-gcd warning and its exit code 2."""
+    of DENSE, and an equation relative to equations/. The text `matrix`
+    runs pin the printed row basis, and common_factor.ex pins the input-gcd
+    warning and its exit code 2."""
     json_runs = [
         [command, case[0], *case[1:], "--json", *field]
         for case in CASES
@@ -108,8 +116,15 @@ def argvs():
         for command in FOUR_POINTS_COMMANDS
         for field in FIELDS
     ]
+    verify_runs = [
+        ["verify", source, "--equation", equation, *json_flag, *field]
+        for source, equation in VERIFY_CASES
+        for json_flag in ((), ("--json",))
+        for field in FIELDS
+    ]
+    lift_runs = [["lift", "mixed23.ex"], ["lift", "mixed23.ex", "--json"]]
     return (json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
-            + non_lci_runs + saturate_runs + four_points_runs)
+            + non_lci_runs + saturate_runs + four_points_runs + verify_runs + lift_runs)
 
 
 def _sha256(text):
@@ -124,8 +139,12 @@ def run(argv):
         if argv[1] in DENSE:
             path = Path(tmp) / argv[1]
             path.write_text(random_dense(DENSE[argv[1]], Random(1)).to_text(), encoding="utf-8")
+        argv = [argv[0], str(path), *argv[2:]]
+        if "--equation" in argv:
+            at = argv.index("--equation") + 1
+            argv[at] = str(EQUATIONS / argv[at])
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([argv[0], str(path), *argv[2:]])
+            code = main(argv)
     return code, _sha256(out.getvalue()), _sha256(err.getvalue())
 
 
