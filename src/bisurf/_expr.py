@@ -1,10 +1,10 @@
 """Term dicts {exponent quadruple: nonzero coefficient}: the one module that
-knows the format. It parses, prints, adds, multiplies and evaluates them for
-BiHomPoly (s,u,t,v, which also holds the Segre ring as its bidegree (n,n)
-forms) and TPoly (T1..T4), which only validate their own invariants.
-Coefficients are Fractions over QQ and plain ints over GF(p); the arithmetic
-here leaves GF(p) sums and products unreduced, and each container's
-constructor reduces them once with modp.
+knows the format. It parses and prints them for BiHomPoly (s,u,t,v, which
+also holds the Segre ring as its bidegree (n,n) forms) and TPoly (T1..T4),
+which only validate their own invariants, and holds the add, sub, neg and
+mul that the parser and tpoly's int kernel use. Coefficients are Fractions
+over QQ and plain ints over GF(p); those four leave GF(p) sums and products
+unreduced, and the caller reduces them once with modp.
 
 Input files and printed output share one syntax, so all output parses back:
 
@@ -190,12 +190,6 @@ def neg(a):
     return {e: -c for e, c in a.items()}
 
 
-def scale(a, c):
-    if not c:
-        return {}
-    return {e: x * c for e, x in a.items()}
-
-
 def mul(a, b):
     out = {}
     for ea, ca in a.items():
@@ -213,26 +207,6 @@ def modp(terms, p):
     if not p:
         return terms
     return {e: r for e, c in terms.items() if (r := c % p)}
-
-
-def evaluate(terms, point, field):
-    """Value at a 4-tuple, from one table of powers per variable; over GF(p)
-    the table and the value are reduced to residues."""
-    p = field.characteristic
-    pows = []
-    for x, top in zip(map(field.coerce, point), map(max, zip(*terms))):
-        table = [field.one, x]
-        for _ in range(top - 1):
-            power = table[-1] * x
-            table.append(power % p if p else power)
-        pows.append(table)
-    acc = field.zero
-    for e, c in terms.items():
-        for table, k in zip(pows, e):
-            if k:
-                c = c * table[k]
-        acc = acc + c
-    return acc % p if p else acc
 
 
 def parse_expression(src: str, variables, line_no: int = 1, col_base: int = 0):

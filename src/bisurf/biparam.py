@@ -44,41 +44,8 @@ class BiHomPoly:
         self.terms = _expr.modp(terms, p) if p else {e: c for e, c in terms.items() if c}
         self.field = field
 
-    @classmethod
-    def monomial(cls, exp, c, field=QQ):
-        a, b, cc, e = exp
-        return cls((a + b, cc + e), {tuple(exp): field.coerce(c)}, field)
-
-    def _check(self, other, same_bidegree=True):
-        if self.field != other.field:
-            raise InputError("mixed coefficient fields")
-        if same_bidegree and self.bidegree != other.bidegree:
-            raise InputError(
-                f"bidegree mismatch: {self.bidegree} vs {other.bidegree}"
-            )
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other):
-        self._check(other)
-        return BiHomPoly(self.bidegree, _expr.add(self.terms, other.terms), self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return BiHomPoly(self.bidegree, _expr.sub(self.terms, other.terms), self.field)
-
-    def __neg__(self):
-        return BiHomPoly(self.bidegree, _expr.neg(self.terms), self.field)
-
-    def __mul__(self, other):
-        self._check(other, same_bidegree=False)
-        (a1, a2), (b1, b2) = self.bidegree, other.bidegree
-        return BiHomPoly((a1 + b1, a2 + b2), _expr.mul(self.terms, other.terms), self.field)
-
-    def scale(self, c):
-        terms = _expr.scale(self.terms, self.field.coerce(c))
-        return BiHomPoly(self.bidegree, terms, self.field)
 
     def substitute_powers(self, k1: int, k2: int) -> "BiHomPoly":
         """Replace s,u by their k1-th powers and t,v by their k2-th powers."""
@@ -90,10 +57,6 @@ class BiHomPoly:
             for e, c in self.terms.items()
         }
         return BiHomPoly(bid, out, self.field)
-
-    def eval(self, point):
-        """Value at (s,u,t,v) field elements."""
-        return _expr.evaluate(self.terms, point, self.field)
 
     def __str__(self):
         return _expr.format_terms(self.terms, PARAM_VARS)
@@ -133,9 +96,6 @@ class Parametrization:
         self.fs = fs
         self.bidegree = bid
         self.field = field
-
-    def eval(self, point):
-        return tuple(f.eval(point) for f in self.fs)
 
     def to_text(self) -> str:
         lines = [f"degree: {self.bidegree[0]} {self.bidegree[1]}"]

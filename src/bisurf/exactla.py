@@ -5,7 +5,8 @@ means the rows are over QQ (a caller with rational rows clears their
 denominators first, which changes no rank or kernel), and p > 0 means they
 hold residues in [0, p). `int_rank` gives the rank and `int_nullspace` the
 canonical kernel basis, read off the unique RREF (the pivot rule is always
-"first nonzero entry in column order", so results are deterministic).
+"first nonzero entry in column order", so results are deterministic). Both
+consume their rows: a caller that reads them afterwards passes a copy.
 `int_nullspace` picks its method from the shape and from one elimination
 modulo p, over QQ modulo SCREEN_PRIME: a kernel of dimension at most 1 there
 comes from `_kernel_line`, lifted p-adically and certified over QQ, and a
@@ -16,10 +17,11 @@ Over QQ the forward elimination is fraction-free, and the back-substitution
 combines each row with a multiple of a pivot row below it; both strip
 integer content to control coefficient growth. A Fraction is formed only for
 a returned entry, when each row is divided by its pivot. Before that,
-`int_rank` eliminates the rows modulo SCREEN_PRIME, the largest prime below
-2^30, whose residues are single-digit CPython ints. That rank is only a
-lower bound over QQ, so it is used only when it is full, min(rows, cols).
-Otherwise fraction-free elimination runs on the same rows. `zcomplex` ranks
+`int_rank` eliminates a copy of the rows modulo SCREEN_PRIME, the largest
+prime below 2^30, whose residues are single-digit CPython ints. That rank
+is only a lower bound over QQ, so it is used only when it is full,
+min(rows, cols). Otherwise fraction-free elimination runs on the rows
+themselves; over GF(p) they are eliminated in place. `zcomplex` ranks
 only the columns of a Koszul piece d_i outside the pivot rows of d_(i+1),
 where a full rank is the one that d_i d_(i+1) = 0 certifies.
 """
@@ -164,35 +166,24 @@ def _rref_int(ints, cols):
 SCREEN_PRIME = 1_073_741_789  # the largest prime below 2^30
 
 
-def _fewer_rows(rows, cols):
-    """The rows, or those of the transpose when it has fewer: the rank is
-    the same, and there are fewer rows to sweep."""
-    return (zip(*rows), len(rows)) if len(rows) > cols else (rows, cols)
-
-
-def screen_rank(rows, cols, p=SCREEN_PRIME) -> int:
-    """Rank mod p of int rows, which are left as they are. With the default
-    prime it is a lower bound on the rank over QQ and certifies nothing by
-    itself."""
-    if not rows or not cols:
-        return 0
-    rows, cols = _fewer_rows(rows, cols)
-    return len(_forward_gf([[x % p for x in row] for row in rows], cols, p))
-
-
 def int_rank(rows, cols, p=0) -> int:
-    """Exact rank of int rows over QQ (p = 0), or of int residues mod p; the
-    rows are left as they are.
+    """Exact rank of int rows over QQ (p = 0), or of int residues mod p,
+    which it consumes, as `int_nullspace` does. With more rows than columns
+    the transpose is ranked in their place, with fewer rows to sweep.
 
-    Over QQ the screen rank is returned only when it is full, min(rows,
-    cols), an exact upper bound. Otherwise fraction-free elimination runs on
-    a copy of the rows.
+    Over GF(p) the rows are eliminated in place. Over QQ a copy reduced mod
+    SCREEN_PRIME is eliminated first; that rank is a lower bound, returned
+    only when it is full, min(rows, cols), an exact upper bound. Otherwise
+    fraction-free elimination runs on the rows themselves.
     """
-    r = screen_rank(rows, cols, p or SCREEN_PRIME)
-    if p or r == min(len(rows), cols):
-        return r
-    rows, cols = _fewer_rows(rows, cols)
-    return len(_forward_int([list(row) for row in rows], cols))
+    if len(rows) > cols:
+        rows, cols = [list(col) for col in zip(*rows)], len(rows)
+    if p:
+        return len(_forward_gf(rows, cols, p))
+    q = SCREEN_PRIME
+    if len(_forward_gf([[x % q for x in row] for row in rows], cols, q)) == len(rows):
+        return len(rows)
+    return len(_forward_int(rows, cols))
 
 
 def _rational_reconstruction(u: int, m: int):

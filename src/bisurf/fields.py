@@ -1,4 +1,5 @@
-"""Exact coefficient arithmetic: arbitrary-precision rationals and prime fields GF(p)."""
+"""Exact coefficient fields, QQ and GF(p): each coerces a number into its
+representation (a Fraction, or an int residue); and the primality test."""
 
 from __future__ import annotations
 
@@ -46,9 +47,6 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ: only int and Fraction are exact")
 
-    def inverse(self, x) -> Fraction:
-        return self.one / x
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -91,11 +89,6 @@ class PrimeField:
                 raise ValueError(f"denominator of {x} vanishes modulo {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into GF({self.p})")
-
-    def inverse(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return pow(x, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -122,9 +122,10 @@ def membership(M: RepMatrix, point):
     The point is scaled to ints by its common denominator, and M(pt) is
     ranked block by block (the connected blocks of `_components`; a block
     with fewer columns than rows is ranked too), each entry an int dot
-    product with the block's cached int coefficients. Over GF(p) each block
-    is ranked by `int_rank`. Over QQ `exactla._kernel_line` takes the left
-    kernel of a k_b-row block, the kernel of its transpose, from one
+    product with the block's cached int coefficients. Over GF(p) each block,
+    reduced mod p as it is built, is ranked by `int_rank` in place. Over QQ
+    `exactla._kernel_line` takes the left kernel of a k_b-row block, the
+    kernel of its transpose, from one
     elimination modulo SCREEN_PRIME (the largest prime below 2^30):
     dimension 0 mod q certifies rank k_b; dimension 1 gives rank k_b - 1
     with a lifted vector v certified by v·M_b(pt) = 0, or rank k_b when the
@@ -141,10 +142,12 @@ def membership(M: RepMatrix, point):
     x1, x2, x3, x4 = (x.numerator * (den // x.denominator) for x in pt)
     p, r = M.field.characteristic, 0
     for (rows, cols), table in zip(*_shapes(M)):
-        lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in line] for line in table]
         if p:
+            lines = [[(a * x1 + b * x2 + c * x3 + d * x4) % p for a, b, c, d in line]
+                     for line in table]
             r += int_rank(lines, len(cols), p)
             continue
+        lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in line] for line in table]
         _, kernel = _kernel_line(lines, len(rows))
         r += len(rows) - len(kernel) if kernel is not None else len(_forward_int(lines, len(rows)))
     return r < M.rows, r
@@ -463,28 +466,28 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
 def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
     """True iff eq(f1,f2,f3,f4) expands to the zero polynomial in s,u,t,v.
 
-    The expansion runs on plain ints: eq times the common denominator of its
-    coefficients, and the coordinates of _integer_coordinates. Over QQ those
-    are scaled by one factor c, which multiplies the degree-k part of
+    Each degree k of eq is checked on its own, with the oracle's substitution
+    matrix S of degree k: S·v = 0 for the coefficients v of eq's degree-k
+    part. The check runs on plain ints: eq times the common denominator of
+    its coefficients, and the coordinates of _integer_coordinates. Over QQ
+    those are scaled by one factor c, which multiplies the degree-k part of
     eq(f1..f4) by c^k; parts of different degrees land in different
-    bidegrees, so the test holds for non-homogeneous eq as well."""
+    bidegrees (for any bidegree but (0,0)), so eq vanishes iff each part
+    does, and the test holds for non-homogeneous eq as well."""
     p = P.field.characteristic
     fs = _integer_coordinates(P)
-    memo = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
-
-    def product_for(exp):
-        cached = memo.get(exp)
-        if cached is not None:
-            return cached
-        k = next(i for i in range(4) if exp[i])
-        prev = exp[:k] + (exp[k] - 1,) + exp[k + 1:]
-        val = memo[exp] = _expr.modp(_expr.mul(product_for(prev), fs[k]), p)
-        return val
-
-    acc = {}
-    for exp, c in sorted(_ints(eq).items(), key=lambda kv: sum(kv[0])):
-        acc = _expr.add(acc, _expr.scale(product_for(exp), c))
-    return not _expr.modp(acc, p)
+    coeffs = _ints(eq)
+    layer = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
+    for deg in range(max(map(sum, coeffs), default=0) + 1):
+        if deg:
+            layer = _next_layer(layer, fs, deg, p)
+        monos = _degree_monomials(deg)
+        v = [coeffs.get(e, 0) for e in monos]
+        for row in _substitution_rows(layer, monos):
+            r = sum(map(mul, row, v))
+            if r % p if p else r:
+                return False
+    return True
 
 
 @dataclass(frozen=True)

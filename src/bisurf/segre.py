@@ -45,9 +45,6 @@ class SegreBasis:
     def __iter__(self):
         return iter(self.quads)
 
-    def __getitem__(self, i):
-        return self.quads[i]
-
     def monomial_texts(self):
         """The basis as X-monomials."""
         return [_expr.monomial_text(x_monomial(q), SEGRE_VARS) or "1" for q in self.quads]

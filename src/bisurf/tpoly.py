@@ -1,7 +1,7 @@
 """Polynomials in the image-space variables T1..T4 over an exact field,
-where implicit equations live: ring arithmetic and evaluation on TPoly, and
-an int kernel with exact division, a subresultant-PRS multivariate gcd and
-fraction-free determinants of polynomial matrices.
+where implicit equations live: TPoly, a validated container with no ring
+operators, and an int kernel with exact division, a subresultant-PRS
+multivariate gcd and fraction-free determinants of polynomial matrices.
 
 TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
 GF(p). The int kernel runs on plain int coefficients: over the integers,
@@ -30,7 +30,8 @@ class ExactDivisionError(ArithmeticError):
 
 
 class TPoly:
-    """Polynomial in four variables; terms map exponent quadruples to coefficients."""
+    """Polynomial in four variables; terms map exponent quadruples to
+    coefficients. The arithmetic runs on the terms, in the int kernel below."""
 
     __slots__ = ("terms", "field")
 
@@ -43,16 +44,8 @@ class TPoly:
         self.field = field
 
     @classmethod
-    def zero(cls, field=QQ):
-        return cls({}, field)
-
-    @classmethod
     def constant(cls, c, field=QQ):
         return cls({_ZERO_EXP: field.coerce(c)}, field)
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise ValueError("mixed coefficient fields")
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -64,43 +57,6 @@ class TPoly:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        return TPoly(_expr.add(self.terms, other.terms), self.field)
-
-    def __sub__(self, other):
-        self._check(other)
-        return TPoly(_expr.sub(self.terms, other.terms), self.field)
-
-    def __neg__(self):
-        return TPoly(_expr.neg(self.terms), self.field)
-
-    def __mul__(self, other):
-        self._check(other)
-        return TPoly(_expr.mul(self.terms, other.terms), self.field)
-
-    def scale(self, c):
-        return TPoly(_expr.scale(self.terms, self.field.coerce(c)), self.field)
-
-    def leading(self):
-        """The (exponent, coefficient) pair that is largest in graded lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=lead_key)
-        return e, self.terms[e]
-
-    def monic(self):
-        if not self.terms:
-            return self
-        _, lc = self.leading()
-        if lc == 1:
-            return self
-        return self.scale(self.field.inverse(lc))
-
-    def eval(self, point):
-        """Value at a 4-tuple of field elements."""
-        return _expr.evaluate(self.terms, point, self.field)
 
     def __str__(self):
         return _expr.format_terms(self.terms, T_VARS)

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from bisurf.biparam import BiHomPoly, parse_parametrization
+from bisurf.biparam import parse_parametrization
 from bisurf.matrixrep import implicit_by_interpolation
 from bisurf.zcomplex import SegreIdeal
+
+from helpers import monomial
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 
@@ -39,7 +41,7 @@ def mixed_param():
 def identity_ideal():
     # (X1, X2, X3, X4) = (s*t, s*v, u*t, u*v)
     exps = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
-    return SegreIdeal([BiHomPoly.monomial(e, 1) for e in exps])
+    return SegreIdeal([monomial(e, 1) for e in exps])
 
 
 @pytest.fixture(scope="session")

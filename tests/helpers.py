@@ -9,6 +9,11 @@ not a flaw shared by the method. The
 scalar Bareiss determinant and the modular rank check are reference oracles
 for the polynomial determinants and the exact ranks. Matrices are plain lists
 of rows: ints or Fractions over QQ, residues in [0, p) over GF(p).
+
+The package's polynomial classes are containers with no ring operators, so
+the tests build and check polynomials with the plain term arithmetic here
+(monomial, mul_terms, tmul, monic, evaluate, substitute), which shares no
+code with bisurf._expr.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from random import Random
 from bisurf.biparam import BiHomPoly, Parametrization
 from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField, is_prime
+from bisurf.tpoly import TPoly
 
 
 def fraction_rank(rows, p=0) -> int:
@@ -88,6 +94,88 @@ def fraction_nullspace(rows, p=0):
             v[pc] = -reduced[k][fc] % p if p else -reduced[k][fc]
         basis.append(v)
     return basis
+
+
+def monomial(exp, c, field=QQ) -> BiHomPoly:
+    """The bi-homogeneous monomial c*s^a*u^b*t^g*v^e, exp = (a, b, g, e)."""
+    return BiHomPoly((exp[0] + exp[1], exp[2] + exp[3]), {tuple(exp): field.coerce(c)}, field)
+
+
+def mul_terms(a, b):
+    """Product of two term dicts by the plain double loop over their terms;
+    GF(p) residues are left unreduced."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2], ea[3] + eb[3])
+            out[e] = out.get(e, 0) + ca * cb
+    return out
+
+
+def dot_terms(fs, gs, p=0):
+    """The term dict of sum f_i*g_i over polynomials of one field, zero
+    coefficients (mod p over GF(p)) dropped."""
+    acc = {}
+    for f, g in zip(fs, gs):
+        for e, c in mul_terms(f.terms, g.terms).items():
+            acc[e] = acc.get(e, 0) + c
+    return {e: c for e, c in acc.items() if (c % p if p else c)}
+
+
+def tmul(*polys) -> TPoly:
+    """Product of TPolys over one field (the constant 1 for none is not
+    allowed: the field comes from the first factor)."""
+    field = polys[0].field
+    terms = {(0, 0, 0, 0): field.coerce(1)}
+    for f in polys:
+        terms = mul_terms(terms, f.terms)
+    return TPoly(terms, field)
+
+
+def monic(poly: TPoly) -> TPoly:
+    """poly divided by its coefficient at the largest exponent in graded lex
+    order (total degree, then the exponents), the package's term order."""
+    if poly.is_zero():
+        return poly
+    lead = poly.terms[max(poly.terms, key=lambda e: (sum(e), e))]
+    p = poly.field.characteristic
+    inv = pow(lead, -1, p) if p else 1 / lead
+    return TPoly({e: c * inv for e, c in poly.terms.items()}, poly.field)
+
+
+def evaluate(terms, point, p=0):
+    """Value of a term dict at a 4-tuple: exact over QQ (p = 0), a residue
+    mod p over GF(p)."""
+    acc = 0
+    for e, c in terms.items():
+        for x, k in zip(point, e):
+            c = c * x**k
+        acc += c
+    return acc % p if p else acc
+
+
+def substitute(terms, fs, p=0):
+    """The term dict of eq(f1..f4), eq given by its terms, expanded with
+    plain term arithmetic: each product f^e that eq needs once, as f^e'
+    times one coordinate; zero coefficients (mod p over GF(p)) dropped."""
+    products = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
+
+    def power(e):
+        if e not in products:
+            k = next(i for i in range(4) if e[i])
+            products[e] = mul_terms(power(e[:k] + (e[k] - 1,) + e[k + 1:]), fs[k].terms)
+        return products[e]
+
+    acc = {}
+    for e, c in terms.items():
+        for m, x in power(e).items():
+            acc[m] = acc.get(m, 0) + c * x
+    return {m: x for m, x in acc.items() if (x % p if p else x)}
+
+
+def image_point(P: Parametrization, point):
+    """(f1..f4) of P at (s,u,t,v): exact over QQ, residues over GF(p)."""
+    return tuple(evaluate(f.terms, point, P.field.characteristic) for f in P.fs)
 
 
 def _biform_monomials(n):

@@ -33,7 +33,16 @@ from bisurf.zcomplex import (
     strand_report,
 )
 
-from helpers import fraction_nullspace, matmul, modular_rank_agrees, random_dense
+from helpers import (
+    evaluate,
+    fraction_nullspace,
+    image_point,
+    matmul,
+    modular_rank_agrees,
+    monic,
+    random_dense,
+    tmul,
+)
 
 
 def _emit(line: str) -> None:
@@ -142,7 +151,7 @@ def test_criterion_6_membership_suite(identity_ideal, d2_ideal, d2_param, d2_equ
             n_on = 0
             while n_on < 100:
                 s, t = rng.randint(-40, 40), rng.randint(-40, 40)
-                img = P.eval((s, 1, t, 1))
+                img = image_point(P, (s, 1, t, 1))
                 if not any(img):
                     continue
                 n_on += 1
@@ -151,7 +160,7 @@ def test_criterion_6_membership_suite(identity_ideal, d2_ideal, d2_param, d2_equ
             n_off = 0
             while n_off < 100:
                 pt = tuple(Fraction(rng.randint(-20, 20)) for _ in range(4))
-                if not any(pt) or eq.eval(pt) == 0:
+                if not any(pt) or evaluate(eq.terms, pt) == 0:
                     continue
                 n_off += 1
                 on, r = membership(M, pt)
@@ -224,8 +233,8 @@ def test_criterion_8_non_lci_base_point(capsys, inputs_dir, flags):
         rep = _implicit(capsys, path, *flags)
         F = rep["implicit_equation"]
         assert F.total_degree() == 4 and rep["power"] == 1
-        assert rep["residual"] == L.monic() == parse_tpoly("T1 - 34/9*T2 + 70/9*T3 + 19/3*T4")
-        assert rep["minors_gcd"] == (F * L).monic()
+        assert rep["residual"] == monic(L) == parse_tpoly("T1 - 34/9*T2 + 70/9*T3 + 19/3*T4")
+        assert rep["minors_gcd"] == monic(tmul(F, L))
         assert rep["base_points_lci"] is False and rep["substitution_ok"] is True
 
 
@@ -238,5 +247,19 @@ def test_criterion_9_cone_covered_twice(capsys, inputs_dir, flags):
         F = parse_tpoly("T1*T3 - T2^2")
         assert rep["implicit_equation"] == F and rep["power"] == 2
         assert rep["residual"] == parse_tpoly("T4")
-        assert rep["minors_gcd"] == F * F * parse_tpoly("T4")
+        assert rep["minors_gcd"] == tmul(F, F, parse_tpoly("T4"))
         assert rep["base_points_lci"] is False
+
+
+def test_readme_library_block(monkeypatch, inputs_dir):
+    # the README's `## Library` example, run as written from the repository
+    # root; its comments state the sizes and degrees checked after it
+    root = inputs_dir.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    M, F, D = namespace["M"], namespace["F"], namespace["D"]
+    assert (M.rows, M.cols) == (9, 12) and namespace["degree"] == F.total_degree() == 7
+    assert D == F and namespace["power"] == 1 and namespace["residual"].is_constant()

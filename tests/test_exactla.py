@@ -63,7 +63,7 @@ def test_rref_is_reduced_and_deterministic():
         rows = random_rows(rng, *shape)
         ns = int_nullspace(copy(rows), shape[1])
         free = free_columns(ns)
-        assert free == sorted(set(free)) and len(free) == shape[1] - int_rank(rows, shape[1])
+        assert free == sorted(set(free)) and len(free) == shape[1] - int_rank(copy(rows), shape[1])
         for v, fc in zip(ns, free):
             assert v[fc] == 1 and not any(v[g] for g in free if g != fc)
         assert annihilates(rows, ns)
@@ -85,7 +85,7 @@ def test_nullspace_exactness_and_rank_nullity():
         cols = rng.randint(1, 7)
         rows = random_rows(rng, rng.randint(1, 7), cols)
         ns = int_nullspace(copy(rows), cols)
-        assert int_rank(rows, cols) + len(ns) == cols
+        assert int_rank(copy(rows), cols) + len(ns) == cols
         assert annihilates(rows, ns)
 
 
@@ -162,7 +162,7 @@ def test_gf_rref_and_nullspace_match_sympy(p):
         # m.nullspace() leaves its vectors unscaled over GF(p); the basis
         # read off the RREF sets each free variable to 1
         assert ns == residues(reduced.nullspace_from_rref(expected_pivots))
-        assert len(ns) == cols - len(expected_pivots) == cols - int_rank(rows, cols, p)
+        assert len(ns) == cols - len(expected_pivots) == cols - int_rank(copy(rows), cols, p)
         assert all(type(x) is int and 0 <= x < p for v in ns for x in v)
         assert annihilates(rows, ns, p)
 
@@ -336,7 +336,7 @@ def test_rank_matches_independent_gaussian():
     for _ in range(25):
         cols = rng.randint(1, 8)
         rows = random_rows(rng, rng.randint(1, 8), cols)
-        assert int_rank(rows, cols) == fraction_rank(rows)
+        assert int_rank(copy(rows), cols) == fraction_rank(rows)
 
 
 def test_gf_rref_and_nullspace():
@@ -344,7 +344,7 @@ def test_gf_rref_and_nullspace():
     rows = [[1, 2, 3], [4, 5, 6], [5, 0, 2]]
     pivots = _kernel_line(copy(rows), 3, p)[0]
     ns = int_nullspace(copy(rows), 3, p)
-    assert len(pivots) == int_rank(rows, 3, p) and len(pivots) + len(ns) == 3
+    assert len(pivots) == int_rank(copy(rows), 3, p) and len(pivots) + len(ns) == 3
     assert annihilates(rows, ns, p)
     assert det_bareiss(identity(3), p) == 1
 

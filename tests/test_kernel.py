@@ -1,6 +1,6 @@
-"""Property tests of the term-dict kernel behind BiHomPoly and TPoly, over
-the rationals and over GF(32003), and of tpoly's division and gcd on int
-coefficients, also over GF(7)."""
+"""Property tests of the term-dict arithmetic in _expr, which the parser and
+tpoly's int kernel run, over the rationals and over GF(32003), and of
+tpoly's division and gcd on int coefficients, also over GF(7)."""
 
 from fractions import Fraction
 
@@ -9,12 +9,13 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from bisurf import _expr
 from bisurf._expr import parse_expression
 from bisurf.biparam import PARAM_VARS, BiHomPoly
 from bisurf.fields import QQ, PrimeField
 from bisurf.tpoly import ExactDivisionError, TPoly, _div, _gcd, _ints, _mul, parse_tpoly
 
-from helpers import primitive
+from helpers import evaluate, primitive
 
 FIELDS = [QQ, PrimeField(32003)]
 COEFFS = st.one_of(st.just(0), st.fractions(-40, 40, max_denominator=7))
@@ -30,15 +31,6 @@ def biform(data, field, n):
     return BiHomPoly((n, n), terms, field)
 
 
-def naive_eval(f, point):
-    acc = f.field.zero
-    for e, c in f.terms.items():
-        for x, k in zip(point, e):
-            c = c * x**k
-        acc = acc + c
-    return acc
-
-
 def parsed(text, names, field):
     return {e: field.coerce(c) for e, c in parse_expression(text, names).items()}
 
@@ -50,23 +42,27 @@ def test_arithmetic_commutes_with_transfers(field, data):
     n = data.draw(st.integers(0, 3))
     a, c = biform(data, field, n), biform(data, field, n)
     b = biform(data, field, data.draw(st.integers(0, 3)))
-    # the same terms as TPolys: both containers run one kernel
-    ta, tb, tc = (TPoly(f.terms, field) for f in (a, b, c))
-    assert TPoly((a * b).terms, field) == ta * tb
-    assert TPoly((a + c).terms, field) == ta + tc
-    assert TPoly((a - c).terms, field) == ta - tc
-    assert (a - c) + c == a and (a + (-a)).is_zero()
-    # evaluation is an independent oracle for every operation
+    # _expr leaves GF(p) sums and products unreduced; modp reduces them once
+    p = field.characteristic
+    ta, tb, tc = a.terms, b.terms, c.terms
+    product, total, difference, negated = (
+        _expr.modp(t, p)
+        for t in (_expr.mul(ta, tb), _expr.add(ta, tc), _expr.sub(ta, tc), _expr.neg(ta)))
+    assert _expr.modp(_expr.add(difference, tc), p) == ta
+    assert not _expr.modp(_expr.add(ta, negated), p)
+    # the results are valid containers of either ring, stored as they are
+    n_ab = n + b.bidegree[0]
+    assert BiHomPoly((n_ab, n_ab), product, field).terms == TPoly(product, field).terms == product
+    assert BiHomPoly((n, n), total, field).terms == TPoly(total, field).terms == total
+    # evaluation is an independent oracle for every operation; over GF(p)
+    # the oracle side is an int congruent to the value
     point = [field.coerce(data.draw(st.integers(-9, 9))) for _ in range(4)]
-    k = field.coerce(data.draw(COEFFS))
-    # over GF(p) the oracle side is an int congruent to the value, and eval
-    # must give the residue itself
     red = field.coerce
-    va, vb, vc = a.eval(point), b.eval(point), c.eval(point)
-    assert va == red(naive_eval(a, point))
-    assert (a * b).eval(point) == red(va * vb)
-    assert (a - c).eval(point) == red(va - vc) and (a + c).eval(point) == red(va + vc)
-    assert (-a).eval(point) == red(-va) and a.scale(k).eval(point) == red(va * k)
+    va, vb, vc = (evaluate(t, point, p) for t in (ta, tb, tc))
+    assert evaluate(product, point, p) == red(va * vb)
+    assert evaluate(difference, point, p) == red(va - vc)
+    assert evaluate(total, point, p) == red(va + vc)
+    assert evaluate(negated, point, p) == red(-va)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -102,7 +98,7 @@ def test_division_and_gcd_on_int_coefficients(field, data):
     assert _div(_mul(a, b, p), b, p) == a
     if b.keys() != {(0, 0, 0, 0)}:
         with pytest.raises(ExactDivisionError):
-            _div(_ints(a_t * b_t + TPoly.constant(1, field)), b, p)
+            _div(_expr.modp(_expr.add(_mul(a, b, p), {(0, 0, 0, 0): 1}), p), b, p)
     c = primitive(c, p)  # a gcd over the integers leaves the content out
     g = _gcd(_mul(a, c, p), _mul(b, c, p), p)
     _div(g, c, p)  # raises unless c divides g

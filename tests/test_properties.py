@@ -11,6 +11,7 @@ random points.
 """
 
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from random import Random
 from unittest import mock
@@ -25,12 +26,14 @@ from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed, parse_paramet
 from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
+    InterpolationError,
     implicit_by_interpolation,
     membership,
     minors_gcd,
     representation_matrix,
     verify_substitution,
 )
+from bisurf.tpoly import TPoly
 from bisurf.zcomplex import (
     SegreIdeal,
     _koszul_rows,
@@ -41,7 +44,18 @@ from bisurf.zcomplex import (
     strand_report,
 )
 
-from helpers import det_bareiss, fraction_nullspace, fraction_rank, int_rows, random_dense
+from helpers import (
+    det_bareiss,
+    dot_terms,
+    evaluate,
+    fraction_nullspace,
+    fraction_rank,
+    image_point,
+    int_rows,
+    mul_terms,
+    random_dense,
+    substitute,
+)
 
 FIELDS = [QQ, PrimeField(32003)]
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
@@ -70,10 +84,7 @@ def test_pipeline_on_dense_bidegree_11(field, seed):
     I = SegreIdeal.from_parametrization(P)
     nu, rep = choose_nu(I)
     for syz in linear_syzygies(I, nu):
-        acc = BiHomPoly((nu + 1, nu + 1), {}, field)
-        for a, f in zip(syz, P.fs):
-            acc = acc + a * f
-        assert acc.is_zero()
+        assert not dot_terms(syz, P.fs, field.characteristic)
     M = representation_matrix(I, nu)
     F = implicit_by_interpolation(P, rep.expected_det_degree)
     assert verify_substitution(F, P)
@@ -83,11 +94,55 @@ def test_pipeline_on_dense_bidegree_11(field, seed):
     s, u, t, v = 0, 0, 0, 0
     while not ((s or u) and (t or v)):
         s, u, t, v = (rng.randint(-9, 9) for _ in range(4))
-    image = P.eval([field.coerce(x) for x in (s, u, t, v)])
-    assert F.eval(image) == 0 and membership(M, image)[0]
+    image = image_point(P, [field.coerce(x) for x in (s, u, t, v)])
+    assert evaluate(F.terms, image, field.characteristic) == 0 and membership(M, image)[0]
     point = [field.coerce(rng.randint(-40, 40)) for _ in range(4)]
     if any(point):
-        assert membership(M, point)[0] == (F.eval(point) == 0)
+        assert membership(M, point)[0] == (evaluate(F.terms, point, field.characteristic) == 0)
+
+
+# verify_substitution checks eq(f1..f4) = 0 one degree of eq at a time, as
+# S·v = 0 with the oracle's substitution matrix. The equations F·G + H below
+# have parts in several degrees (G and H are not homogeneous) and
+# denominators, and the reference is a plain expansion of eq(f1..f4). The
+# equation vanishes when H does on the image; a nonzero H of degree 0 alone,
+# or below the top degree of F·G, fails only in its own degree, and
+# coordinates with different denominators fail if each is scaled apart.
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))  # none vanishes mod 7
+NONZERO = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 6))
+H_DEGREES = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+def t_form(data, field, degree):
+    """A random form of one degree in T1..T4 with every coefficient nonzero."""
+    return {e: field.coerce(data.draw(NONZERO))
+            for e in product(range(degree + 1), repeat=4) if sum(e) == degree}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(7)], ids=str)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_verify_substitution_per_degree(field, data):
+    p = field.characteristic
+    d1, d2 = data.draw(st.sampled_from([(1, 1), (1, 2)]))
+    quads = [(i, d1 - i, j, d2 - j) for i in range(d1 + 1) for j in range(d2 + 1)]
+    fs = [BiHomPoly((d1, d2), {q: field.coerce(data.draw(RATIONALS)) for q in quads}, field)
+          for _ in range(4)]
+    assume(not all(f.is_zero() for f in fs))
+    P = Parametrization(fs)
+    try:
+        F = implicit_by_interpolation(P, 2 * d1 * d2)
+    except InterpolationError:  # the image is not a surface
+        assume(False)
+    variable = data.draw(st.sampled_from([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
+    G = {**t_form(data, field, 0), variable: field.coerce(data.draw(NONZERO))}
+    terms = mul_terms(F.terms, G)
+    for degree in data.draw(st.sampled_from(H_DEGREES)):
+        for e, c in t_form(data, field, degree).items():
+            terms[e] = terms.get(e, 0) + c
+    eq = TPoly(terms, field)
+    assert verify_substitution(eq, P) == (not substitute(eq.terms, fs, p))
 
 
 def dense_22(seed):

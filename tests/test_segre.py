@@ -1,8 +1,10 @@
 import pytest
 
-from bisurf.biparam import BiHomPoly, InputError
+from bisurf.biparam import InputError
 from bisurf.segre import basis, x_monomial
 from bisurf.zcomplex import SegreIdeal
+
+from helpers import monomial
 
 
 def bidegree_exps(n):
@@ -53,7 +55,7 @@ def test_substitution_examples():
 
 def test_transfer_rejects_mixed_bidegree():
     exps = ((1, 0, 2, 0), (1, 0, 0, 2), (0, 1, 2, 0), (0, 1, 0, 2))
-    fs = [BiHomPoly.monomial(e, 1) for e in exps]
+    fs = [monomial(e, 1) for e in exps]
     with pytest.raises(InputError, match="lift"):
         SegreIdeal(fs)
 
