@@ -12,8 +12,8 @@ of rows: ints or Fractions over QQ, residues in [0, p) over GF(p).
 
 The package's polynomial classes are containers with no ring operators, so
 the tests build and check polynomials with the plain term arithmetic here
-(monomial, mul_terms, tmul, monic, evaluate, substitute), which shares no
-code with bisurf._expr.
+(monomial, mul_terms, dot_terms, tmul, monic, evaluate, image_point,
+substitute), which shares no code with bisurf._expr.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ def dot_terms(fs, gs, p=0):
 
 
 def tmul(*polys) -> TPoly:
-    """Product of TPolys over one field (the constant 1 for none is not
-    allowed: the field comes from the first factor)."""
+    """Product of one or more TPolys over one field."""
     field = polys[0].field
     terms = {(0, 0, 0, 0): field.coerce(1)}
     for f in polys:
