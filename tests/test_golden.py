@@ -48,10 +48,14 @@ DENSE_CASES = [("dense22.ex",), ("dense22.ex", "--saturate"), ("dense33.ex",)]
 
 # Membership at an image point and an off point of dense (2,2), and at a
 # regular image point (rank 8 of 9) and the singular point (1,0,0,0) (rank
-# 6 of 9) of d2_example.
+# 6 of 9) of d2_example. Dense (3,3) at the image of (1,-1,2,1) (rank 35 of
+# 36) and at an off point: one 36x63 block, the membership rank that takes
+# exactla's packed elimination, and at the image point the Dixon lift after it.
 MEMBERSHIP_CASES = [
     ("dense22.ex", "--saturate", "--point", "229,93,-507,398"),
     ("dense22.ex", "--saturate", "--point", "1,2,3,4"),
+    ("dense33.ex", "--point", "17,-149,-215,64"),
+    ("dense33.ex", "--point", "1,2,3,4"),
     ("d2_example.ex", "--saturate", "--point", "15,11,40,12"),
     ("d2_example.ex", "--saturate", "--point", "1,0,0,0"),
 ]
