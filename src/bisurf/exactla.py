@@ -24,6 +24,18 @@ min(rows, cols). Otherwise fraction-free elimination runs on the rows
 themselves; over GF(p) they are eliminated in place. `zcomplex` ranks
 only the columns of a Koszul piece d_i outside the pivot rows of d_(i+1),
 where a full rank is the one that d_i d_(i+1) = 0 certifies.
+
+Every elimination modulo a prime is `_forward_gf`, with two strategies that
+leave the same pivots, rows and record. A matrix with at least PACKED_MIN
+rows and columns whose first, middle and last rows are together at least
+PACKED_DENSITY nonzero (the dense membership blocks of M and the dense
+substitution matrices of the oracle) is eliminated with each row held as one
+int, a w-byte slot per column, so that a row operation is a few whole-int
+operations in C. w is the bytes for 2·bits(p) + bits(min(rows, cols)) + 1:
+a slot gains less than p^2 per pivot, at most min(rows, cols) times, so it
+never overflows. Every other matrix, the sparse Koszul pieces among them,
+is eliminated as list rows, each row operation over the nonzero entries of
+the pivot row.
 """
 
 from __future__ import annotations
@@ -67,12 +79,38 @@ def _forward_int(rows, cols):
     return pivots
 
 
+# _forward_gf holds rows as packed ints when min(rows, cols) >= PACKED_MIN and
+# the first, middle and last rows together have at least PACKED_DENSITY of
+# their entries nonzero. Measured on every matrix that the sample inputs and
+# dense (2,2), (3,3) eliminate: dense matrices of 20 or more rows and
+# columns run 1.3-3.5x faster packed, the 16x28 dense (2,2) membership block
+# and a 16x16 Koszul piece of four_points.ex, half nonzero, about 0.7-0.9x,
+# and Koszul pieces 2-12% nonzero 3-15x slower.
+PACKED_MIN = 20
+PACKED_DENSITY = 0.5
+
+
 def _forward_gf(rows, cols, p, record=None):
     """In-place echelon form of residues mod p, each pivot scaled to 1;
-    returns the pivot columns. Each row operation runs over the nonzero
-    entries of the pivot row only. A record list receives, per pivot, the
-    row swapped into place, the pivot's inverse and the (row, multiplier)
-    pairs of the rows below it, so that _replay can repeat the operations."""
+    returns the pivot columns. A record list receives, per pivot, the row
+    swapped into place, the pivot's inverse and the (row, multiplier) pairs
+    of the rows below it, so that _replay can repeat the operations.
+
+    Two strategies give the same pivots, rows and record. On a dense matrix
+    of at least PACKED_MIN rows and columns (see PACKED_DENSITY) the rows
+    are eliminated as packed ints (`_forward_packed`); otherwise each row
+    operation runs over the nonzero entries of the pivot row (`_forward_lists`).
+    """
+    n = len(rows)
+    if (min(n, cols) >= PACKED_MIN
+            and sum(map(bool, rows[0] + rows[n // 2] + rows[-1])) >= PACKED_DENSITY * 3 * cols):
+        return _forward_packed(rows, cols, p, record)
+    return _forward_lists(rows, cols, p, record)
+
+
+def _forward_lists(rows, cols, p, record=None):
+    """_forward_gf on list rows: each row operation runs over the nonzero
+    entries of the pivot row only."""
     pivots = []
     r = 0
     nrows = len(rows)
@@ -102,6 +140,58 @@ def _forward_gf(rows, cols, p, record=None):
         r += 1
         if r == nrows:
             break
+    return pivots
+
+
+def _forward_packed(rows, cols, p, record=None):
+    """_forward_gf on rows held as ints, one w-byte slot per column, with w
+    the bytes for 2·bits(p) + bits(min(rows, cols)) + 1. The current column
+    is always slot 0 of every row not yet a pivot row: such a row r becomes
+    (r + (p - v)·P) >> 8w, with v its slot 0 mod p and P the pivot row
+    reduced mod p and scaled to 1, or r >> 8w when v = 0. Slots are not
+    reduced: each starts below p and gains less than p^2 per pivot, at most
+    min(rows, cols) times, so it never overflows into the next. Unpacking
+    the pivot row, once per pivot, is the only work per entry; the rows are
+    written back as lists."""
+    nrows = len(rows)
+    w = (2 * p.bit_length() + min(nrows, cols).bit_length() + 8) // 8
+    shift = 8 * w
+    mask = (1 << shift) - 1
+    frombytes, tobytes = int.from_bytes, int.to_bytes
+    packed = [frombytes(b"".join([tobytes(x, w, "little") for x in row]), "little")
+              for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, nrows) if (packed[i] & mask) % p), None)
+        if pr is None:
+            for i in range(r, nrows):
+                packed[i] >>= shift
+            continue
+        packed[r], packed[pr] = packed[pr], packed[r]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = packed[r]
+        inv = pow(top & mask, -1, p)
+        data = top.to_bytes((cols - c) * w, "little")
+        scaled = [frombytes(data[k:k + w], "little") * inv % p for k in range(0, len(data), w)]
+        rows[r][:] = [0] * c + scaled
+        top = frombytes(b"".join([tobytes(x, w, "little") for x in scaled]), "little")
+        ops = []
+        for i in range(r + 1, nrows):
+            x = packed[i]
+            v = (x & mask) % p
+            if v:
+                x += (p - v) * top
+                ops.append((i, v))
+            packed[i] = x >> shift
+        if record is not None:
+            record.append((pr, inv, ops))
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for row in rows[r:]:
+        row[:] = [0] * cols
     return pivots
 
 

@@ -402,13 +402,19 @@ def _integer_coordinates(P: Parametrization):
     return [_ints(f, den) for f in P.fs]
 
 
+def _step(e):
+    """(e - u_k, k) for the first nonzero coordinate k of e: f^e is
+    f^(e - u_k)·f_k."""
+    k = next(i for i in range(4) if e[i])
+    return e[:k] + (e[k] - 1,) + e[k + 1:], k
+
+
 def _next_layer(layer, fs, deg, p):
     """The expansions of f^e for every degree-deg monomial e, each one
     product of a degree-(deg-1) expansion with one coordinate."""
     out = {}
     for e in _degree_monomials(deg):
-        k = next(i for i in range(4) if e[i])
-        prev = e[:k] + (e[k] - 1,) + e[k + 1:]
+        prev, k = _step(e)
         out[e] = _expr.modp(_expr.mul(layer[prev], fs[k]), p)
     return out
 
@@ -467,9 +473,12 @@ def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
     """True iff eq(f1,f2,f3,f4) expands to the zero polynomial in s,u,t,v.
 
     Each degree k of eq is checked on its own, with the oracle's substitution
-    matrix S of degree k: S·v = 0 for the coefficients v of eq's degree-k
-    part. The check runs on plain ints: eq times the common denominator of
-    its coefficients, and the coordinates of _integer_coordinates. Over QQ
+    matrix S of degree k restricted to the columns of eq's degree-k
+    monomials: S·v = 0 for their coefficients v. Only the f^e of those
+    monomials are built, along the oracle's recursion f^e = f^(e - u_k)·f_k
+    and memoized, so each product forms one prefix of eq's support. The
+    check runs on plain ints: eq times the common denominator of its
+    coefficients, and the coordinates of _integer_coordinates. Over QQ
     those are scaled by one factor c, which multiplies the degree-k part of
     eq(f1..f4) by c^k; parts of different degrees land in different
     bidegrees (for any bidegree but (0,0)), so eq vanishes iff each part
@@ -477,13 +486,20 @@ def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
     p = P.field.characteristic
     fs = _integer_coordinates(P)
     coeffs = _ints(eq)
-    layer = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
-    for deg in range(max(map(sum, coeffs), default=0) + 1):
-        if deg:
-            layer = _next_layer(layer, fs, deg, p)
-        monos = _degree_monomials(deg)
-        v = [coeffs.get(e, 0) for e in monos]
-        for row in _substitution_rows(layer, monos):
+    powers = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
+
+    def power(e):
+        if e not in powers:
+            prev, k = _step(e)
+            powers[e] = _expr.modp(_expr.mul(power(prev), fs[k]), p)
+        return powers[e]
+
+    by_degree = {}
+    for e in coeffs:
+        by_degree.setdefault(sum(e), []).append(e)
+    for monos in by_degree.values():
+        v = [coeffs[e] for e in monos]
+        for row in _substitution_rows({e: power(e) for e in monos}, monos):
             r = sum(map(mul, row, v))
             if r % p if p else r:
                 return False

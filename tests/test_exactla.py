@@ -362,3 +362,113 @@ def test_modular_rank_cross_check():
         cols = rng.randint(2, 6)
         rows = random_rows(rng, rng.randint(2, 6), cols)
         assert modular_rank_agrees(rows, cols, 3, Random(9))
+
+
+# _forward_gf's two strategies: list rows and packed int rows
+
+LARGEST_PRIME = 2**62 - 57  # the largest prime PrimeField accepts
+STRATEGY_PRIMES = [2, 7, 32003, SCREEN_PRIME, LARGEST_PRIME]
+
+
+def test_largest_prime():
+    assert is_prime(LARGEST_PRIME)
+    assert not any(is_prime(n) for n in range(LARGEST_PRIME + 2, 2**62, 2))
+
+
+def both_strategies(rows, cols, p):
+    """(pivots, echelon rows, record) of each strategy on a copy of rows."""
+    out = []
+    for forward in (exactla._forward_lists, exactla._forward_packed):
+        echelon, record = copy(rows), []
+        out.append((forward(echelon, cols, p, record), echelon, record))
+    return out
+
+
+def assert_strategies_agree(rows, cols, p):
+    lists, packed = both_strategies(rows, cols, p)
+    assert packed == lists
+    pivots, echelon, _ = lists
+    for k, c in enumerate(pivots):
+        assert echelon[k][:c + 1] == [0] * c + [1]
+    assert all(row == [0] * cols for row in echelon[len(pivots):])
+
+
+def drawn_rows(rng, n, cols, p, kind):
+    """An n x cols matrix of residues mod p: dense, 10% nonzero, or dense
+    with its second half repeated rows and combinations of the first two,
+    and two zero columns."""
+    density = 0.1 if kind == "sparse" else 1.0
+    rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(n)]
+    if kind == "deficient":
+        for i in range(max(n // 2, 2), n):
+            a, b = rng.randrange(p), rng.randrange(p)
+            rows[i] = list(rows[i - n // 2]) if i % 2 else [
+                (a * x + b * y) % p for x, y in zip(rows[0], rows[1])]
+        for c in rng.sample(range(cols), min(2, cols)):
+            for row in rows:
+                row[c] = 0
+    return rows
+
+
+@pytest.mark.parametrize("p", STRATEGY_PRIMES)
+def test_forward_strategies_agree_around_the_threshold(p):
+    rng = Random(p)
+    sides = (15, 16, 17, exactla.PACKED_MIN - 1, exactla.PACKED_MIN, exactla.PACKED_MIN + 1)
+    shapes = [(0, 5), (5, 0), (0, 0), (1, 1), (16, 40), (40, 16)] + [
+        (n, m) for n in sides for m in sides]
+    for n, cols in shapes:
+        for kind in ("dense", "sparse", "deficient"):
+            assert_strategies_agree(drawn_rows(rng, n, cols, p, kind), cols, p)
+    assert_strategies_agree([[1] * 17 for _ in range(17)], 17, p)
+
+
+def growth_rows(n, p):
+    """Every row below a pivot has residue 1 in the pivot column, and every
+    scaled pivot row reads 1, p-1, ..., p-1: each update adds (p-1)^2 to
+    every slot, n-1 times on the last row, the most a slot can gain."""
+    s = [[1]]
+    for _ in range(n - 1):
+        s = [[1] + [-1] * len(s)] + [[1] + [x - 1 for x in row] for row in s]
+    return [[x % p for x in row] for row in s]
+
+
+@pytest.mark.parametrize("p", STRATEGY_PRIMES)
+def test_packed_slots_hold_the_largest_growth(p):
+    # 19 updates of (p-1)^2 overflow 2·bits(p) + 1 bits (rounded up to
+    # bytes) for every p >= 7; the bits(min(rows, cols)) term holds them
+    rows = growth_rows(20, p)
+    record = both_strategies(rows, 20, p)[0][2]
+    assert all(v == 1 for _, _, ops in record for _, v in ops)
+    assert_strategies_agree(rows, 20, p)
+
+
+def test_forward_strategies_agree_on_drawn_matrices():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def residue_rows(draw):
+        p = draw(st.sampled_from(STRATEGY_PRIMES))
+        n, cols = draw(st.integers(0, 20)), draw(st.integers(0, 20))
+        entry = st.integers(0, p - 1)
+        if draw(st.booleans()):
+            entry = st.one_of(st.just(0), entry)
+        rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=n, max_size=n))
+        if rows:
+            for _ in range(draw(st.integers(0, 3))):
+                rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+        if cols:
+            for c in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+                for row in rows:
+                    row[c] = 0
+        return p, cols, draw(st.permutations(rows))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(residue_rows())
+    def check(drawn):
+        p, cols, rows = drawn
+        assert_strategies_agree(rows, cols, p)
+
+    check()

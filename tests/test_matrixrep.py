@@ -255,6 +255,91 @@ def test_verify_substitution_with_denominators(field):
         assert not verify_substitution(parse_tpoly(eq.replace("F", f"({F})"), field), P), eq
 
 
+def test_verify_builds_only_the_prefixes_of_the_support(monkeypatch, d2_param, mixed_param,
+                                                       d2_equation):
+    # one product f^e = f^(e - u_k)·f_k per nonzero prefix of the support
+    # of eq (k the first nonzero coordinate), not every f^e up to deg eq:
+    # the degree-7 d2_example equation has 329 monomials of degrees 1-7
+    prefixes = set()
+    for e in d2_equation.terms:
+        while any(e):
+            prefixes.add(e)
+            k = next(i for i in range(4) if e[i])
+            e = e[:k] + (e[k] - 1,) + e[k + 1:]
+    assert len(prefixes) < 329
+    products = []
+    mul = matrixrep._expr.mul
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(matrixrep._expr, "mul", counted)
+    for P, expected in ((d2_param, True), (mixed_param, False)):
+        products.clear()
+        assert verify_substitution(d2_equation, P) is expected
+        assert len(products) <= len(prefixes)
+
+
+# _forward_gf's strategy on the sample inputs: packed int rows for dense
+# matrices of at least exactla.PACKED_MIN rows and columns, list rows for
+# the rest, where packing loses (up to 12x on the sparse Koszul pieces)
+
+@pytest.fixture
+def strategies(monkeypatch):
+    """The (rows, cols, p) of each _forward_gf call, by the strategy it took."""
+    taken = {"packed": [], "lists": []}
+    for name, calls in taken.items():
+        forward = getattr(exactla, f"_forward_{name}")
+
+        def spy(rows, cols, p, record=None, forward=forward, calls=calls):
+            calls.append((len(rows), cols, p))
+            return forward(rows, cols, p, record)
+
+        monkeypatch.setattr(exactla, f"_forward_{name}", spy)
+    return taken
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_dense_membership_blocks_and_oracle_matrices_are_packed(strategies, field, mixed_param):
+    # dense (3,3): one 36x63 block of M, ranked mod p over GF(p) and as its
+    # 63x36 transpose mod SCREEN_PRIME over QQ, at an image and an off point
+    P = parse_parametrization(random_dense(3, Random(1)).to_text(), field)
+    I = SegreIdeal.from_parametrization(P)
+    M = representation_matrix(I, working_strand(I)[0])
+    q = field.characteristic or SCREEN_PRIME
+    for point, on in (((17, -149, -215, 64), True), ((1, 2, 3, 4), False)):
+        strategies["packed"].clear()
+        strategies["lists"].clear()
+        assert membership(M, point) == (on, 35 if on else 36)
+        assert strategies["packed"] == [(36, 63, q) if field.characteristic else (63, 36, q)]
+        assert not strategies["lists"]
+    # mixed23's oracle S of degrees 4 and 5: 87x35 and 131x56, 85% nonzero
+    P = parse_parametrization(mixed_param.to_text(), field)
+    implicit_by_interpolation(P, 5)
+    assert {(87, 35, q), (131, 56, q)} <= set(strategies["packed"])
+
+
+def test_koszul_pieces_and_sparse_oracle_matrices_take_list_rows(strategies, inputs_dir,
+                                                                 d2_param):
+    # every Koszul piece that the strand report, the saturation index and
+    # the syzygies eliminate, at the conservative and the saturated nu, on
+    # each sample input (lifted) and dense (2,2), (3,3), mod 32003: the
+    # GF(p) runs pass every piece through _forward_gf
+    field = PrimeField(32003)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(inputs_dir.glob("*.ex"))]
+    texts += [random_dense(d, Random(1)).to_text() for d in (2, 3)]
+    for text in texts:
+        I = SegreIdeal.from_parametrization(lift_mixed(parse_parametrization(text, field)))
+        for saturate in (False, True):
+            nu = working_strand(I, None, saturate)[0]
+            representation_matrix(I, nu)
+    # d2_example's S, 183x120 and 8% nonzero at degree 7
+    implicit_by_interpolation(d2_param, 7)
+    assert (183, 120, SCREEN_PRIME) in strategies["lists"]
+    assert not strategies["packed"]
+
+
 # minors_gcd returns the LCI split D = F^power * residual
 
 def test_lci_diagnostic_identity(identity_matrix_rep, segre_param):
