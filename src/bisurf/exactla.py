@@ -81,11 +81,11 @@ def _forward_int(rows, cols):
 
 # _forward_gf holds rows as packed ints when min(rows, cols) >= PACKED_MIN and
 # the first, middle and last rows together have at least PACKED_DENSITY of
-# their entries nonzero. Measured on every matrix that the sample inputs and
-# dense (2,2), (3,3) eliminate: dense matrices of 20 or more rows and
-# columns run 1.3-3.5x faster packed, the 16x28 dense (2,2) membership block
-# and a 16x16 Koszul piece of four_points.ex, half nonzero, about 0.7-0.9x,
-# and Koszul pieces 2-12% nonzero 3-15x slower.
+# their entries nonzero. The rule rests on the list-vs-packed table in the
+# README's performance notes: dense matrices of 20 or more rows and columns
+# run 1.8-4.4x faster packed, 16-row dense blocks gain nothing, a half
+# nonzero 16x16 Koszul piece and the small membership blocks lose, and the
+# sparse Koszul pieces run up to 11x slower.
 PACKED_MIN = 20
 PACKED_DENSITY = 0.5
 
@@ -96,10 +96,13 @@ def _forward_gf(rows, cols, p, record=None):
     swapped into place, the pivot's inverse and the (row, multiplier) pairs
     of the rows below it, so that _replay can repeat the operations.
 
-    Two strategies give the same pivots, rows and record. On a dense matrix
-    of at least PACKED_MIN rows and columns (see PACKED_DENSITY) the rows
-    are eliminated as packed ints (`_forward_packed`); otherwise each row
-    operation runs over the nonzero entries of the pivot row (`_forward_lists`).
+    Two strategies give the same pivots, rows and record. A matrix with at
+    least PACKED_MIN rows and columns whose first, middle and last rows are
+    together at least PACKED_DENSITY nonzero is eliminated as packed int
+    rows (`_forward_packed`): column j in a w-byte slot, w the bytes for
+    2·bits(p) + bits(min(rows, cols)) + 1, enough since a slot starts below
+    p and gains less than p^2 per pivot, at most min(rows, cols) times.
+    Every other matrix is eliminated as list rows (`_forward_lists`).
     """
     n = len(rows)
     if (min(n, cols) >= PACKED_MIN
@@ -144,15 +147,14 @@ def _forward_lists(rows, cols, p, record=None):
 
 
 def _forward_packed(rows, cols, p, record=None):
-    """_forward_gf on rows held as ints, one w-byte slot per column, with w
-    the bytes for 2·bits(p) + bits(min(rows, cols)) + 1. The current column
-    is always slot 0 of every row not yet a pivot row: such a row r becomes
-    (r + (p - v)·P) >> 8w, with v its slot 0 mod p and P the pivot row
-    reduced mod p and scaled to 1, or r >> 8w when v = 0. Slots are not
-    reduced: each starts below p and gains less than p^2 per pivot, at most
-    min(rows, cols) times, so it never overflows into the next. Unpacking
-    the pivot row, once per pivot, is the only work per entry; the rows are
-    written back as lists."""
+    """_forward_gf on rows held as ints, one w-byte slot per column (w as in
+    _forward_gf). The current column is always slot 0 of every row not yet
+    a pivot row: such a row r becomes (r + (p - v)·P) >> 8w, with v its
+    slot 0 mod p and P the pivot row reduced mod p and scaled to 1, or
+    r >> 8w when v = 0. Other slots are never reduced. Unpacking the pivot
+    row, once per pivot, is the only work per entry after packing; the
+    pivot rows are written back as lists, and the rows after them as
+    zeros."""
     nrows = len(rows)
     w = (2 * p.bit_length() + min(nrows, cols).bit_length() + 8) // 8
     shift = 8 * w
