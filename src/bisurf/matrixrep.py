@@ -472,17 +472,17 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
 def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
     """True iff eq(f1,f2,f3,f4) expands to the zero polynomial in s,u,t,v.
 
-    Each degree k of eq is checked on its own, with the oracle's substitution
-    matrix S of degree k restricted to the columns of eq's degree-k
-    monomials: S·v = 0 for their coefficients v. Only the f^e of those
-    monomials are built, along the oracle's recursion f^e = f^(e - u_k)·f_k
-    and memoized, so each product forms one prefix of eq's support. The
-    check runs on plain ints: eq times the common denominator of its
-    coefficients, and the coordinates of _integer_coordinates. Over QQ
-    those are scaled by one factor c, which multiplies the degree-k part of
-    eq(f1..f4) by c^k; parts of different degrees land in different
-    bidegrees (for any bidegree but (0,0)), so eq vanishes iff each part
-    does, and the test holds for non-homogeneous eq as well."""
+    The check is S·v = 0, with S the oracle's substitution matrix
+    restricted to the columns of eq's monomials, of all its degrees at once,
+    and v their coefficients. Only the f^e of those monomials are built,
+    along the oracle's recursion f^e = f^(e - u_k)·f_k and memoized, so each
+    product forms one prefix of eq's support. The check runs on plain ints:
+    eq times the common denominator of its coefficients, and the coordinates
+    of _integer_coordinates. Over QQ those are scaled by one factor c, which
+    multiplies the degree-k part of eq(f1..f4) by c^k; parts of different
+    degrees land in different bidegrees (for any bidegree but (0,0)), so in
+    disjoint rows of S: eq vanishes iff each part does, and the test holds
+    for non-homogeneous eq as well."""
     p = P.field.characteristic
     fs = _integer_coordinates(P)
     coeffs = _ints(eq)
@@ -494,15 +494,12 @@ def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
             powers[e] = _expr.modp(_expr.mul(power(prev), fs[k]), p)
         return powers[e]
 
-    by_degree = {}
-    for e in coeffs:
-        by_degree.setdefault(sum(e), []).append(e)
-    for monos in by_degree.values():
-        v = [coeffs[e] for e in monos]
-        for row in _substitution_rows({e: power(e) for e in monos}, monos):
-            r = sum(map(mul, row, v))
-            if r % p if p else r:
-                return False
+    monos = list(coeffs)
+    v = [coeffs[e] for e in monos]
+    for row in _substitution_rows({e: power(e) for e in monos}, monos):
+        r = sum(map(mul, row, v))
+        if r % p if p else r:
+            return False
     return True
 
 

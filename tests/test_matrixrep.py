@@ -283,7 +283,7 @@ def test_verify_builds_only_the_prefixes_of_the_support(monkeypatch, d2_param, m
 
 # _forward_gf's strategy on the sample inputs: packed int rows for dense
 # matrices of at least exactla.PACKED_MIN rows and columns, list rows for
-# the rest, where packing loses (up to 12x on the sparse Koszul pieces)
+# the rest, where packing loses (up to 11x on the sparse Koszul pieces)
 
 @pytest.fixture
 def strategies(monkeypatch):

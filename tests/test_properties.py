@@ -101,8 +101,9 @@ def test_pipeline_on_dense_bidegree_11(field, seed):
         assert membership(M, point)[0] == (evaluate(F.terms, point, field.characteristic) == 0)
 
 
-# verify_substitution checks eq(f1..f4) = 0 one degree of eq at a time, as
-# S·v = 0 with the oracle's substitution matrix. The equations F·G + H below
+# verify_substitution checks eq(f1..f4) = 0 as S·v = 0 with the oracle's
+# substitution matrix on eq's monomials, whose parts of different degrees
+# fill disjoint rows. The equations F·G + H below
 # have parts in several degrees (G and H are not homogeneous) and
 # denominators, and the reference is a plain expansion of eq(f1..f4). The
 # equation vanishes when H does on the image; a nonzero H of degree 0 alone,
