@@ -161,7 +161,7 @@ def cmd_matrix(args) -> int:
         print(f"representation matrix: nu={M.nu}, size {M.rows}x{M.cols}")
         print("row basis: " + ", ".join(M.basis.monomial_texts()))
         for row in M.entries:
-            print(" | ".join(str(e) if not e.is_zero() else "0" for e in row))
+            print(" | ".join(map(str, row)))
     return code
 
 

@@ -302,10 +302,17 @@ def _reconstruct(residues, m):
     return out
 
 
+def _cleared(row):
+    """A row of Fractions times its common denominator, as ints; the scaling
+    keeps the span and the kernel. Residues, of denominator 1, come back as
+    they are."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
 def _annihilates(rows, vec):
     """rows·vec == 0 over QQ, on the vector times its common denominator."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    ints = _cleared(vec)
     return not any(sum(map(mul, row, ints)) for row in rows)
 
 

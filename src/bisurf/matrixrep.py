@@ -1,9 +1,12 @@
 """Representation matrix of the surface and everything computed from it.
 
 The matrix M has one row per degree-nu monomial of the quotient ring and one
-column per linear syzygy; its entries are linear forms in T1..T4. Its rank
-drops exactly on the surface (for isolated, locally complete intersection
-base points), and the gcd D of its maximal minors is the strand determinant.
+column per linear syzygy; its entries are linear forms in T1..T4. M is held
+as the syzygy kernel vectors themselves, one per column, and one int table
+of their coefficients with denominators cleared, which everything below
+reads. Its rank drops exactly on the surface (for isolated, locally complete
+intersection base points), and the gcd D of its maximal minors is the
+strand determinant.
 An independent oracle, the exact kernel of F -> F(f1..f4), lifted p-adically
 from one prime below 2^30, finds the irreducible implicit equation F, which
 divides D; D is then found from its
@@ -14,17 +17,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import _forward_int, _kernel_line, int_nullspace, int_rank
+from .exactla import _cleared, _forward_int, _kernel_line, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import (
+    _UNIT_EXPS,
     ExactDivisionError,
-    LinearForm,
     TPoly,
     _det,
     _div,
@@ -54,40 +57,27 @@ class _DegreeBoundError(InterpolationError):
 
 
 class RepMatrix:
-    """k x m matrix of linear forms; k = (nu+1)^2 rows over the degree-nu
-    monomial basis, one column per syzygy."""
+    """k x m matrix of linear forms in T1..T4: k = (nu+1)^2 rows over the
+    degree-nu monomial basis, one column per linear syzygy.
 
-    __slots__ = ("nu", "basis", "syzygies", "entries", "field", "_int_entries", "_blocks")
+    syzygies holds the columns as `linear_syzygies` returns them, each the
+    coefficients of a1..a4 on the row basis, so entry (i, j) has the
+    coefficients syzygies[j][i::k] of T1..T4. ints holds the same entries as
+    4-tuples of plain ints: over QQ each column times its common
+    denominator, over GF(p) the residues. Neither changes the rank at any
+    point."""
+
+    __slots__ = ("nu", "basis", "syzygies", "ints", "field", "_blocks")
 
     def __init__(self, nu, row_basis, syzygies, field):
         self.nu = nu
         self.basis = row_basis
         self.syzygies = tuple(syzygies)
         self.field = field
-        zero = field.zero
-        rows = []
-        for quad in row_basis:
-            row = []
-            for syz in self.syzygies:
-                row.append(LinearForm([a.terms.get(quad, zero) for a in syz], field))
-            rows.append(tuple(row))
-        self.entries = tuple(rows)
-        self._int_entries = self._blocks = None
-
-    def int_entries(self):
-        """The coefficients as 4-tuples of plain ints, built on first use:
-        over QQ each column scaled by its syzygy's common denominator, over
-        GF(p) the residues. Neither changes the rank at any point."""
-        if self._int_entries is None:
-            dens = [_scale_of(syz) for syz in self.syzygies]
-            self._int_entries = tuple(
-                tuple(
-                    tuple(c.numerator * (den // c.denominator) for c in entry.coeffs)
-                    for entry, den in zip(row, dens)
-                )
-                for row in self.entries
-            )
-        return self._int_entries
+        k = len(row_basis)
+        columns = [_cleared(v) for v in self.syzygies]
+        self.ints = tuple(tuple(tuple(col[i::k]) for col in columns) for i in range(k))
+        self._blocks = None
 
     @property
     def rows(self) -> int:
@@ -97,16 +87,21 @@ class RepMatrix:
     def cols(self) -> int:
         return len(self.syzygies)
 
+    @property
+    def entries(self):
+        """The entries as linear TPolys, built on each read."""
+        k = self.rows
+        return tuple(tuple(TPoly(dict(zip(_UNIT_EXPS, v[i::k])), self.field) for v in self.syzygies)
+                     for i in range(k))
+
     def to_json_dict(self) -> dict:
+        k = self.rows
         return {
             "nu": self.nu,
-            "rows": self.rows,
+            "rows": k,
             "cols": self.cols,
             "row_basis": self.basis.monomial_texts(),
-            "entries": [
-                [[str(c) for c in entry.coeffs] for entry in row]
-                for row in self.entries
-            ],
+            "entries": [[[str(c) for c in v[i::k]] for v in self.syzygies] for i in range(k)],
         }
 
 
@@ -138,8 +133,7 @@ def membership(M: RepMatrix, point):
     pt = [M.field.coerce(x) for x in point]
     if not any(pt):
         raise ValueError("(0,0,0,0) is not a projective point")
-    den = lcm(*(x.denominator for x in pt))
-    x1, x2, x3, x4 = (x.numerator * (den // x.denominator) for x in pt)
+    x1, x2, x3, x4 = _cleared(pt)
     p, r = M.field.characteristic, 0
     for (rows, cols), table in zip(*_shapes(M)):
         if p:
@@ -171,7 +165,7 @@ def _components(M: RepMatrix):
             x = parent[x]
         return x
 
-    for i, row in enumerate(M.int_entries()):
+    for i, row in enumerate(M.ints):
         for j, entry in enumerate(row):
             if any(entry):
                 parent[find(M.rows + j)] = find(i)
@@ -190,7 +184,7 @@ def _shapes(M: RepMatrix):
     block's columns over QQ (the rows of its transpose) and its rows over
     GF(p)."""
     if M._blocks is None:
-        ints = M.int_entries()
+        ints = M.ints
         blocks = [(rows, cols) for rows, cols in _components(M) if rows]
         if M.field.characteristic:
             tables = [[[ints[i][j] for j in cols] for i in rows] for rows, cols in blocks]
@@ -251,7 +245,7 @@ class _Block:
     factor with probability about 1/p."""
 
     def __init__(self, M, block, F, rng):
-        ints = M.int_entries()
+        ints = M.ints
         self.entries = [[ints[i][j] for j in block[1]] for i in block[0]]
         self.field, self.p, self.rng = M.field, M.field.characteristic, rng
         self.pool = range(self.p) if self.p else range(-9, 10)

@@ -4,10 +4,12 @@ operators, and an int kernel with exact division, a subresultant-PRS
 multivariate gcd and fraction-free determinants of polynomial matrices.
 
 TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
-GF(p). The int kernel runs on plain int coefficients: over the integers,
-with QQ inputs scaled by their denominators, or modulo p on the stored
-residues as they are. It reads only exponent quadruples, so biparam runs its
-gcd on s,u,t,v forms and matrixrep its determinants and gcds on binary forms.
+GF(p). It holds F, D and its residual, and M's entries when they are read
+as linear forms (matrixrep.RepMatrix.entries). The int kernel runs on plain
+int coefficients: over the integers, with QQ inputs scaled by their
+denominators, or modulo p on the stored residues as they are. It reads only
+exponent quadruples, so biparam runs its gcd on s,u,t,v forms and matrixrep
+its determinants and gcds on binary forms.
 """
 
 from __future__ import annotations
@@ -408,27 +410,3 @@ def _det(grid, p):
     det = m[n - 1][n - 1]
     return det if sign == 1 else _neg(det, p)
 
-
-class LinearForm:
-    """c1*T1 + c2*T2 + c3*T3 + c4*T4 with exact field coefficients."""
-
-    __slots__ = ("coeffs", "field")
-
-    def __init__(self, coeffs, field=QQ):
-        coeffs = tuple(field.coerce(c) for c in coeffs)
-        if len(coeffs) != 4:
-            raise ValueError("a linear form needs exactly four coefficients")
-        self.coeffs = coeffs
-        self.field = field
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.coeffs == other.coeffs
-
-    def __str__(self):
-        return str(TPoly(dict(zip(_UNIT_EXPS, self.coeffs)), self.field))
-
-    def __repr__(self):
-        return f"LinearForm({self})"

@@ -1,34 +1,34 @@
 """Graded strands of the syzygy complex over the Segre coordinate ring.
 
 Given the ideal I = (g1..g4), this module assembles the degree-mu pieces of
-the Koszul differentials as int rows, computes linear syzygy bases and
+the Koszul differentials as int columns, computes linear syzygy bases and
 cycle-space dimensions, the Euler characteristic of a strand, the expected
 degree of the strand determinant, and the critical degree from which the
 representation matrix is valid (optionally lowered via the saturation index).
 Ring elements of degree n are bidegree (n,n) forms in s,u,t,v (see segre), so
 a product of monomials is a sum of exponents.
 
-One builder, _koszul_blocks, lays out every Koszul piece: over QQ from the
-generators scaled by their common denominator, which changes no rank and no
-kernel, over GF(p) from their residues. _koszul_rows writes it as int rows
-and _koszul_columns as int columns. The syzygy basis is the canonical
-kernel of the first piece, and the saturation index is read off the kernels
-of the pieces of I. A cycle dimension ranks only the columns of d_i that
-the pivot rows of d_(i+1) at the same degree leave, after one elimination
-of d_(i+1) modulo p, over QQ modulo exactla.SCREEN_PRIME, the largest prime
-below 2^30. Over QQ a full rank of those columns modulo that prime is
-certified by d_i d_(i+1) = 0; otherwise they are ranked by fraction-free
-elimination.
+One builder, _koszul_columns, writes every Koszul piece as int columns:
+over QQ from the generators scaled by their common denominator, which
+changes no rank and no kernel, over GF(p) from their residues. The syzygy
+basis is the canonical kernel of the first piece, taken of the transpose of
+its columns; each vector, the coefficients of a1..a4 on the degree-nu
+basis, is one column of matrixrep's M as it stands. The saturation index is
+read off the kernels of the pieces of I. A cycle dimension ranks only the
+columns of d_i that the pivot rows of d_(i+1) at the same degree leave,
+after one elimination of d_(i+1) modulo p, over QQ modulo
+exactla.SCREEN_PRIME, the largest prime below 2^30. Over QQ a full rank of
+those columns modulo that prime is certified by d_i d_(i+1) = 0; otherwise
+they are ranked by fraction-free elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations
-from math import lcm
 
-from .biparam import BiHomPoly, InputError, Parametrization
-from .exactla import SCREEN_PRIME, _forward_gf, int_nullspace, int_rank
+from .biparam import InputError, Parametrization
+from .exactla import SCREEN_PRIME, _cleared, _forward_gf, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import _ints, _scale_of
 
@@ -82,16 +82,16 @@ def _times(exp, terms):
     return [((a0 + b0, a1 + b1, a2 + b2, a3 + b3), c) for (b0, b1, b2, b3), c in terms]
 
 
-def _koszul_blocks(I: SegreIdeal, i: int, mu: int):
-    """(row count, source monomials, target index, blocks) of the degree-mu
-    piece of the i-th Koszul differential, with the generators as ints: over
-    QQ scaled by their common denominator, over GF(p) the residues.
+def _koszul_columns(I: SegreIdeal, i: int, mu: int, skip=()):
+    """(int columns, row count) of the degree-mu piece of the i-th Koszul
+    differential, one list per column in order, with the columns whose index
+    is in skip left out. The generators enter as ints: over QQ scaled by
+    their common denominator, over GF(p) the residues.
 
     Columns are indexed by (size-i subset S, source monomial), rows by
-    (size-(i-1) subset T, target monomial). blocks holds, for each S in
-    order, the (first row of T, int terms) pairs of its nonzero blocks: the
-    block for T = S minus {j} is sign(j, S) times multiplication by g_j,
-    where sign(j, S) is (-1) to the 0-based position of j in sorted S.
+    (size-(i-1) subset T, target monomial). The block for T = S minus {j} is
+    sign(j, S) times multiplication by g_j, where sign(j, S) is (-1) to the
+    0-based position of j in sorted S.
     """
     if not 1 <= i <= 4:
         raise ValueError("Koszul index out of range")
@@ -101,37 +101,17 @@ def _koszul_blocks(I: SegreIdeal, i: int, mu: int):
     dst_dim = (dst_deg + 1) ** 2 if dst_deg >= 0 else 0
     n_rows = dst_dim * len(_SUBSETS[i - 1])
     if src_deg < 0:
-        return n_rows, (), None, []
+        return [], n_rows
     p = I.field.characteristic
     den = _scale_of(I.gs)
     gens = [list(_ints(g, den).items()) for g in I.gs]
     negated = [[(e, (-c) % p if p else -c) for e, c in terms] for terms in gens]
     t_pos = {T: k for k, T in enumerate(_SUBSETS[i - 1])}
-    blocks = [[(t_pos[S[:pos] + S[pos + 1:]] * dst_dim, negated[j] if pos % 2 else gens[j])
-               for pos, j in enumerate(S)] for S in _SUBSETS[i]]
-    return n_rows, basis(src_deg).quads, basis(dst_deg).index, blocks
-
-
-def _koszul_rows(I: SegreIdeal, i: int, mu: int):
-    """(int rows, column count) of the degree-mu piece of the i-th Koszul
-    differential, indexed as in _koszul_blocks."""
-    n_rows, src, dst, blocks = _koszul_blocks(I, i, mu)
-    cols = len(src) * len(blocks)
-    rows = [[0] * cols for _ in range(n_rows)]
-    for s_idx, block in enumerate(blocks):
-        for row0, terms in block:
-            for c, quad in enumerate(src, s_idx * len(src)):
-                for q, v in _times(quad, terms):
-                    rows[row0 + dst[q]][c] = v
-    return rows, cols
-
-
-def _koszul_columns(I: SegreIdeal, i: int, mu: int, skip=()):
-    """(int columns, row count) of the same piece, one list per column in
-    order, with the columns whose index is in skip left out."""
-    n_rows, src, dst, blocks = _koszul_blocks(I, i, mu)
+    src, dst = basis(src_deg).quads, basis(dst_deg).index
     columns = []
-    for s_idx, block in enumerate(blocks):
+    for s_idx, S in enumerate(_SUBSETS[i]):
+        block = [(t_pos[S[:pos] + S[pos + 1:]] * dst_dim, negated[j] if pos % 2 else gens[j])
+                 for pos, j in enumerate(S)]
         for c, quad in enumerate(src, s_idx * len(src)):
             if c not in skip:
                 col = [0] * n_rows
@@ -143,21 +123,13 @@ def _koszul_columns(I: SegreIdeal, i: int, mu: int, skip=()):
 
 
 def linear_syzygies(I: SegreIdeal, nu: int):
-    """Canonical basis of the degree-nu syzygies, as 4-tuples of bidegree
-    (nu,nu) forms: the kernel of the first Koszul differential in degree
-    nu+d, whose columns come in blocks for a1..a4."""
+    """Canonical basis of the degree-nu syzygies, the kernel of the first
+    Koszul differential in degree nu+d, as `int_nullspace` returns it: each
+    vector the coefficients of a1..a4 on basis(nu), in that order."""
     if nu < 0:
         raise ValueError("negative degree")
-    rows, cols = _koszul_rows(I, 1, nu + I.degree)
-    quads = basis(nu).quads
-    k = len(quads)
-    return [
-        tuple(
-            BiHomPoly((nu, nu), {q: x for q, x in zip(quads, v[block * k:]) if x}, I.field)
-            for block in range(4)
-        )
-        for v in int_nullspace(rows, cols, I.field.characteristic)
-    ]
+    columns, _ = _koszul_columns(I, 1, nu + I.degree)
+    return int_nullspace([list(row) for row in zip(*columns)], len(columns), I.field.characteristic)
 
 
 def _pivot_rows(I: SegreIdeal, i: int, mu: int):
@@ -243,13 +215,6 @@ def strand_report(I: SegreIdeal, nu: int) -> StrandReport:
 
 # ---------------------------------------------------------------------------
 # saturation index by graded linear algebra
-
-def _cleared(row):
-    """A row of Fractions times its common denominator, as ints; the scaling
-    keeps the span and the kernel."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
 
 def saturation_indeg(I: SegreIdeal) -> int:
     """Least degree n <= d in which the saturation of I is nonzero: the least

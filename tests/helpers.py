@@ -13,7 +13,9 @@ of rows: ints or Fractions over QQ, residues in [0, p) over GF(p).
 The package's polynomial classes are containers with no ring operators, so
 the tests build and check polynomials with the plain term arithmetic here
 (monomial, mul_terms, dot_terms, tmul, monic, evaluate, image_point,
-substitute), which shares no code with bisurf._expr.
+substitute), which shares no code with bisurf._expr. koszul_rows and
+syzygy_forms are views of the package's own Koszul pieces and syzygy
+vectors, not oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from random import Random
 from bisurf.biparam import BiHomPoly, Parametrization
 from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField, is_prime
+from bisurf.segre import basis
 from bisurf.tpoly import TPoly
+from bisurf.zcomplex import _koszul_columns
 
 
 def fraction_rank(rows, p=0) -> int:
@@ -175,6 +179,21 @@ def substitute(terms, fs, p=0):
 def image_point(P: Parametrization, point):
     """(f1..f4) of P at (s,u,t,v): exact over QQ, residues over GF(p)."""
     return tuple(evaluate(f.terms, point, P.field.characteristic) for f in P.fs)
+
+
+def syzygy_forms(v, nu, field):
+    """A vector of zcomplex.linear_syzygies split into its forms a1..a4 of
+    bidegree (nu,nu), the coefficients on segre's degree-nu basis."""
+    quads = basis(nu).quads
+    k = len(quads)
+    return [BiHomPoly((nu, nu), {q: x for q, x in zip(quads, v[j * k:(j + 1) * k]) if x}, field)
+            for j in range(4)]
+
+
+def koszul_rows(I, i, mu):
+    """(int rows, column count) of a Koszul piece: the transpose of zcomplex._koszul_columns."""
+    columns, n_rows = _koszul_columns(I, i, mu)
+    return [[col[r] for col in columns] for r in range(n_rows)], len(columns)
 
 
 def _biform_monomials(n):

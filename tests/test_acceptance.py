@@ -27,7 +27,6 @@ from bisurf.segre import basis, x_monomial
 from bisurf.tpoly import TPoly, parse_tpoly
 from bisurf.zcomplex import (
     SegreIdeal,
-    _koszul_rows,
     choose_nu,
     saturation_indeg,
     strand_report,
@@ -37,6 +36,7 @@ from helpers import (
     evaluate,
     fraction_nullspace,
     image_point,
+    koszul_rows,
     matmul,
     modular_rank_agrees,
     monic,
@@ -188,7 +188,7 @@ def test_criterion_7_invariant_suites(identity_ideal, d2_ideal):
         for I, nu in strands:
             d = I.degree
             for mu in (nu + 2 * d, nu + 3 * d):
-                d1, d2, d3 = (_koszul_rows(I, i, mu)[0] for i in (1, 2, 3))
+                d1, d2, d3 = (koszul_rows(I, i, mu)[0] for i in (1, 2, 3))
                 assert not any(any(row) for row in matmul(d1, d2))
                 assert not any(any(row) for row in matmul(d2, d3))
 
@@ -205,7 +205,7 @@ def test_criterion_7_invariant_suites(identity_ideal, d2_ideal):
         for I, nu in strands:
             d = I.degree
             for i in (1, 2, 3):
-                assert modular_rank_agrees(*_koszul_rows(I, i, nu + i * d), 3, prime_rng)
+                assert modular_rank_agrees(*koszul_rows(I, i, nu + i * d), 3, prime_rng)
 
 
 def _implicit(capsys, path, *flags):

@@ -45,8 +45,8 @@ def test_modp_run_matches_qq(inputs_dir, name, nu, saturate):
         runs.append((rep, M, minors_gcd(M, F, rep.expected_det_degree)[0], F))
     (rep_qq, M_qq, D_qq, F_qq), (rep_p, M_p, D_p, F_p) = runs
     assert rep_p == rep_qq
-    reduced = [[tuple(GF.coerce(c) for c in e.coeffs) for e in row] for row in M_qq.entries]
-    assert reduced == [[e.coeffs for e in row] for row in M_p.entries]
+    assert [[GF.coerce(x) for x in v] for v in M_qq.syzygies] == [list(v) for v in M_p.syzygies]
+    assert tuple(tuple(map(_reduced, row)) for row in M_qq.entries) == M_p.entries
     assert _reduced(F_qq) == F_p
     assert _reduced(D_qq) == D_p
 
@@ -56,8 +56,8 @@ def _sympy_minors_gcd(M, R):
     an independent oracle for small matrices."""
     from sympy.polys.matrices import DomainMatrix
 
-    T = R.gens
-    entries = [[sum(c * t for c, t in zip(e.coeffs, T)) for e in row] for row in M.entries]
+    T, k = R.gens, M.rows
+    entries = [[sum(c * t for c, t in zip(v[i::k], T)) for v in M.syzygies] for i in range(k)]
     g = R.zero
     for cols in combinations(range(M.cols), M.rows):
         minor = DomainMatrix([[row[c] for c in cols] for row in entries], (M.rows, M.rows), R)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -23,11 +24,23 @@ from bisurf.matrixrep import (
     verify_substitution,
 )
 from bisurf.tpoly import ExactDivisionError, TPoly, parse_tpoly
-from bisurf.zcomplex import SegreIdeal, StrandError, _koszul_rows, working_strand
+from bisurf.zcomplex import SegreIdeal, StrandError, working_strand
 
-from helpers import dot_terms, evaluate, fraction_rank, image_point, monic, mul_terms, random_dense, tmul
+from helpers import (
+    dot_terms,
+    evaluate,
+    fraction_rank,
+    image_point,
+    koszul_rows,
+    monic,
+    mul_terms,
+    random_dense,
+    syzygy_forms,
+    tmul,
+)
 
 QUADRIC = parse_tpoly("T1*T4 - T2*T3")
+UNITS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +68,19 @@ def test_lifted_matrix_shape(mixed_param):
 
 
 def test_reassembly_invariant(d2_matrix_rep, d2_ideal):
-    M = d2_matrix_rep
-    for j, syz in enumerate(M.syzygies):
-        for r, quad in enumerate(M.basis):
-            assert M.entries[r][j].coeffs == tuple(a.terms.get(quad, 0) for a in syz)
-        assert not dot_terms(syz, d2_ideal.gs)
+    # entry (i, j) holds the coefficients v[i::k] of column j's syzygy vector
+    # v, as field elements in M.entries and times v's common denominator,
+    # as ints, in M.ints
+    M, k = d2_matrix_rep, d2_matrix_rep.rows
+    entries = M.entries
+    for j, v in enumerate(M.syzygies):
+        assert len(v) == 4 * k
+        den = lcm(*(x.denominator for x in v))
+        for i in range(k):
+            assert [entries[i][j].terms.get(u, 0) for u in UNITS] == v[i::k]
+            assert M.ints[i][j] == tuple(x * den for x in v[i::k])
+            assert all(type(c) is int for c in M.ints[i][j])
+        assert not dot_terms(syzygy_forms(v, M.nu, M.field), d2_ideal.gs)
 
 
 def test_membership_examples(identity_matrix_rep):
@@ -100,8 +121,9 @@ def query_cases(mixed_param):
 
 
 def evaluated(M, point):
-    """M at a point, from the coefficients of its entries."""
-    return [[sum(c * x for c, x in zip(entry.coeffs, point)) for entry in row] for row in M.entries]
+    """M at a point, from the coefficients in its syzygy columns."""
+    k = M.rows
+    return [[sum(c * x for c, x in zip(v[i::k], point)) for v in M.syzygies] for i in range(k)]
 
 
 def test_membership_matches_fraction_rank(query_cases):
@@ -506,23 +528,23 @@ def test_gf_coefficients_are_int_residues(inputs_dir, p):
     M = representation_matrix(I, nu)
     F = implicit_by_interpolation(P, strand.expected_det_degree)
     D = minors_gcd(M, F, strand.expected_det_degree)[0]
-    rows, cols = _koszul_rows(I, 1, nu + I.degree)
+    rows, cols = koszul_rows(I, 1, nu + I.degree)
 
     def residues(values):
         values = list(values)
         return bool(values) and all(type(c) is int and 0 <= c < p for c in values)
 
-    assert residues(c for row in M.entries for e in row for c in e.coeffs)
+    assert residues(c for row in M.entries for e in row for c in e.terms.values())
     product = BiHomPoly((2 * I.degree,) * 2, mul_terms(I.gs[0].terms, I.gs[3].terms), I.field)
     for poly in (D, F, product, *P.fs):
         assert residues(poly.terms.values()), poly
-    assert residues(c for syz in M.syzygies for a in syz for c in a.terms.values())
+    assert residues(x for v in M.syzygies for x in v)
     # the rows int_nullspace consumes, reduced in place over GF(p)
     reduced = [list(row) for row in rows]
     kernel = int_nullspace(reduced, cols, p)
     for m in (rows, reduced, kernel):
         assert residues(x for row in m for x in row)
-    assert residues(c for row in M.int_entries() for e in row for c in e)
+    assert residues(c for row in M.ints for e in row for c in e)
 
 
 @pytest.mark.parametrize("name,p,saturate", [("segre.ex", 2, False), ("d2_example.ex", 7, True)])
@@ -560,16 +582,26 @@ RESIDUALS = {
 
 def _rep_matrix(texts, field):
     """A RepMatrix whose entries are the linear forms in texts, one string
-    of comma-separated entries per row; stand-in quadruples index the rows."""
+    of comma-separated entries per row; stand-in quadruples index the rows.
+    Column j is the vector of the coefficients of T1 in column j's entries,
+    then of T2, T3 and T4, laid out as `linear_syzygies` lays out a1..a4."""
     entries = [[parse_tpoly(t, field) for t in row.split(",")] for row in texts]
-    quads = [(r, 0, 0, 0) for r in range(len(entries))]
-    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    syzygies = [
-        tuple(TPoly({q: row[j].terms[u] for q, row in zip(quads, entries) if u in row[j].terms}, field)
-              for u in units)
-        for j in range(len(entries[0]))
-    ]
-    return RepMatrix(0, quads, syzygies, field)
+    columns = [[row[j].terms.get(u, field.zero) for u in UNITS for row in entries]
+               for j in range(len(entries[0]))]
+    return RepMatrix(0, [(r, 0, 0, 0) for r in range(len(entries))], columns, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
+def test_entries_print_as_linear_forms(field):
+    M = _rep_matrix(["T1 - 2*T2 + 1/3*T4, 0"], field)
+    first, zero = M.entries[0]
+    if field is QQ:
+        assert str(first) == "T1 - 2*T2 + 1/3*T4"
+    else:
+        assert str(first) == "T1 + 5*T2 + 5*T4"  # 1/3 = 5 = -2 mod 7
+    assert parse_tpoly(str(first), field) == parse_tpoly("T1-2*T2+1/3*T4", field)
+    assert zero.is_zero() and str(zero) == "0" and not first.is_zero()
+    assert M.ints == (((3, -6, 0, 1) if field is QQ else (1, 5, 0, 5), (0, 0, 0, 0)),)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)

@@ -36,7 +36,6 @@ from bisurf.matrixrep import (
 from bisurf.tpoly import TPoly
 from bisurf.zcomplex import (
     SegreIdeal,
-    _koszul_rows,
     choose_nu,
     cycle_space_dim,
     linear_syzygies,
@@ -52,9 +51,11 @@ from helpers import (
     fraction_rank,
     image_point,
     int_rows,
+    koszul_rows,
     mul_terms,
     random_dense,
     substitute,
+    syzygy_forms,
 )
 
 FIELDS = [QQ, PrimeField(32003)]
@@ -83,8 +84,8 @@ def test_pipeline_on_dense_bidegree_11(field, seed):
     assume(int_rank(int_rows(coefficients), 4, field.characteristic) == 4)
     I = SegreIdeal.from_parametrization(P)
     nu, rep = choose_nu(I)
-    for syz in linear_syzygies(I, nu):
-        assert not dot_terms(syz, P.fs, field.characteristic)
+    for v in linear_syzygies(I, nu):
+        assert not dot_terms(syzygy_forms(v, nu, field), P.fs, field.characteristic)
     M = representation_matrix(I, nu)
     F = implicit_by_interpolation(P, rep.expected_det_degree)
     assert verify_substitution(F, P)
@@ -166,7 +167,7 @@ def lifted_12(seed):
 def fraction_cycle_dim(I, i, mu):
     """cols - the rank of the whole piece of d_i, by plain elimination over
     the ideal's field, on the transpose when it has fewer rows."""
-    rows, cols = _koszul_rows(I, i, mu)
+    rows, cols = koszul_rows(I, i, mu)
     if len(rows) > cols:
         rows = [list(col) for col in zip(*rows)]
     return cols - fraction_rank(rows, I.field.characteristic)

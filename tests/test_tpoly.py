@@ -8,7 +8,6 @@ from bisurf.exactla import SCREEN_PRIME
 from bisurf.fields import QQ, PrimeField
 from bisurf.tpoly import (
     ExactDivisionError,
-    LinearForm,
     TPoly,
     _det,
     _div,
@@ -327,9 +326,3 @@ def test_print_parse_round_trip():
         p = random_tpoly(rng, 3)
         assert parse_tpoly(str(p)) == p
 
-
-def test_linear_form():
-    lf = LinearForm([1, -2, 0, Fraction(1, 3)])
-    assert str(lf) == "T1 - 2*T2 + 1/3*T4"
-    assert tp(str(lf)) == tp("T1-2*T2+1/3*T4")
-    assert LinearForm([0, 0, 0, 0]).is_zero()

@@ -15,7 +15,6 @@ from bisurf.fields import PrimeField
 from bisurf.zcomplex import (
     SegreIdeal,
     _koszul_columns,
-    _koszul_rows,
     choose_nu,
     cycle_space_dim,
     linear_syzygies,
@@ -27,10 +26,12 @@ from helpers import (
     biform_cycle_dim,
     biform_syzygy_dim,
     dot_terms,
+    koszul_rows,
     matmul,
     modular_rank_agrees,
     monomial,
     random_dense,
+    syzygy_forms,
 )
 
 
@@ -67,12 +68,12 @@ def test_identity_quadric_vector_is_syzygy(identity_ideal):
 
 def test_syzygies_satisfy_relation(identity_ideal, d2_ideal):
     for I, nu in ((identity_ideal, 1), (identity_ideal, 2), (d2_ideal, 2), (d2_ideal, 3)):
-        for syz in linear_syzygies(I, nu):
-            assert not dot_terms(syz, I.gs)
+        for v in linear_syzygies(I, nu):
+            assert not dot_terms(syzygy_forms(v, nu, I.field), I.gs)
 
 
 def test_syzygy_matrix_shape(d2_ideal):
-    rows, cols = _koszul_rows(d2_ideal, 1, 2 + d2_ideal.degree)
+    rows, cols = koszul_rows(d2_ideal, 1, 2 + d2_ideal.degree)
     assert (len(rows), cols) == (25, 36)
 
 
@@ -123,7 +124,7 @@ def test_differentials_compose_to_zero(identity_ideal, d2_ideal):
         p = I.field.characteristic
         for mu in mus:
             for i in (1, 2, 3):
-                (di, cols), (dnext, _) = _koszul_rows(I, i, mu), _koszul_rows(I, i + 1, mu)
+                (di, cols), (dnext, _) = koszul_rows(I, i, mu), koszul_rows(I, i + 1, mu)
                 assert len(dnext) == cols and (mu < 4 * I.degree or any(map(any, dnext))), (mu, i)
                 product = matmul(di, dnext)
                 assert not any(x % p if p else x for row in product for x in row), (mu, i)
@@ -131,7 +132,7 @@ def test_differentials_compose_to_zero(identity_ideal, d2_ideal):
 
 def test_koszul_columns_transpose_the_rows(d2_ideal):
     for i, mu in ((1, 4), (2, 6), (3, 8), (4, 8), (2, 3)):
-        rows, cols = _koszul_rows(d2_ideal, i, mu)
+        rows, cols = koszul_rows(d2_ideal, i, mu)
         skip = set(range(0, cols, 3))
         columns, n_rows = _koszul_columns(d2_ideal, i, mu, skip)
         assert n_rows == len(rows)
@@ -250,8 +251,8 @@ def test_choose_nu_validates(d2_ideal):
 def test_modular_rank_cross_check_on_assembled(identity_ideal, d2_ideal):
     rng = Random(13)
     for I, nu in ((identity_ideal, 1), (d2_ideal, 2)):
-        assert modular_rank_agrees(*_koszul_rows(I, 1, nu + I.degree), 3, rng)
-        assert modular_rank_agrees(*_koszul_rows(I, 2, nu + 2 * I.degree), 3, rng)
+        assert modular_rank_agrees(*koszul_rows(I, 1, nu + I.degree), 3, rng)
+        assert modular_rank_agrees(*koszul_rows(I, 2, nu + 2 * I.degree), 3, rng)
 
 
 def test_unlucky_screening_prime():
