@@ -51,6 +51,9 @@ DENSE_CASES = [("dense22.ex",), ("dense22.ex", "--saturate"), ("dense33.ex",)]
 # 6 of 9) of d2_example. Dense (3,3) at the image of (1,-1,2,1) (rank 35 of
 # 36) and at an off point: one 36x63 block, the membership rank that takes
 # exactla's packed elimination, and at the image point the Dixon lift after it.
+# Lifted mixed23 at nu = 5, six 6x7 blocks equal up to row and column order:
+# at the image of (s,u,t,v) = (2,1,3,1) (scaled by -1; corank 1 in each
+# block), at the image of t = 0 (corank 2 in each) and at an off point.
 MEMBERSHIP_CASES = [
     ("dense22.ex", "--saturate", "--point", "229,93,-507,398"),
     ("dense22.ex", "--saturate", "--point", "1,2,3,4"),
@@ -58,7 +61,14 @@ MEMBERSHIP_CASES = [
     ("dense33.ex", "--point", "1,2,3,4"),
     ("d2_example.ex", "--saturate", "--point", "15,11,40,12"),
     ("d2_example.ex", "--saturate", "--point", "1,0,0,0"),
+    ("mixed23.ex", "--nu", "5", "--point", "8,-56,-14,64"),
+    ("mixed23.ex", "--nu", "5", "--point", "128,-128,-128,-128"),
+    ("mixed23.ex", "--nu", "5", "--point", "1,2,3,4"),
 ]
+
+# Lifted mixed23 at its default nu = 11: six 24x49 blocks, the only
+# multi-block minors gcd outside nu = 5.
+LIFTED_DEFAULT_CASES = [("mixed23.ex",)]
 
 # The only sample inputs whose minors gcd has a residual factor: non_lci.ex
 # (D = F*L, L with fractional coefficients once monic) and the cone
@@ -107,6 +117,11 @@ def argvs():
         for case in MEMBERSHIP_CASES
         for field in FIELDS
     ]
+    lifted_default_runs = [
+        ["implicit", case[0], *case[1:], "--json", *field]
+        for case in LIFTED_DEFAULT_CASES
+        for field in FIELDS
+    ]
     non_lci_runs = [
         ["implicit", case[0], *case[1:], "--json", *field]
         for case in NON_LCI_CASES
@@ -128,7 +143,7 @@ def argvs():
     ]
     lift_runs = [["lift", "mixed23.ex"], ["lift", "mixed23.ex", "--json"]]
     return (json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
-            + non_lci_runs + saturate_runs + four_points_runs + verify_runs + lift_runs)
+            + lifted_default_runs + non_lci_runs + saturate_runs + four_points_runs + verify_runs + lift_runs)
 
 
 def _sha256(text):
