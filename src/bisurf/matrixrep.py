@@ -117,11 +117,12 @@ def membership(M: RepMatrix, point):
     The point is scaled to ints by its common denominator, and M(pt) is
     ranked block by block (the connected blocks of `_components`; a block
     with fewer columns than rows is ranked too), each entry an int dot
-    product with the block's cached int coefficients. Over GF(p) each block,
-    reduced mod p as it is built, is ranked by `int_rank` in place. Over QQ
-    `exactla._kernel_line` takes the left kernel of a k_b-row block, the
-    kernel of its transpose, from one
-    elimination modulo SCREEN_PRIME (the largest prime below 2^30):
+    product with the block's cached int coefficients. Each class of
+    `_shapes` is ranked once, and its rank counts once per block. Over GF(p)
+    each block, reduced mod p as it is built, is ranked by `int_rank` in
+    place. Over QQ `exactla._kernel_line` takes the left kernel of a k_b-row
+    block, the kernel of its transpose, from one elimination modulo
+    SCREEN_PRIME (the largest prime below 2^30):
     dimension 0 mod q certifies rank k_b; dimension 1 gives rank k_b - 1
     with a lifted vector v certified by v·M_b(pt) = 0, or rank k_b when the
     lift certifies the left kernel over QQ is zero. A larger kernel mod q (a
@@ -135,15 +136,16 @@ def membership(M: RepMatrix, point):
         raise ValueError("(0,0,0,0) is not a projective point")
     x1, x2, x3, x4 = _cleared(pt)
     p, r = M.field.characteristic, 0
-    for (rows, cols), table in zip(*_shapes(M)):
+    for (rows, cols), table, count in _shapes(M)[1]:
         if p:
             lines = [[(a * x1 + b * x2 + c * x3 + d * x4) % p for a, b, c, d in line]
                      for line in table]
-            r += int_rank(lines, len(cols), p)
+            r += count * int_rank(lines, len(cols), p)
             continue
         lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in line] for line in table]
         _, kernel = _kernel_line(lines, len(rows))
-        r += len(rows) - len(kernel) if kernel is not None else len(_forward_int(lines, len(rows)))
+        rank = len(rows) - len(kernel) if kernel is not None else len(_forward_int(lines, len(rows)))
+        r += count * rank
     return r < M.rows, r
 
 
@@ -178,19 +180,35 @@ def _components(M: RepMatrix):
     return sorted(comps, key=lambda rc: rc[0][0] if rc[0] else M.rows + rc[1][0])
 
 
+def _class_key(table):
+    """A row and column permutation of table: its lines sorted, then its
+    positions, alternately, until neither order changes (at most rows +
+    cols rounds)."""
+    key = tuple(map(tuple, table))
+    for _ in range(len(key) + len(key[0]) if key and key[0] else 0):
+        step = tuple(zip(*sorted(zip(*sorted(key)))))
+        if step == key:
+            break
+        key = step
+    return key
+
+
 def _shapes(M: RepMatrix):
-    """(blocks, tables), found once per M: the blocks of M with rows, and
-    for each the int coefficient table that `membership` evaluates, the
-    block's columns over QQ (the rows of its transpose) and its rows over
-    GF(p)."""
+    """(blocks, classes), found once per M: the blocks of M with rows, and
+    per class of blocks with one `_class_key` (so one rank at every point,
+    and maximal minors up to sign) its first block, the int coefficient
+    table that `membership` evaluates, the block's columns over QQ (the rows
+    of its transpose) and its rows over GF(p), and its number of blocks."""
     if M._blocks is None:
-        ints = M.ints
+        ints, classes = M.ints, {}
         blocks = [(rows, cols) for rows, cols in _components(M) if rows]
-        if M.field.characteristic:
-            tables = [[[ints[i][j] for j in cols] for i in rows] for rows, cols in blocks]
-        else:
-            tables = [[[ints[i][j] for i in rows] for j in cols] for rows, cols in blocks]
-        M._blocks = blocks, tables
+        for rows, cols in blocks:
+            if M.field.characteristic:
+                table = [[ints[i][j] for j in cols] for i in rows]
+            else:
+                table = [[ints[i][j] for i in rows] for j in cols]
+            classes.setdefault(_class_key(table), [(rows, cols), table, 0])[2] += 1
+        M._blocks = blocks, list(classes.values())
     return M._blocks
 
 
@@ -332,8 +350,10 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
 
     Maximal minors factor across M's connected blocks, and F divides each
     block's gcd D_b (at an image point, the degree-nu monomials at a
-    preimage are a left-kernel vector of M). Each block keeps its lowest
-    exact gcd G_b on a random line (see _Block), so deg G_b >= deg D_b.
+    preimage are a left-kernel vector of M). One _Block stands for each
+    class of `_shapes`, and its degree and (power, residual) count once per
+    block. Each keeps its lowest exact gcd G_b on a random line (see
+    _Block), so deg G_b >= deg D_b.
     - deg G_b = deg F certifies D_b = c * F, with no probability.
     - Otherwise G_b = c * D_b on its line is trusted once the degrees sum to
       `degree`, the strand's expected degree, and split by _Block.residual.
@@ -345,10 +365,17 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
     if F.is_constant():
         raise ValueError("the implicit equation must be nonconstant")
     rng = rng or Random(0)
-    blocks = [_Block(M, block, F, rng) for block in _blocks(M)]
+    _blocks(M)  # the shape check
+    classes = _shapes(M)[1]
+    counts = [n for _, _, n in classes]
+    blocks = [_Block(M, block, F, rng) for block, _, _ in classes]
     best = [None] * len(blocks)
     queue, drawn, deg_f = list(range(len(blocks))), 0, F.total_degree()
-    while queue and drawn < _MAX_LINES and (None in best or sum(b.degree for b in best) > degree):
+
+    def total():
+        return sum(n * line.degree for n, line in zip(counts, best))
+
+    while queue and drawn < _MAX_LINES and (None in best or total() > degree):
         i = queue.pop(0)
         drawn += 1
         line = blocks[i].split(blocks[i].draw(4), blocks[i].draw(4))
@@ -359,7 +386,7 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
     if None in best:
         raise RankDeficientError("every maximal minor of a block vanished on the lines drawn; "
                                  "hypotheses violated (non-finite base locus or rank deficiency)")
-    found = sum(line.degree for line in best)
+    found = total()
     if found != degree:
         claim = (f"the minors gcd has degree {found}" if not queue else
                  f"the minors gcd has degree at most {found}" if found < degree else
@@ -372,7 +399,8 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
                           f"run over QQ or mod a prime of at least {_MIN_SPLIT_PRIME}")
     splits = [block.residual(line, deg_f) if line.degree > deg_f else (1, TPoly.constant(1, M.field))
               for block, line in zip(blocks, best)]
-    power, residuals = sum(k for k, _ in splits), [Q for _, Q in splits]
+    power = sum(n * k for n, (k, _) in zip(counts, splits))
+    residuals = [Q for n, (_, Q) in zip(counts, splits) for _ in range(n)]
     return _monic_product([F] * power + residuals, M.field), power, _monic_product(residuals, M.field)
 
 

@@ -16,6 +16,7 @@ from bisurf.matrixrep import (
     _Block,
     _blocks,
     _components,
+    _shapes,
     equation_report,
     implicit_by_interpolation,
     membership,
@@ -185,8 +186,9 @@ def test_membership_falls_back_only_above_corank_one(query_cases, d2_matrix_rep,
             seen.append((M.rows - membership(M, pt)[1], len(calls)))
     # (corank, fallbacks): dense (2,2) has corank 1 in its one block, lifted
     # mixed23 corank 1 in each of its six blocks, except at the image of
-    # t = 0, (128, -128, -128, -128), where it is 2 in each
-    assert seen == [(1, 0)] * 3 + [(6, 0), (6, 0), (12, 6)]
+    # t = 0, (128, -128, -128, -128), where it is 2 in each; the six blocks
+    # are one class, ranked once, so that point takes one fallback
+    assert seen == [(1, 0)] * 3 + [(6, 0), (6, 0), (12, 1)]
     calls.clear()
     # the singular point (1,0,0,0) of d2_example: rank 6 of 9
     assert membership(d2_matrix_rep, (1, 0, 0, 0)) == (True, 6)
@@ -207,6 +209,57 @@ def test_membership_ranks_a_block_with_fewer_columns_than_rows(field):
     for pt in ((1, 1, 1, 1), (1, 2, 3, 4), (0, 0, 1, 1), (0, 0, 0, 1)):
         r = fraction_rank(evaluated(M, pt))
         assert membership(M, pt) == (True, r), pt
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_equal_blocks_form_one_class(field, mixed_param, d2_param):
+    # lifted mixed23's six blocks are one matrix up to row and column order,
+    # at the benchmark's nu = 5 and at the default nu = 11
+    lifted = SegreIdeal.from_parametrization(lift_mixed(parse_parametrization(mixed_param.to_text(),
+                                                                             field)))
+    for nu, shape in ((5, (6, 7)), (11, (24, 49))):
+        M = representation_matrix(lifted, nu)
+        assert len(_blocks(M)) == 6
+        assert [(block, n) for block, _, n in _shapes(M)[1]] == [(_blocks(M)[0], 6)]
+        assert tuple(map(len, _blocks(M)[0])) == shape
+    # d2_example and dense (2,2) have one block, a class of its own
+    for P in (d2_param, random_dense(2, Random(1))):
+        I = SegreIdeal.from_parametrization(parse_parametrization(P.to_text(), field))
+        M = representation_matrix(I, working_strand(I, None, True)[0])
+        assert [(block, n) for block, _, n in _shapes(M)[1]] == [(_blocks(M)[0], 1)]
+
+
+def _block_diagonal(*blocks):
+    """Row texts for `_rep_matrix` of the block-diagonal matrix of blocks,
+    each a list of rows of entry texts."""
+    width, at, texts = sum(len(block[0]) for block in blocks), 0, []
+    for block in blocks:
+        texts += [", ".join(["0"] * at + row + ["0"] * (width - at - len(row))) for row in block]
+        at += len(block[0])
+    return texts
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_classes_are_blocks_equal_up_to_row_and_column_order(field):
+    # C2 is C with its rows swapped and its columns reversed: one class.
+    # Z and K are the addition tables of Z/4 and of (Z/2)^2 on T1..T4: every
+    # row and every column of each holds T1..T4 once, but no row and column
+    # order makes them equal (the tables of two groups that are not
+    # isomorphic are not isotopic), and at (2,1,1,0) only K drops rank
+    C = [["T1", "T2", "T3"], ["T4", "T1 + T4", "0"]]
+    C2 = [["0", "T1 + T4", "T4"], ["T3", "T2", "T1"]]
+    Z = [[f"T{(i + j) % 4 + 1}" for j in range(4)] for i in range(4)]
+    K = [[f"T{(i ^ j) + 1}" for j in range(4)] for i in range(4)]
+    M = _rep_matrix(_block_diagonal(C, C2, Z, K), field)
+    assert [tuple(map(len, block)) for block in _blocks(M)] == [(2, 3)] * 2 + [(4, 4)] * 2
+    blocks = _blocks(M)
+    assert [(block, n) for block, _, n in _shapes(M)[1]] == [(blocks[0], 2), (blocks[2], 1),
+                                                              (blocks[3], 1)]
+    p = field.characteristic
+    for pt in ((2, 1, 1, 0), (1, 1, 1, 1), (1, 2, 3, 4), (0, 0, 1, 1), (1, -1, 0, 0), (3, 0, 0, 1)):
+        r = fraction_rank(evaluated(M, pt), p)
+        assert membership(M, pt) == (r < M.rows, r), pt
+    assert membership(M, (2, 1, 1, 0)) == (True, 11)
 
 
 ONE = parse_tpoly("1")

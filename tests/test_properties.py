@@ -7,7 +7,8 @@ and a rank drop of M exactly on F = 0. The strand bookkeeping over QQ on
 dense bidegree (2,2) and lifted (1,2) inputs, against plain Fraction ranks
 and against GF(32003). The base-point degree and the saturation index of
 bidegree (2,2) inputs with simple base points at corners of P1 x P1, and at
-random points.
+random points. Membership and the minors gcd of lifted mixed-bidegree
+draws, whose blocks are worked once per class, against a run per block.
 """
 
 from fractions import Fraction
@@ -21,12 +22,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from bisurf import zcomplex
+from bisurf import matrixrep, zcomplex
 from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed, parse_parametrization
 from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
     InterpolationError,
+    RepMatrix,
+    _blocks,
+    _shapes,
     implicit_by_interpolation,
     membership,
     minors_gcd,
@@ -41,6 +45,7 @@ from bisurf.zcomplex import (
     linear_syzygies,
     saturation_indeg,
     strand_report,
+    working_strand,
 )
 
 from helpers import (
@@ -276,3 +281,47 @@ def test_saturation_indeg_at_general_base_points(field, seed):
         bilinear = [[_value(e, pt) for e in MONOMIALS] for pt in points]
         full = k == 4 and det_bareiss(bilinear, p) != 0
         assert saturation_indeg(I) == (0 if k == 0 else 2 if full else 1)
+
+
+def random_mixed(d1, d2, seed, field):
+    """Four bidegree (d1,d2) forms over field, every coefficient a nonzero
+    int in [-9, 9]."""
+    rng = Random(seed)
+    quads = [(i, d1 - i, j, d2 - j) for i in range(d1 + 1) for j in range(d2 + 1)]
+    nonzero = [c for c in range(-9, 10) if c]
+    return Parametrization(BiHomPoly((d1, d2), {q: field.coerce(rng.choice(nonzero)) for q in quads},
+                                     field) for _ in range(4))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("bidegree", [(1, 2), (1, 3)], ids=str)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_classes_on_lifted_draws(bidegree, field, seed):
+    # M of a lifted (1,k) draw has k blocks, which membership and minors_gcd
+    # work once per class of blocks equal up to row and column order: the
+    # rank of M(pt) at image and random points, and the same (D, power,
+    # residual) as a run with every block a class of its own
+    P = random_mixed(*bidegree, seed, field)
+    I = SegreIdeal.from_parametrization(lift_mixed(P))
+    nu, strand = working_strand(I, None, False)
+    M = representation_matrix(I, nu)
+    per_block = RepMatrix(M.nu, M.basis, M.syzygies, M.field)
+    with mock.patch.object(matrixrep, "_class_key", lambda table: object()):
+        assert [n for _, _, n in _shapes(per_block)[1]] == [1] * bidegree[1]
+    assert sum(n for _, _, n in _shapes(M)[1]) == len(_blocks(M)) == bidegree[1]
+    rng, p, k = Random(seed), field.characteristic, M.rows
+    image = []
+    while len(image) < 3:
+        pt = image_point(P, [field.coerce(rng.randint(-9, 9)) for _ in range(4)])
+        if any(pt):
+            image.append(pt)
+    others = [[field.coerce(rng.randint(-40, 40)) for _ in range(4)] for _ in range(3)]
+    for pt in image + [pt for pt in others if any(pt)]:
+        r = fraction_rank([[sum(c * x for c, x in zip(v[i::k], pt)) for v in M.syzygies]
+                           for i in range(k)], p)
+        assert membership(M, pt) == (r < k, r), pt
+        assert r < k or pt not in image
+    degree = strand.expected_det_degree
+    F = implicit_by_interpolation(P, degree)
+    assert minors_gcd(M, F, degree, Random(seed)) == minors_gcd(per_block, F, degree, Random(seed))
