@@ -251,8 +251,8 @@ def test_classes_are_blocks_equal_up_to_row_and_column_order(field):
     Z = [[f"T{(i + j) % 4 + 1}" for j in range(4)] for i in range(4)]
     K = [[f"T{(i ^ j) + 1}" for j in range(4)] for i in range(4)]
     M = _rep_matrix(_block_diagonal(C, C2, Z, K), field)
-    assert [tuple(map(len, block)) for block in _blocks(M)] == [(2, 3)] * 2 + [(4, 4)] * 2
     blocks = _blocks(M)
+    assert [tuple(map(len, block)) for block in blocks] == [(2, 3)] * 2 + [(4, 4)] * 2
     assert [(block, n) for block, _, n in _shapes(M)[1]] == [(blocks[0], 2), (blocks[2], 1),
                                                               (blocks[3], 1)]
     p = field.characteristic
