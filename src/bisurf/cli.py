@@ -124,10 +124,17 @@ def _prepared(args):
     return P, lifted, code
 
 
-def cmd_info(args) -> int:
+def _working(args):
+    """_prepared, --point if the subcommand takes one, and the working strand
+    of the lifted input: (P, I, nu, strand report, point, exit code)."""
     P, lifted, code = _prepared(args)
+    point = _parse_point(args.point) if "point" in args else None
     I = SegreIdeal.from_parametrization(lifted)
-    _, rep = working_strand(I, args.nu, args.saturate)
+    return (P, I, *working_strand(I, args.nu, args.saturate), point, code)
+
+
+def cmd_info(args) -> int:
+    P, _, _, rep, _, code = _working(args)
     if args.json:
         payload = rep.as_dict()
         payload["bidegree"] = list(P.bidegree)
@@ -151,9 +158,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    P, lifted, code = _prepared(args)
-    I = SegreIdeal.from_parametrization(lifted)
-    nu, _ = working_strand(I, args.nu, args.saturate)
+    _, I, nu, _, _, code = _working(args)
     M = representation_matrix(I, nu)
     if args.json:
         print(json.dumps(M.to_json_dict(), indent=2))
@@ -166,10 +171,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    P, lifted, code = _prepared(args)
-    point = _parse_point(args.point)
-    I = SegreIdeal.from_parametrization(lifted)
-    nu, _ = working_strand(I, args.nu, args.saturate)
+    _, I, nu, _, point, code = _working(args)
     M = representation_matrix(I, nu)
     on_surface, r = membership(M, point)
     if args.json:

@@ -11,6 +11,8 @@ An independent oracle, the exact kernel of F -> F(f1..f4), lifted p-adically
 from one prime below 2^30, finds the irreducible implicit equation F, which
 divides D; D is then found from its
 restrictions to random lines and split as a power of F times a residual.
+One engine, `_power`, puts forms into monomials of T1..T4: f1..f4 for the
+oracle and `verify_substitution`, a line's binary forms for the minors gcd.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .exactla import _cleared, _forward_int, _kernel_line, int_nullspace, int_ra
 from .segre import basis
 from .tpoly import (
     _UNIT_EXPS,
+    _ZERO_EXP,
     ExactDivisionError,
     TPoly,
     _det,
@@ -35,8 +38,6 @@ from .tpoly import (
     _ints,
     _monic,
     _monic_product,
-    _mul,
-    _pow,
     _scale_of,
 )
 from .zcomplex import SegreIdeal, StrandError, linear_syzygies, working_strand
@@ -119,9 +120,10 @@ def membership(M: RepMatrix, point):
     with fewer columns than rows is ranked too), each entry an int dot
     product with the block's cached int coefficients. Each class of
     `_shapes` is ranked once, and its rank counts once per block. Over GF(p)
-    each block, reduced mod p as it is built, is ranked by `int_rank` in
-    place. Over QQ `exactla._kernel_line` takes the left kernel of a k_b-row
-    block, the kernel of its transpose, from one elimination modulo
+    the block's rows, reduced mod p as they are built, are ranked by
+    `int_rank` in place. Over QQ the block is built from its table's columns
+    (`zip(*table)`), and `exactla._kernel_line` takes the left kernel of a
+    k_b-row block, the kernel of its transpose, from one elimination modulo
     SCREEN_PRIME (the largest prime below 2^30):
     dimension 0 mod q certifies rank k_b; dimension 1 gives rank k_b - 1
     with a lifted vector v certified by v·M_b(pt) = 0, or rank k_b when the
@@ -138,11 +140,11 @@ def membership(M: RepMatrix, point):
     p, r = M.field.characteristic, 0
     for (rows, cols), table, count in _shapes(M)[1]:
         if p:
-            lines = [[(a * x1 + b * x2 + c * x3 + d * x4) % p for a, b, c, d in line]
-                     for line in table]
+            lines = [[(a * x1 + b * x2 + c * x3 + d * x4) % p for a, b, c, d in row]
+                     for row in table]
             r += count * int_rank(lines, len(cols), p)
             continue
-        lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in line] for line in table]
+        lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in col] for col in zip(*table)]
         _, kernel = _kernel_line(lines, len(rows))
         rank = len(rows) - len(kernel) if kernel is not None else len(_forward_int(lines, len(rows)))
         r += count * rank
@@ -196,17 +198,14 @@ def _class_key(table):
 def _shapes(M: RepMatrix):
     """(blocks, classes), found once per M: the blocks of M with rows, and
     per class of blocks with one `_class_key` (so one rank at every point,
-    and maximal minors up to sign) its first block, the int coefficient
-    table that `membership` evaluates, the block's columns over QQ (the rows
-    of its transpose) and its rows over GF(p), and its number of blocks."""
+    and maximal minors up to sign) its first block, that block's int
+    coefficient table, one list per row in both fields, which `membership`
+    evaluates and `_Block` restricts to lines, and its number of blocks."""
     if M._blocks is None:
         ints, classes = M.ints, {}
         blocks = [(rows, cols) for rows, cols in _components(M) if rows]
         for rows, cols in blocks:
-            if M.field.characteristic:
-                table = [[ints[i][j] for j in cols] for i in rows]
-            else:
-                table = [[ints[i][j] for i in rows] for j in cols]
+            table = [[ints[i][j] for j in cols] for i in rows]
             classes.setdefault(_class_key(table), [(rows, cols), table, 0])[2] += 1
         M._blocks = blocks, list(classes.values())
     return M._blocks
@@ -234,24 +233,11 @@ _MIN_SPLIT_PRIME = 7
 # mu^i*lambda^j, so tpoly's gcd dehomogenizes lambda and runs univariate.
 _MU, _LAMBDA = (0, 0, 1, 0), (0, 0, 0, 1)
 
-_Line = namedtuple("_Line", "degree power quotient a b")
+_Line = namedtuple("_Line", "degree power quotient forms")
 
 
 def _binary(x, y, p):
     return _expr.modp({e: c for e, c in ((_MU, x), (_LAMBDA, y)) if c}, p)
-
-
-def _on_line(monos, a, b, p):
-    """The binary form e(mu*a + lambda*b) of each exponent quadruple e."""
-    top = max(map(max, monos))
-    tables = [[_pow(_binary(x, y, p), k, p) for k in range(top + 1)] for x, y in zip(a, b)]
-    out = []
-    for e in monos:
-        form = tables[0][e[0]]
-        for table, k in zip(tables[1:], e[1:]):
-            form = _mul(form, table[k], p) if k else form
-        out.append(form)
-    return out
 
 
 class _Block:
@@ -260,27 +246,27 @@ class _Block:
     + lambda*B)*R) is by Cauchy-Binet a combination of all maximal minors,
     so a multiple of D_b(mu*a + lambda*b) unless it vanishes; so is the gcd
     G of a few. Over GF(p) more are folded, as two random forms share a
-    factor with probability about 1/p."""
+    factor with probability about 1/p. The block is its class's table from
+    `_shapes`. F and the residual's monomials reach a line through `_power`,
+    with the line's four binary forms a_i*mu + b_i*lambda for T1..T4."""
 
-    def __init__(self, M, block, F, rng):
-        ints = M.ints
-        self.entries = [[ints[i][j] for j in block[1]] for i in block[0]]
+    def __init__(self, M, table, F, rng):
+        self.entries, self.F = table, _ints(F)
         self.field, self.p, self.rng = M.field, M.field.characteristic, rng
         self.pool = range(self.p) if self.p else range(-9, 10)
-        self.monos, self.coeffs = zip(*_ints(F).items())
         self.combos = 2 + 14 // self.p.bit_length() if self.p else 2
 
     def draw(self, n):
         return self.rng.choices(self.pool, k=n)
 
     def split(self, a, b):
-        """The _Line through a and b (deg G, the power of F in G, the
-        quotient), or None when a, b span no line or F or G vanishes on it.
-        F divides each combination first: gcd(f*q1, f*q2) = f*gcd(q1, q2)."""
+        """The _Line through a and b (deg G, F's power in G, the quotient, the
+        binary forms), or None when a, b span no line or F or G vanishes on
+        it. F divides each combination first: gcd(f*q1, f*q2) = f*gcd(q1, q2)."""
         p = self.p
         wedge = [a[i] * b[j] - a[j] * b[i] for j in range(4) for i in range(j)]
-        forms = zip(self.coeffs, _on_line(self.monos, a, b, p))
-        f = _expr.modp(_expr.collect((e, c * x) for c, form in forms for e, x in form.items()), p)
+        forms = [_binary(x, y, p) for x, y in zip(a, b)]
+        f = _substitute(self.F, forms, p)
         if not f or not any(x % p if p else x for x in wedge):
             return None
         content = 1 if p else gcd(*f.values())  # primitive over Z: integral quotients
@@ -306,7 +292,7 @@ class _Block:
                 g = _div(g, f, p)
                 k += 1
         except ExactDivisionError:
-            return _Line(degree, k, g, a, b)
+            return _Line(degree, k, g, forms)
 
     def residual(self, line, deg_f):
         """(power, Q), D_b = c * F^power * Q of degree r, from C(r+2, 2) lines
@@ -337,7 +323,8 @@ class _Block:
         """The Q of degree r that is each line's quotient up to scale, or None."""
         p, monos, top, rows = self.p, _degree_monomials(r), (0, 0, r, 0), []
         for line in lines:
-            q, forms = line.quotient, _on_line(monos, line.a, line.b, p)
+            q, memo = line.quotient, {_ZERO_EXP: {_ZERO_EXP: 1}}
+            forms = [_power(memo, line.forms, e, p) for e in monos]
             rows += [[q.get(top, 0) * x.get(key, 0) - q.get(key, 0) * x.get(top, 0) for x in forms]
                      for key in ((0, 0, r - i, i) for i in range(1, r + 1))]
         kernel = int_nullspace([[x % p for x in row] for row in rows] if p else rows, len(monos), p)
@@ -368,7 +355,7 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
     _blocks(M)  # the shape check
     classes = _shapes(M)[1]
     counts = [n for _, _, n in classes]
-    blocks = [_Block(M, block, F, rng) for block, _, _ in classes]
+    blocks = [_Block(M, table, F, rng) for _, table, _ in classes]
     best = [None] * len(blocks)
     queue, drawn, deg_f = list(range(len(blocks))), 0, F.total_degree()
 
@@ -431,14 +418,23 @@ def _step(e):
     return e[:k] + (e[k] - 1,) + e[k + 1:], k
 
 
-def _next_layer(layer, fs, deg, p):
-    """The expansions of f^e for every degree-deg monomial e, each one
-    product of a degree-(deg-1) expansion with one coordinate."""
-    out = {}
-    for e in _degree_monomials(deg):
+def _power(memo, fs, e, p):
+    """The term dict of f^e = f1^e1·..·f4^e4, reduced mod p, built as
+    f^(e - u_k)·f_k along _step. memo holds f^0 = 1 and keeps every f^e
+    built, prefixes included."""
+    power = memo.get(e)
+    if power is None:
         prev, k = _step(e)
-        out[e] = _expr.modp(_expr.mul(layer[prev], fs[k]), p)
-    return out
+        power = memo[e] = _expr.modp(_expr.mul(_power(memo, fs, prev, p), fs[k]), p)
+    return power
+
+
+def _substitute(coeffs, fs, p):
+    """The term dict of sum c_e f^e over the terms c_e T^e of coeffs, reduced
+    mod p: each f^e of coeffs' support is built once, by _power."""
+    memo = {_ZERO_EXP: {_ZERO_EXP: 1}}
+    return _expr.modp(_expr.collect((m, c * x) for e, c in coeffs.items()
+                                    for m, x in _power(memo, fs, e, p).items()), p)
 
 
 def _substitution_rows(layer, monos):
@@ -461,8 +457,9 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
 
     For deg = 1, 2, ... the routine forms the exact matrix S of the linear
     map F -> F(f1..f4) on degree-deg forms (one column per monomial of F, the
-    expansion of f^e built from the previous degree by one multiplication,
-    one row per (s,u,t,v) monomial). Its kernel is the degree-deg part of the
+    expansion of f^e built by `_power` from the previous degree's layer by
+    one multiplication, one row per (s,u,t,v) monomial); only the last two
+    layers are held. Its kernel is the degree-deg part of the
     ideal of the image, so the first nonzero kernel is spanned by the
     implicit equation. `int_nullspace` finds it: from one elimination modulo
     p over GF(p), and over QQ modulo SCREEN_PRIME, lifted p-adically and
@@ -476,10 +473,10 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
         raise ValueError("max_degree must be at least 1")
     p = P.field.characteristic
     fs = _integer_coordinates(P)
-    layer = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
+    layer = {_ZERO_EXP: {_ZERO_EXP: 1}}
     for deg in range(1, max_degree + 1):
-        layer = _next_layer(layer, fs, deg, p)
         monos = _degree_monomials(deg)
+        layer = {e: _power(layer, fs, e, p) for e in monos}  # reads only the last layer
         kernel = int_nullspace(_substitution_rows(layer, monos), len(monos), p)
         if len(kernel) > 1:
             raise InterpolationError(
@@ -494,35 +491,16 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
 def verify_substitution(eq: TPoly, P: Parametrization) -> bool:
     """True iff eq(f1,f2,f3,f4) expands to the zero polynomial in s,u,t,v.
 
-    The check is S·v = 0, with S the oracle's substitution matrix
-    restricted to the columns of eq's monomials, of all its degrees at once,
-    and v their coefficients. Only the f^e of those monomials are built,
-    along the oracle's recursion f^e = f^(e - u_k)·f_k and memoized, so each
+    `_substitute` expands sum c_e f^e over eq's support, each f^e built once
+    along the oracle's recursion f^e = f^(e - u_k)·f_k (`_power`), so each
     product forms one prefix of eq's support. The check runs on plain ints:
     eq times the common denominator of its coefficients, and the coordinates
     of _integer_coordinates. Over QQ those are scaled by one factor c, which
     multiplies the degree-k part of eq(f1..f4) by c^k; parts of different
     degrees land in different bidegrees (for any bidegree but (0,0)), so in
-    disjoint rows of S: eq vanishes iff each part does, and the test holds
-    for non-homogeneous eq as well."""
-    p = P.field.characteristic
-    fs = _integer_coordinates(P)
-    coeffs = _ints(eq)
-    powers = {(0, 0, 0, 0): {(0, 0, 0, 0): 1}}
-
-    def power(e):
-        if e not in powers:
-            prev, k = _step(e)
-            powers[e] = _expr.modp(_expr.mul(power(prev), fs[k]), p)
-        return powers[e]
-
-    monos = list(coeffs)
-    v = [coeffs[e] for e in monos]
-    for row in _substitution_rows({e: power(e) for e in monos}, monos):
-        r = sum(map(mul, row, v))
-        if r % p if p else r:
-            return False
-    return True
+    disjoint terms of the expansion: eq vanishes iff each part does, and the
+    test holds for non-homogeneous eq as well."""
+    return not _substitute(_ints(eq), _integer_coordinates(P), P.field.characteristic)
 
 
 @dataclass(frozen=True)

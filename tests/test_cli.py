@@ -1,5 +1,8 @@
 import json
+from pathlib import Path
 from random import Random
+
+import pytest
 
 from bisurf import matrixrep
 from bisurf.cli import main
@@ -117,6 +120,20 @@ def test_verify_rejects_wrong_equation(capsys, inputs_dir, tmp_path):
     )
     assert code == 2
     assert "FAILED" in out
+
+
+@pytest.mark.parametrize("mod", [(), ("--mod", "32003")], ids=["QQ", "GF(32003)"])
+def test_verify_non_homogeneous_equations(capsys, inputs_dir, tmp_path, mod):
+    # equations need not be homogeneous: F + T1*F vanishes on the image in
+    # each of its two degrees, F + 1 in neither
+    F = (Path(__file__).resolve().parent / "equations" / "mixed23.txt").read_text(encoding="utf-8")
+    F = "".join(line for line in F.splitlines() if not line.startswith("#"))
+    eq_file = tmp_path / "eq.txt"
+    for text, code, verdict in ((f"{F} + T1*({F})", 0, "VERIFIED"), (f"{F} + 1", 2, "FAILED")):
+        eq_file.write_text(text + "\n", encoding="utf-8")
+        got, out, _ = run(capsys, "verify", str(inputs_dir / "mixed23.ex"),
+                          "--equation", str(eq_file), *mod)
+        assert (got, out.split(":")[0].strip()) == (code, verdict)
 
 
 def test_verify_rejects_zero_equation(capsys, inputs_dir, tmp_path):

@@ -673,7 +673,7 @@ def test_residual_takes_the_least_power_on_its_lines(field):
     residual = list(RESIDUALS)[2]
     M = _rep_matrix(RESIDUALS[residual], field)
     F, Q = parse_tpoly(CONE, field), parse_tpoly(residual, field)
-    block = _Block(M, _blocks(M)[0], F, Random(0))
+    block = _Block(M, _shapes(M)[1][0][1], F, Random(0))
     # on the line x = (0, lambda, -lambda, mu), Q = lambda^2 = -F
     line = block.split([0, 0, 0, 1], [0, 1, -1, 0])
     assert (line.degree, line.power) == (4, 2)

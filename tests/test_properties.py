@@ -9,6 +9,7 @@ and against GF(32003). The base-point degree and the saturation index of
 bidegree (2,2) inputs with simple base points at corners of P1 x P1, and at
 random points. Membership and the minors gcd of lifted mixed-bidegree
 draws, whose blocks are worked once per class, against a run per block.
+The one substitution engine against products built one factor at a time.
 """
 
 from fractions import Fraction
@@ -22,7 +23,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from bisurf import matrixrep, zcomplex
+from bisurf import _expr, matrixrep, zcomplex
 from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed, parse_parametrization
 from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField
@@ -107,9 +108,9 @@ def test_pipeline_on_dense_bidegree_11(field, seed):
         assert membership(M, point)[0] == (evaluate(F.terms, point, field.characteristic) == 0)
 
 
-# verify_substitution checks eq(f1..f4) = 0 as S·v = 0 with the oracle's
-# substitution matrix on eq's monomials, whose parts of different degrees
-# fill disjoint rows. The equations F·G + H below
+# verify_substitution checks eq(f1..f4) = 0 by expanding sum c_e f^e over
+# eq's monomials with the oracle's engine; its parts of different degrees
+# fill disjoint terms. The equations F·G + H below
 # have parts in several degrees (G and H are not homogeneous) and
 # denominators, and the reference is a plain expansion of eq(f1..f4). The
 # equation vanishes when H does on the image; a nonzero H of degree 0 alone,
@@ -150,6 +151,43 @@ def test_verify_substitution_per_degree(field, data):
             terms[e] = terms.get(e, 0) + c
     eq = TPoly(terms, field)
     assert verify_substitution(eq, P) == (not substitute(eq.terms, fs, p))
+
+
+# matrixrep._power is the one place that puts forms into monomials of
+# T1..T4, and matrixrep._substitute sums c_e f^e over it. The forms drawn are
+# of both kinds that reach it: bihomogeneous forms in s,u,t,v (the oracle and
+# verify_substitution) and binary linear forms a*mu + b*lambda (a line of the
+# minors gcd). The reference builds each f^e by repeated products.
+
+T_EXPONENTS = [e for e in product(range(5), repeat=4) if sum(e) <= 4]
+
+
+def naive_substitute(coeffs, fs, p):
+    acc = {}
+    for e, c in coeffs.items():
+        power = {(0, 0, 0, 0): 1}
+        for f, k in zip(fs, e):
+            for _ in range(k):
+                power = _expr.mul(power, f)
+        for m, x in power.items():
+            acc[m] = acc.get(m, 0) + c * x
+    return {m: x % p if p else x for m, x in acc.items() if (x % p if p else x)}
+
+
+@pytest.mark.parametrize("p", [0, 32003], ids=["QQ", "GF(32003)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_repeated_products(p, data):
+    ints = st.integers(0, p - 1) if p else st.integers(-50, 50)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(T_EXPONENTS), ints, max_size=6))
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    if data.draw(st.booleans(), label="binary linear forms"):
+        monos = [(0, 0, 1, 0), (0, 0, 0, 1)]
+    else:
+        d1, d2 = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 2)]))
+        monos = [(i, d1 - i, j, d2 - j) for i in range(d1 + 1) for j in range(d2 + 1)]
+    fs = [{m: c for m in monos if (c := data.draw(ints))} for _ in range(4)]
+    assert matrixrep._substitute(coeffs, fs, p) == naive_substitute(coeffs, fs, p)
 
 
 def dense_22(seed):
