@@ -91,6 +91,16 @@ FOUR_POINTS_COMMANDS = ("info", "matrix", "implicit")
 VERIFY_CASES = [(source, equation) for source in ("d2_example.ex", "mixed23.ex")
                 for equation in ("d2_example.txt", "mixed23.txt")]
 
+# Primes below the row count of a block of M, so that a line over GF(p) has
+# fewer points than a maximal minor's degree: d2_example and non_lci.ex have
+# 9-row blocks (8 points on a line over GF(7)), non_lci.ex fits its residual
+# on GF(7) lines, and segre.ex has a 4-row block (3 points over GF(2)).
+SMALL_PRIME_CASES = [
+    ["implicit", "d2_example.ex", "--saturate", "--json", "--mod", "7"],
+    ["implicit", "non_lci.ex", "--saturate", "--json", "--mod", "7"],
+    ["implicit", "segre.ex", "--json", "--mod", "2"],
+]
+
 
 def argvs():
     """Every golden argv; the input is named relative to inputs/, or is one
@@ -143,7 +153,8 @@ def argvs():
     ]
     lift_runs = [["lift", "mixed23.ex"], ["lift", "mixed23.ex", "--json"]]
     return (json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
-            + lifted_default_runs + non_lci_runs + saturate_runs + four_points_runs + verify_runs + lift_runs)
+            + lifted_default_runs + non_lci_runs + saturate_runs + four_points_runs + verify_runs + lift_runs
+            + SMALL_PRIME_CASES)
 
 
 def _sha256(text):
