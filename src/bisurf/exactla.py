@@ -5,7 +5,8 @@ means the rows are over QQ (a caller with rational rows clears their
 denominators first, which changes no rank or kernel), and p > 0 means they
 hold residues in [0, p). `int_rank` gives the rank and `int_nullspace` the
 canonical kernel basis, read off the unique RREF (the pivot rule is always
-"first nonzero entry in column order", so results are deterministic). Both
+"first nonzero entry in column order", so results are deterministic), and
+`int_det` the determinant of square rows over the integers alone. All three
 consume their rows: a caller that reads them afterwards passes a copy.
 `int_nullspace` picks its method from the shape and from one elimination
 modulo p, over QQ modulo SCREEN_PRIME: a kernel of dimension at most 1 there
@@ -250,6 +251,23 @@ def _rref_int(ints, cols):
         pv = rk[pivots[k]]
         frows.append([Fraction(x, pv) if x else zero for x in rk])
     return frows, pivots
+
+
+def int_det(rows):
+    """Determinant of square int rows over the integers, which it consumes:
+    Bareiss elimination, a row swap and a sign flip at a zero pivot."""
+    n, sign, prev = len(rows), 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if rows[i][k]), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            rows[k], rows[pr], sign = rows[pr], rows[k], -sign
+        top = rows[k]
+        for ri in rows[k + 1:]:
+            ri[k + 1:] = [(x * top[k] - y * ri[k]) // prev for x, y in zip(ri[k + 1:], top[k + 1:])]
+        prev = top[k]
+    return sign * prev
 
 
 # ---------------------------------------------------------------------------

@@ -11,31 +11,31 @@ An independent oracle, the exact kernel of F -> F(f1..f4), lifted p-adically
 from one prime below 2^30, finds the irreducible implicit equation F, which
 divides D; D is then found from its
 restrictions to random lines and split as a power of F times a residual.
-One engine, `_power`, puts forms into monomials of T1..T4: f1..f4 for the
-oracle and `verify_substitution`, a line's binary forms for the minors gcd.
+One engine, `_power`, puts f1..f4 into monomials of T1..T4 for the oracle
+and `verify_substitution`; on a line, binary forms are read off int values.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import mul
 from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import _cleared, _forward_int, _kernel_line, int_nullspace, int_rank
+from .exactla import _cleared, _forward_int, _kernel_line, int_det, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import (
     _UNIT_EXPS,
     _ZERO_EXP,
     ExactDivisionError,
     TPoly,
-    _det,
     _div,
     _gcd,
     _ints,
+    _is_homogeneous,
     _monic,
     _monic_product,
     _scale_of,
@@ -229,15 +229,27 @@ _MAX_LINES = 200
 # wrong power, or fit no residual, on some seeds over GF(3) and GF(5).
 _MIN_SPLIT_PRIME = 7
 
-# Binary forms are int-kernel dicts on the exponents (0, 0, i, j) of
-# mu^i*lambda^j, so tpoly's gcd dehomogenizes lambda and runs univariate.
-_MU, _LAMBDA = (0, 0, 1, 0), (0, 0, 0, 1)
-
-_Line = namedtuple("_Line", "degree power quotient forms")
+_Line = namedtuple("_Line", "degree power quotient a b")
 
 
-def _binary(x, y, p):
-    return _expr.modp({e: c for e, c in ((_MU, x), (_LAMBDA, y)) if c}, p)
+def _form(values, p):
+    """The binary form {(0, 0, n - j, j): c_j mod p} in mu, lambda whose
+    values at mu = 1, lambda = 0..n are the n + 1 ints values, by Newton
+    interpolation over Z: j-th differences of a polynomial in Z[lambda] at
+    consecutive nodes are divisible by j!, so each division is exact."""
+    d, n = list(values), len(values) - 1
+    for j in range(1, n + 1):
+        d[j:] = [(x - y) // j for x, y in zip(d[j:], d[j - 1:])]
+    c = [d[n]]
+    for j in range(n - 1, -1, -1):  # c = c * (lambda - j) + d[j]
+        c = [x - j * y for x, y in zip([d[j]] + c, c + [0])]
+    return _expr.modp({(0, 0, n - j, j): x for j, x in enumerate(c) if x}, p)
+
+
+def _values(terms, a, b, n):
+    """The values of an int-kernel dict at a + t*b for t = 0..n."""
+    return [sum(c * prod(map(pow, x, e)) for e, c in terms.items())
+            for x in ([u + t * v for u, v in zip(a, b)] for t in range(n + 1))]
 
 
 class _Block:
@@ -247,11 +259,11 @@ class _Block:
     so a multiple of D_b(mu*a + lambda*b) unless it vanishes; so is the gcd
     G of a few. Over GF(p) more are folded, as two random forms share a
     factor with probability about 1/p. The block is its class's table from
-    `_shapes`. F and the residual's monomials reach a line through `_power`,
-    with the line's four binary forms a_i*mu + b_i*lambda for T1..T4."""
+    `_shapes`. F, each det((A + t*B)*R) (by `int_det`) and the residual's
+    monomials are int values at t = 0..deg, made binary forms by `_form`."""
 
     def __init__(self, M, table, F, rng):
-        self.entries, self.F = table, _ints(F)
+        self.entries, self.F, self.deg_f = table, _ints(F), F.total_degree()
         self.field, self.p, self.rng = M.field, M.field.characteristic, rng
         self.pool = range(self.p) if self.p else range(-9, 10)
         self.combos = 2 + 14 // self.p.bit_length() if self.p else 2
@@ -260,39 +272,40 @@ class _Block:
         return self.rng.choices(self.pool, k=n)
 
     def split(self, a, b):
-        """The _Line through a and b (deg G, F's power in G, the quotient, the
-        binary forms), or None when a, b span no line or F or G vanishes on
-        it. F divides each combination first: gcd(f*q1, f*q2) = f*gcd(q1, q2)."""
+        """The _Line through a and b (deg G, F's power in G, the quotient, a
+        and b), or None when a, b span no line or F or G vanishes on it. F
+        divides each combination first: gcd(f*q1, f*q2) = f*gcd(q1, q2)."""
         p = self.p
         wedge = [a[i] * b[j] - a[j] * b[i] for j in range(4) for i in range(j)]
-        forms = [_binary(x, y, p) for x, y in zip(a, b)]
-        f = _substitute(self.F, forms, p)
+        f = _form(_values(self.F, a, b, self.deg_f), p)
         if not f or not any(x % p if p else x for x in wedge):
             return None
         content = 1 if p else gcd(*f.values())  # primitive over Z: integral quotients
         f = {e: c // content for e, c in f.items()}
         A, B = ([[sum(map(mul, e, x)) for e in row] for row in self.entries] for x in (a, b))
-        g = {}
+        k, g = len(A), {}
         for _ in range(self.combos):
-            flat = self.draw(len(A) * len(A[0]))
-            R = [flat[c::len(A)] for c in range(len(A))]  # the columns of R
-            grid = [[_binary(sum(map(mul, ra, col)), sum(map(mul, rb, col)), p) for col in R]
-                    for ra, rb in zip(A, B)]
+            flat = self.draw(k * len(A[0]))
+            R = [flat[c::k] for c in range(k)]  # the columns of R
+            X, Y = ([[sum(map(mul, row, col)) for col in R] for row in Z] for Z in (A, B))
+            X, Y = ([[x % p for x in r] for r in Z] for Z in (X, Y)) if p else (X, Y)
+            dets = [int_det([[x + t * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)])
+                    for t in range(k + 1)]
             try:
-                quotient = _div(_det(grid, p), f, p)
+                quotient = _div(_form(dets, p), f, p)
             except ExactDivisionError:
                 raise ExactDivisionError("the implicit equation does not divide the minors "
                                          "gcd; inconsistent pipeline state") from None
             g = _gcd(g, quotient, p)
         if not g:
             return None
-        degree, k = max(map(sum, f)) + max(map(sum, g)), 1
+        degree, power = max(map(sum, f)) + max(map(sum, g)), 1
         try:
             while True:
                 g = _div(g, f, p)
-                k += 1
+                power += 1
         except ExactDivisionError:
-            return _Line(degree, k, g, forms)
+            return _Line(degree, power, g, a, b)
 
     def residual(self, line, deg_f):
         """(power, Q), D_b = c * F^power * Q of degree r, from C(r+2, 2) lines
@@ -322,9 +335,8 @@ class _Block:
     def fit(self, lines, r):
         """The Q of degree r that is each line's quotient up to scale, or None."""
         p, monos, top, rows = self.p, _degree_monomials(r), (0, 0, r, 0), []
-        for line in lines:
-            q, memo = line.quotient, {_ZERO_EXP: {_ZERO_EXP: 1}}
-            forms = [_power(memo, line.forms, e, p) for e in monos]
+        for _, _, q, a, b in lines:
+            forms = [_form(_values({e: 1}, a, b, r), p) for e in monos]
             rows += [[q.get(top, 0) * x.get(key, 0) - q.get(key, 0) * x.get(top, 0) for x in forms]
                      for key in ((0, 0, r - i, i) for i in range(1, r + 1))]
         kernel = int_nullspace([[x % p for x in row] for row in rows] if p else rows, len(monos), p)
@@ -349,8 +361,8 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
     below it, an upper bound above it, and over GF(p) with p below
     _MIN_SPLIT_PRIME for any block not certified. RankDeficientError for a
     block with fewer columns than rows or a zero G_b on every line drawn."""
-    if F.is_constant():
-        raise ValueError("the implicit equation must be nonconstant")
+    if F.is_constant() or not _is_homogeneous(F.terms):
+        raise ValueError("the implicit equation must be a nonconstant homogeneous form")
     rng = rng or Random(0)
     _blocks(M)  # the shape check
     classes = _shapes(M)[1]

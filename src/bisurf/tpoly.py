@@ -1,7 +1,7 @@
 """Polynomials in the image-space variables T1..T4 over an exact field,
 where implicit equations live: TPoly, a validated container with no ring
-operators, and an int kernel with exact division, a subresultant-PRS
-multivariate gcd and fraction-free determinants of polynomial matrices.
+operators, and an int kernel with exact division and a subresultant-PRS
+multivariate gcd.
 
 TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
 GF(p). It holds F, D and its residual, and M's entries when they are read
@@ -9,7 +9,7 @@ as linear forms (matrixrep.RepMatrix.entries). The int kernel runs on plain
 int coefficients: over the integers, with QQ inputs scaled by their
 denominators, or modulo p on the stored residues as they are. It reads only
 exponent quadruples, so biparam runs its gcd on s,u,t,v forms and matrixrep
-its determinants and gcds on binary forms.
+its divisions and gcds on binary forms.
 """
 
 from __future__ import annotations
@@ -379,34 +379,4 @@ def _gcd(a, b, p):
     else:
         core = _gcd_rec(ra, rb, 3, p)
     return _mul(mg, core, p)
-
-
-# ---------------------------------------------------------------------------
-# determinants of polynomial matrices
-
-def _det(grid, p):
-    """Determinant of a square grid of int-kernel polynomials by
-    fraction-free Bareiss elimination."""
-    n = len(grid)
-    m = [list(row) for row in grid]
-    prev = None
-    sign = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return {}
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                num = _sub(_mul(pivot, row_i[j], p), _mul(lead, m[k][j], p), p)
-                row_i[j] = num if prev is None else _div(num, prev, p)
-            row_i[k] = {}
-        prev = pivot
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else _neg(det, p)
 

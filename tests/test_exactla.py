@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from bisurf import exactla
-from bisurf.exactla import SCREEN_PRIME, _kernel_line, int_nullspace, int_rank
+from bisurf.exactla import SCREEN_PRIME, _kernel_line, int_det, int_nullspace, int_rank
 from bisurf.fields import is_prime
 
 from helpers import (
@@ -329,6 +329,25 @@ def test_det_matches_cofactor_up_to_5():
 def test_det_with_rational_entries():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
     assert det_bareiss(rows) == Fraction(1, 14) - Fraction(1, 15)
+
+
+def test_int_det_matches_det_bareiss():
+    # the determinant the minors gcd reads its pencils with, on sizes 0 to
+    # 7, small and 120-bit entries, zero pivots that need a row swap (the
+    # first, and one that appears mid-way), and singular matrices
+    rng = Random(16)
+    for n in range(8):
+        for bits in (4, 120):
+            rows = random_rows(rng, n, n, -(2**bits), 2**bits)
+            assert int_det(copy(rows)) == det_bareiss(rows)
+            if n >= 2:
+                rows[0][0] = 0
+                assert int_det(copy(rows)) == det_bareiss(rows)
+            if n >= 3:
+                rows[-1] = [3 * x - y for x, y in zip(rows[0], rows[1])]
+                assert int_det(copy(rows)) == 0 == det_bareiss(rows)
+    assert int_det([[0, 1], [1, 0]]) == -1
+    assert int_det([[1, 2, 3], [2, 4, 5], [1, 1, 1]]) == -1  # a zero second pivot
 
 
 def test_rank_matches_independent_gaussian():

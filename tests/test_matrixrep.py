@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
-from bisurf import exactla
-from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel_line, int_nullspace
+from bisurf import _expr, exactla
+from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel_line, int_det, int_nullspace
 from bisurf.fields import QQ, PrimeField
 from bisurf import matrixrep
 from bisurf.matrixrep import (
@@ -16,7 +16,11 @@ from bisurf.matrixrep import (
     _Block,
     _blocks,
     _components,
+    _degree_monomials,
+    _form,
     _shapes,
+    _substitute,
+    _values,
     equation_report,
     implicit_by_interpolation,
     membership,
@@ -28,6 +32,7 @@ from bisurf.tpoly import ExactDivisionError, TPoly, parse_tpoly
 from bisurf.zcomplex import SegreIdeal, StrandError, working_strand
 
 from helpers import (
+    det_bareiss,
     dot_terms,
     evaluate,
     fraction_rank,
@@ -431,6 +436,8 @@ def test_lci_diagnostic_d2(d2_matrix_rep, d2_equation):
 def test_lci_diagnostic_error_paths(identity_matrix_rep):
     with pytest.raises(ValueError):
         minors_gcd(identity_matrix_rep, parse_tpoly("3"), 2)
+    with pytest.raises(ValueError, match="homogeneous"):  # F is read on lines as a form
+        minors_gcd(identity_matrix_rep, parse_tpoly("T1 + 1"), 2)
     with pytest.raises(ExactDivisionError, match="does not divide"):
         minors_gcd(identity_matrix_rep, parse_tpoly("T1+T2"), 2)
 
@@ -613,6 +620,61 @@ def test_folding_reaches_certified_gcd_mod_small_primes(inputs_dir, name, p, sat
     one = TPoly.constant(1, PrimeField(p))
     for seed in range(8):
         assert minors_gcd(M, F, strand.expected_det_degree, Random(seed)) == (F, 1, one), seed
+
+
+# Binary forms on a line are read off int values at mu = 1, lambda = 0..n by
+# _form. Over GF(p) the values are those of the integer lift, so degrees n
+# >= p, more values than the line has points, are read as exactly.
+
+FORM_PRIMES = [0, 2, 7, 32003]
+
+
+def pencil_form(X, Y, p):
+    """det(mu*X + lambda*Y) as a binary form, as `_Block.split` reads it."""
+    return _form([int_det([[x + t * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)])
+                  for t in range(len(X) + 1)], p)
+
+
+@pytest.mark.parametrize("p", FORM_PRIMES)
+def test_form_matches_substitute(p):
+    # forms in T of degree up to 6 on the line mu*a + lambda*b, against the
+    # expansion through the four binary linear forms a_i*mu + b_i*lambda
+    rng = Random(17)
+    draw = (lambda: rng.randrange(p)) if p else (lambda: rng.randint(-(2**70), 2**70))
+    for deg in range(7):
+        for _ in range(4):
+            coeffs = {e: c for e in _degree_monomials(deg) if (c := draw())}
+            a, b = [draw() for _ in range(4)], [draw() for _ in range(4)]
+            forms = [_expr.modp({e: c for e, c in (((0, 0, 1, 0), x), ((0, 0, 0, 1), y)) if c}, p)
+                     for x, y in zip(a, b)]
+            assert _form(_values(coeffs, a, b, deg), p) == _substitute(coeffs, forms, p)
+
+
+def test_pencil_form_examples():
+    zero = [[0] * 5 for _ in range(5)]
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert pencil_form([[1, 0], [0, 1]], [[0, 1], [1, 0]], 0) == {(0, 0, 2, 0): 1, (0, 0, 0, 2): -1}
+    assert pencil_form(identity, zero, 0) == {(0, 0, 5, 0): 1}
+    assert pencil_form(zero, identity, 7) == {(0, 0, 0, 5): 1}
+    assert pencil_form([[1, 2], [1, 2]], [[3, 4], [3, 4]], 0) == {}
+    assert pencil_form([], [], 2) == {(0, 0, 0, 0): 1}
+
+
+@pytest.mark.parametrize("p", FORM_PRIMES)
+def test_pencil_form_at_points(p):
+    # sizes 0 to 9, above p over GF(2) and GF(7); on even sizes the first
+    # pivot is zero at every lambda, so int_det swaps rows
+    rng = Random(14)
+    for n in range(10):
+        X, Y = ([[rng.randrange(p) if p else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                for _ in range(2))
+        if n % 2 == 0 and n:
+            X[0][0] = Y[0][0] = 0
+        form = pencil_form(X, Y, p)
+        for _ in range(3):
+            mu, lam = rng.randint(-5, 5), rng.randint(-5, 5)
+            pencil = [[mu * x + lam * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+            assert evaluate(form, (0, 0, mu, lam), p) == det_bareiss(pencil, p)
 
 
 # minors_gcd on hand-made matrices: a 2 x 2 block [[T1, T2], [T2, T3]] gives

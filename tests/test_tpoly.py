@@ -9,7 +9,6 @@ from bisurf.fields import QQ, PrimeField
 from bisurf.tpoly import (
     ExactDivisionError,
     TPoly,
-    _det,
     _div,
     _gcd,
     _ints,
@@ -19,7 +18,7 @@ from bisurf.tpoly import (
     parse_tpoly,
 )
 
-from helpers import det_bareiss, evaluate, monic, primitive, tmul
+from helpers import evaluate, monic, primitive, tmul
 
 
 def tp(text, field=QQ):
@@ -107,35 +106,9 @@ def test_mvgcd_over_prime_field():
     assert _monic(g, gf) == tp("T1+T2", gf)
 
 
-def test_polydet_examples():
-    assert _det([[ip("T1"), ip("T2")], [ip("T3"), ip("T4")]], 0) == ip("T1*T4-T2*T3")
-    for n in (4, 5):
-        diag = [[ip("T1") if i == j else {} for j in range(n)] for i in range(n)]
-        assert _det(diag, 0) == ip(f"T1^{n}")
-    repeated = [[ip("T1"), ip("T2")], [ip("T1"), ip("T2")]]
-    assert _det(repeated, 0) == {}
-
-
-def test_polydet_matches_scalar_determinant():
-    rng = Random(9)
-    for n in (2, 3, 4, 5, 6):
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        grid = [[{(0, 0, 0, 0): x} if x else {} for x in row] for row in rows]
-        assert _det(grid, 0) == ({(0, 0, 0, 0): int(det_bareiss(rows))} if det_bareiss(rows) else {})
-
-
-def test_eval_commutes_with_det():
-    rng = Random(10)
-    for n in (3, 4, 5):
-        grid = [[_ints(random_tpoly(rng, 1, 3)) for _ in range(n)] for _ in range(n)]
-        point = [Fraction(rng.randint(-5, 5)) for _ in range(4)]
-        assert evaluate(_det(grid, 0), point) == det_bareiss([[evaluate(e, point) for e in row] for row in grid])
-
-
-# The division, gcd and determinant run on int coefficients, over the
-# integers or mod p. QQ inputs reach them scaled by their denominators, and
-# non-unit contents are where that can go wrong, so the polynomials below
-# have both.
+# The division and gcd run on int coefficients, over the integers or mod p.
+# QQ inputs reach them scaled by their denominators, and non-unit contents
+# are where that can go wrong, so the polynomials below have both.
 
 FIELDS = [QQ, PrimeField(32003), PrimeField(7)]
 
@@ -295,21 +268,6 @@ def test_mvgcd_with_denominators(field):
         assert monic(g) == g
         _div(_ints(g), primitive_ints(c), p)  # raises unless c divides g
         checked += 1
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-def test_bareiss_polydet_at_points(field):
-    p = field.characteristic
-    rng = Random(14)
-    for n in range(1, 7):
-        grid = [[_ints(rational_tpoly(rng, 1, 3, field)) for _ in range(n)] for _ in range(n)]
-        if n % 2 == 0:
-            grid[0][0] = {}  # the first pivot needs a row swap
-        det = _det(grid, p)
-        for _ in range(3):
-            point = [field.coerce(rng.randint(-5, 5)) for _ in range(4)]
-            evaluated = [[evaluate(e, point, p) for e in row] for row in grid]
-            assert evaluate(det, point, p) == det_bareiss(evaluated, p)
 
 
 def test_eval_examples():
