@@ -41,31 +41,18 @@ class StrandError(RuntimeError):
 
 class SegreIdeal:
     """Four generators of one common degree d >= 1 in the quotient ring,
-    given as bidegree (d,d) forms."""
+    given as bidegree (d,d) forms; Parametrization checks the rest."""
 
     __slots__ = ("gs", "degree", "field")
 
     def __init__(self, gs):
-        gs = tuple(gs)
-        if len(gs) != 4:
-            raise InputError("need exactly four generators")
-        bid = gs[0].bidegree
-        field = gs[0].field
-        if bid[0] != bid[1]:
-            raise InputError(f"mixed bidegree {bid}: lift to equal bidegree first")
-        for g in gs[1:]:
-            if g.bidegree != bid:
-                raise InputError(f"generator bidegrees differ: {g.bidegree} vs {bid}")
-            if g.field != field:
-                raise InputError("generator fields differ")
-        d = bid[0]
+        P = Parametrization(gs)
+        d = P.bidegree[0]
+        if P.bidegree[1] != d:
+            raise InputError(f"mixed bidegree {P.bidegree}: lift to equal bidegree first")
         if d < 1:
             raise InputError("generators must have degree at least 1")
-        if all(g.is_zero() for g in gs):
-            raise InputError("all generators are zero")
-        self.gs = gs
-        self.degree = d
-        self.field = field
+        self.gs, self.degree, self.field = P.fs, d, P.field
 
     @classmethod
     def from_parametrization(cls, P: Parametrization) -> "SegreIdeal":
