@@ -288,6 +288,7 @@ class _Block:
             flat = self.draw(k * len(A[0]))
             R = [flat[c::k] for c in range(k)]  # the columns of R
             X, Y = ([[sum(map(mul, row, col)) for col in R] for row in Z] for Z in (A, B))
+            # residues keep int_det's ints short; _form reduces mod p anyway
             X, Y = ([[x % p for x in r] for r in Z] for Z in (X, Y)) if p else (X, Y)
             dets = [int_det([[x + t * y for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)])
                     for t in range(k + 1)]
