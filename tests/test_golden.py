@@ -77,8 +77,9 @@ NON_LCI_CASES = [("non_lci.ex", "--saturate"), ("non_lci_cone.ex", "--saturate")
 
 # `info --saturate` on the inputs whose saturation index the other runs do
 # not reach: both non-LCI inputs, common_factor.ex (exit 2), dense (3,3), and
-# lifted mixed23 mod 32003, the only d = 6 saturation (about 1.5 s).
-SATURATE_CASES = ["non_lci.ex", "non_lci_cone.ex", "common_factor.ex", "dense33.ex"]
+# lifted mixed23, the only d = 6 saturation (about 1.5 s mod 32003, 2 s over
+# QQ), whose kernels of I_(n+2d), 196x169 to 676x361, are none of full rank.
+SATURATE_CASES = ["non_lci.ex", "non_lci_cone.ex", "common_factor.ex", "dense33.ex", "mixed23.ex"]
 
 # four_points.ex, the one sample input whose saturation index (2) reads the
 # nonzero entries of the kernel of I_(n+2d): its optimized nu0 = 1 gives the
@@ -139,7 +140,7 @@ def argvs():
     ]
     saturate_runs = [
         ["info", case, "--saturate", "--json", *field] for case in SATURATE_CASES for field in FIELDS
-    ] + [["info", "mixed23.ex", "--saturate", "--json", "--mod", "32003"]]
+    ]
     four_points_runs = [
         [command, "four_points.ex", "--saturate", "--json", *field]
         for command in FOUR_POINTS_COMMANDS
