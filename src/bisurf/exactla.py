@@ -8,40 +8,23 @@ canonical kernel basis, read off the unique RREF (the pivot rule is always
 "first nonzero entry in column order", so results are deterministic), and
 `int_det` the determinant of square rows over the integers alone. All three
 consume their rows: a caller that reads them afterwards passes a copy.
-`int_nullspace` picks its method from the shape and from one elimination
-modulo p, over QQ modulo SCREEN_PRIME: a kernel of dimension at most 1 there
-comes from `_kernel_line`, lifted p-adically and certified over QQ, and a
-larger one from the RREF. `matrixrep.membership` ranks each block of M(pt)
-with `_kernel_line`, on the block's transpose.
 
-Over QQ the forward elimination is fraction-free, and the back-substitution
-combines each row with a multiple of a pivot row below it; both strip
-integer content to control coefficient growth. A Fraction is formed only for
-a returned entry, when each row is divided by its pivot. Before that,
-`int_rank` eliminates a copy of the rows modulo SCREEN_PRIME, the largest
-prime below 2^30, whose residues are single-digit CPython ints. That rank
-is only a lower bound over QQ, so it is used only when it is full,
-min(rows, cols). Otherwise fraction-free elimination runs on the rows
-themselves; over GF(p) they are eliminated in place. `zcomplex` ranks
-only the columns of a Koszul piece d_i outside the pivot rows of d_(i+1),
-where a full rank is the one that d_i d_(i+1) = 0 certifies.
-
-Every elimination modulo a prime is `_forward_gf`, with two strategies that
-leave the same pivots, rows and record. A matrix with at least PACKED_MIN
-rows and columns whose first, middle and last rows are together at least
-PACKED_DENSITY nonzero (the dense membership blocks of M and the dense
-substitution matrices of the oracle) is eliminated with each row held as one
-int, a w-byte slot per column, so that a row operation is a few whole-int
-operations in C. w is the bytes for 2·bits(p) + bits(min(rows, cols)) + 1:
-a slot gains less than p^2 per pivot, at most min(rows, cols) times, so it
-never overflows. Every other matrix, the sparse Koszul pieces among them,
-is eliminated as list rows, each row operation over the nonzero entries of
-the pivot row.
+Over QQ both read their answer off one elimination modulo SCREEN_PRIME,
+the largest prime below 2^30, whose residues are single-digit CPython ints,
+and certify it by exact products: `_kernel` lifts a kernel of dimension 1
+there p-adically and reconstructs a larger one, and `int_rank` reconstructs
+the dependencies of the rows that its zero rows give. Only a failure, or a
+kernel of two more columns than rows, runs the fraction-free elimination,
+which strips integer content from every combined row and forms a Fraction
+only for a returned entry. Every elimination modulo a prime is
+`_forward_gf`, on packed int rows for a large dense matrix and on list rows
+otherwise; both leave the same pivots, rows and record.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
@@ -282,22 +265,35 @@ def int_rank(rows, cols, p=0) -> int:
     the transpose is ranked in their place, with fewer rows to sweep.
 
     Over GF(p) the rows are eliminated in place. Over QQ a copy reduced mod
-    SCREEN_PRIME is eliminated first; that rank is a lower bound, returned
-    only when it is full, min(rows, cols), an exact upper bound. Otherwise
-    fraction-free elimination runs on the rows themselves.
+    q = SCREEN_PRIME is eliminated first, with a record; its rank r is a
+    lower bound. Zero row i of that echelon form is y·rows mod q, where y is
+    e_i under the recorded operations applied transposed in reverse order.
+    Each y is reconstructed (Wang) and all are certified by y·rows = 0 over
+    QQ. They are independent mod q, hence over QQ, so rows - r of them bound
+    the rank by r. Only a failure runs fraction-free elimination.
     """
     if len(rows) > cols:
         rows, cols = [list(col) for col in zip(*rows)], len(rows)
     if p:
         return len(_forward_gf(rows, cols, p))
-    q = SCREEN_PRIME
-    if len(_forward_gf([[x % q for x in row] for row in rows], cols, q)) == len(rows):
-        return len(rows)
+    q, record, n = SCREEN_PRIME, [], len(rows)
+    r = len(_forward_gf([[x % q for x in row] for row in rows], cols, q, record))
+    deps = []
+    for i in range(r, n):
+        y = [0] * n
+        y[i] = 1
+        for k in range(r - 1, -1, -1):
+            pr, inv, ops = record[k]
+            y[k] = (y[k] - sum([v * y[j] for j, v in ops])) * inv % q
+            y[k], y[pr] = y[pr], y[k]
+        deps.append(_reconstruct(y, q))
+    if r == n or None not in deps and _annihilates(list(zip(*rows)), deps):
+        return r
     return len(_forward_int(rows, cols))
 
 
 def _rational_reconstruction(u: int, m: int):
-    """The fraction a/b = u mod m with |a|, |b| <= sqrt(m/2), or None (Wang)."""
+    """(a, b) with a/b = u mod m and |a|, b <= sqrt(m/2), b > 0, or None (Wang)."""
     bound = isqrt(m // 2)
     r0, r1, s0, s1 = m, u, 0, 1
     while r1 > bound:
@@ -306,18 +302,27 @@ def _rational_reconstruction(u: int, m: int):
         s0, s1 = s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _reconstruct(residues, m):
-    """The vector of Wang reconstructions, or None as soon as one fails."""
-    out = []
-    for u in residues:
-        x = _rational_reconstruction(u, m)
-        if x is None:
+    """The Wang reconstructions of residues mod m times their common
+    denominator, as ints, or None as soon as one fails."""
+    pairs, out = {}, [0] * len(residues)
+    for j in compress(count(), residues):
+        pairs[j] = _rational_reconstruction(residues[j], m)
+        if pairs[j] is None:
             return None
-        out.append(x)
+    den = lcm(*(b for _, b in pairs.values()))
+    for j, (a, b) in pairs.items():
+        out[j] = a * (den // b)
     return out
+
+
+def _canonical(ints):
+    """A nonzero int vector divided by its last nonzero entry, as Fractions."""
+    last, zero = next(a for a in reversed(ints) if a), Fraction(0)
+    return [Fraction(a, last) if a else zero for a in ints]
 
 
 def _cleared(row):
@@ -328,53 +333,104 @@ def _cleared(row):
     return [x.numerator * (den // x.denominator) for x in row]
 
 
-def _annihilates(rows, vec):
-    """rows·vec == 0 over QQ, on the vector times its common denominator."""
-    ints = _cleared(vec)
-    return not any(sum(map(mul, row, ints)) for row in rows)
+def _annihilates(rows, vectors):
+    """rows·v == 0 for every int vector v. Several vectors take one exact
+    product: side by side in signed slots of one int per entry, each slot
+    wider than twice any |row·v|, so that a sum is zero only if every slot
+    is zero."""
+    if len(vectors) > 1:
+        bound = max(max(map(abs, v)) for v in vectors) * max((sum(map(abs, row)) for row in rows), default=0)
+        shift = bound.bit_length() + 2
+        packed = [0] * len(vectors[0])
+        for k, v in enumerate(vectors):
+            for j in compress(count(), v):
+                packed[j] += v[j] << k * shift
+        vectors = [packed]
+    vec = vectors[0]
+    return not any(sum(map(mul, row, vec)) for row in rows)
 
 
-def _kernel_line(rows, cols, p=0):
-    """(pivots, kernel) of int rows over QQ (p = 0) or of int residues mod p.
-    pivots are the pivot columns mod p, or over QQ mod q = SCREEN_PRIME, so
-    d = cols - len(pivots) bounds the kernel dimension over QQ from above.
-    For d <= 1, kernel is the kernel: [] or [v], v as in `int_nullspace`
-    (last nonzero entry 1; Fractions over QQ); for d >= 2 it is None. Over
-    GF(p) the rows are left in echelon form, each pivot 1; over QQ they are
-    left as they are, as the lift reads them.
+def _basis(rows, pivots, cols, p=0):
+    """The canonical kernel basis of `int_nullspace`, read off RREF rows
+    with these pivots: Fractions over QQ. Over GF(p) the rows are residues
+    in echelon form, each pivot 1, and are first back-eliminated in place."""
+    if p:
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            rk = rows[k]
+            nonzero = [(j, rk[j]) for j in range(c, cols) if rk[j]]
+            for a in range(k):
+                ra = rows[a]
+                v = ra[c]
+                if v:
+                    for j, y in nonzero:
+                        ra[j] = (ra[j] - v * y) % p
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    pivset = set(pivots)
+    basis = []
+    for fc in range(cols):
+        if fc in pivset:
+            continue
+        v = [zero] * cols
+        v[fc] = one
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = -row[fc] % p if p else -row[fc]
+        basis.append(v)
+    return basis
 
-    One forward elimination mod p or q runs, over QQ recording its row
-    operations. Full rank returns at once; otherwise the one free column is
-    set to 1 and the pivot columns solved by back-substitution. Over QQ that
-    vector v0 is lifted q-adically (Dixon): the residual -S·x/q^k is updated
-    exactly on the int rows S, each step replays the record on it mod q and
-    back-substitutes, and a residual not divisible by q leaves no q-adic,
-    hence no rational, kernel vector. After each step the digits are
-    reconstructed (Wang) and the candidate certified by S·v = 0. The kernel
-    vector with v[free] = 1 solves the pivot rows, which are invertible mod
-    q on the pivot columns, so by Cramer's rule its numerators and
-    denominators are at most the Hadamard bound H of those rows: once
-    q^k > 2 H^2 a failed reconstruction or certificate shows the kernel over
-    QQ is zero. H and the first residual are computed only when the first
-    reconstruction, from v0 alone, fails.
+
+def _kernel(rows, cols, p=0):
+    """(pivots, kernel) of int rows S over QQ (p = 0) or of residues mod p:
+    the pivot columns mod p, over QQ mod q = SCREEN_PRIME, and the basis of
+    `int_nullspace`, or None over QQ when it is not certified. Over GF(p) S
+    is left in echelon form, each pivot 1; over QQ it is left as it is.
+
+    One forward elimination mod q runs, with a record over QQ; full rank
+    returns at once. For d = cols - len(pivots) >= 2 the echelon form is
+    back-eliminated and the basis read off it. Over QQ its nonzero entries
+    are reconstructed (Wang) and the d vectors certified by one exact
+    product. A certified vector is the canonical one: mod q the vector of
+    free column f is 1 at f and 0 at the other free columns, and nonzero
+    elsewhere only on pivot columns before f. An exact kernel vector of that
+    shape shows that f is not a pivot over QQ, so the free columns over QQ
+    include the d free columns mod q. The rank over QQ is at least the rank
+    mod q, so the two sets are equal, and a kernel vector is unique once its
+    values on the free columns are fixed.
+
+    For d = 1 the free column is set to 1 and the pivot columns solved by
+    back-substitution. Over QQ that vector is lifted q-adically (Dixon):
+    each step replays the record on the exact residual -S·x/q^k mod q and
+    back-substitutes; a residual not divisible by q leaves no rational
+    kernel vector. After each step the digits are reconstructed and
+    certified by S·v = 0. By Cramer's rule on the pivot rows, invertible mod
+    q, the entries of the vector with v[free] = 1 are at most their
+    Hadamard bound H, so once q^k > 2 H^2 a failure shows the kernel over QQ
+    is zero. H and the residual are computed only after a first failure.
     """
     q = p or SCREEN_PRIME
     echelon = rows if p else [[x % q for x in row] for row in rows]
     record = None if p else []
     pivots = _forward_gf(echelon, cols, q, record)
     dim = cols - len(pivots)
-    if dim != 1:
-        return pivots, [] if dim == 0 else None
+    if dim == 0:
+        return pivots, []
+    if dim > 1:
+        kernel = _basis(echelon, pivots, cols, q)
+        if p:
+            return pivots, kernel
+        ints = [_reconstruct(v, q) for v in kernel]
+        certified = None not in ints and _annihilates(rows, ints)
+        return pivots, [_canonical(w) for w in ints] if certified else None
     free = next(c for c in range(cols) if c not in pivots)
     x = _solve_one_free(echelon, pivots, free, None, 1, q)
     if p:
         return pivots, [x]
     modulus, residual = q, None
     while True:
-        v = _reconstruct(x, modulus)
-        if v is not None and _annihilates(rows, v):
-            last = next(a for a in reversed(v) if a)
-            return pivots, [[a / last for a in v]]
+        w = _reconstruct(x, modulus)
+        if w is not None and _annihilates(rows, [w]):
+            return pivots, [_canonical(w)]
         if residual is None:
             order = list(range(len(rows)))
             for r, (pr, _, _) in enumerate(record):
@@ -401,39 +457,12 @@ def int_nullspace(rows, cols, p=0):
     and residues in [0, p) over GF(p).
 
     Over QQ with cols - len(rows) >= 2 the kernel has dimension at least 2,
-    and fraction-free elimination runs at once. Otherwise `_kernel_line`
-    returns a kernel of dimension at most 1 (mod p, or over QQ mod
-    SCREEN_PRIME); above that the RREF is finished, over GF(p) by
-    back-elimination of the echelon form `_kernel_line` left, and over QQ by
-    fraction-free elimination of the rows.
+    and fraction-free elimination runs at once. Otherwise `_kernel` reads
+    the kernel off one elimination mod p (over QQ mod SCREEN_PRIME), and
+    only a kernel it does not certify takes the fraction-free RREF.
     """
     if p or cols - len(rows) <= 1:
-        pivots, kernel = _kernel_line(rows, cols, p)
+        kernel = _kernel(rows, cols, p)[1]
         if kernel is not None:
             return kernel
-    if p:
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            rk = rows[k]
-            nonzero = [(j, rk[j]) for j in range(c, cols) if rk[j]]
-            for a in range(k):
-                ra = rows[a]
-                v = ra[c]
-                if v:
-                    for j, y in nonzero:
-                        ra[j] = (ra[j] - v * y) % p
-    else:
-        rows, pivots = _rref_int(rows, cols)
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
-    pivset = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivset:
-            continue
-        v = [zero] * cols
-        v[fc] = one
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = -row[fc] % p if p else -row[fc]
-        basis.append(v)
-    return basis
+    return _basis(*_rref_int(rows, cols), cols)

@@ -25,7 +25,7 @@ from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import _cleared, _forward_int, _kernel_line, int_det, int_nullspace, int_rank
+from .exactla import _cleared, _forward_int, _kernel, int_det, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import (
     _UNIT_EXPS,
@@ -121,16 +121,14 @@ def membership(M: RepMatrix, point):
     product with the block's cached int coefficients. Each class of
     `_shapes` is ranked once, and its rank counts once per block. Over GF(p)
     the block's rows, reduced mod p as they are built, are ranked by
-    `int_rank` in place. Over QQ the block is built from its table's columns
-    (`zip(*table)`), and `exactla._kernel_line` takes the left kernel of a
-    k_b-row block, the kernel of its transpose, from one elimination modulo
-    SCREEN_PRIME (the largest prime below 2^30):
-    dimension 0 mod q certifies rank k_b; dimension 1 gives rank k_b - 1
-    with a lifted vector v certified by v·M_b(pt) = 0, or rank k_b when the
-    lift certifies the left kernel over QQ is zero. A larger kernel mod q (a
-    singular point, or a point that is zero mod q) falls back to
-    fraction-free forward elimination of that block, so every rank is exact
-    without the RREF that `int_nullspace` would finish there.
+    `int_rank` in place. Over QQ the block is built from its class's
+    columns, kept beside the table, and `exactla._kernel` takes the left
+    kernel of a k_b-row block, the kernel of its transpose, from one
+    elimination modulo SCREEN_PRIME (the largest prime below 2^30),
+    certified over QQ: rank k_b minus its dimension. Only a kernel it does
+    not certify (a point that is zero mod q, or an unlucky prime) falls back
+    to fraction-free forward elimination of that block, so every rank is
+    exact without the RREF that `int_nullspace` would finish there.
 
     Returns (on_surface, rank)."""
     pt = [M.field.coerce(x) for x in point]
@@ -138,14 +136,14 @@ def membership(M: RepMatrix, point):
         raise ValueError("(0,0,0,0) is not a projective point")
     x1, x2, x3, x4 = _cleared(pt)
     p, r = M.field.characteristic, 0
-    for (rows, cols), table, count in _shapes(M)[1]:
+    for ((rows, cols), table, count), columns in zip(*_shapes(M)[1:]):
         if p:
             lines = [[(a * x1 + b * x2 + c * x3 + d * x4) % p for a, b, c, d in row]
                      for row in table]
             r += count * int_rank(lines, len(cols), p)
             continue
-        lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in col] for col in zip(*table)]
-        _, kernel = _kernel_line(lines, len(rows))
+        lines = [[a * x1 + b * x2 + c * x3 + d * x4 for a, b, c, d in col] for col in columns]
+        _, kernel = _kernel(lines, len(rows))
         rank = len(rows) - len(kernel) if kernel is not None else len(_forward_int(lines, len(rows)))
         r += count * rank
     return r < M.rows, r
@@ -196,18 +194,21 @@ def _class_key(table):
 
 
 def _shapes(M: RepMatrix):
-    """(blocks, classes), found once per M: the blocks of M with rows, and
-    per class of blocks with one `_class_key` (so one rank at every point,
-    and maximal minors up to sign) its first block, that block's int
-    coefficient table, one list per row in both fields, which `membership`
-    evaluates and `_Block` restricts to lines, and its number of blocks."""
+    """(blocks, classes, columns), found once per M: the blocks of M with
+    rows, and per class of blocks with one `_class_key` (so one rank at
+    every point, and maximal minors up to sign) its first block, that
+    block's int coefficient table, one list per row in both fields, which
+    `membership` evaluates over GF(p) and `_Block` restricts to lines, and
+    its number of blocks; columns holds each class table's columns, which
+    `membership` evaluates over QQ."""
     if M._blocks is None:
         ints, classes = M.ints, {}
         blocks = [(rows, cols) for rows, cols in _components(M) if rows]
         for rows, cols in blocks:
             table = [[ints[i][j] for j in cols] for i in rows]
             classes.setdefault(_class_key(table), [(rows, cols), table, 0])[2] += 1
-        M._blocks = blocks, list(classes.values())
+        classes = list(classes.values())
+        M._blocks = blocks, classes, [list(zip(*table)) for _, table, _ in classes]
     return M._blocks
 
 

@@ -18,8 +18,8 @@ read off the kernels of the pieces of I. A cycle dimension ranks only the
 columns of d_i that the pivot rows of d_(i+1) at the same degree leave,
 after one elimination of d_(i+1) modulo p, over QQ modulo
 exactla.SCREEN_PRIME, the largest prime below 2^30. Over QQ a full rank of
-those columns modulo that prime is certified by d_i d_(i+1) = 0; otherwise
-they are ranked by fraction-free elimination.
+those columns modulo that prime is certified by d_i d_(i+1) = 0; a lower one
+by `int_rank`'s exact dependencies.
 """
 
 from __future__ import annotations
@@ -145,8 +145,7 @@ def cycle_space_dim(I: SegreIdeal, i: int, mu: int) -> int:
     alone have the rank of d_i, over QQ and over GF(p), and only they are
     ranked. Over QQ their rank mod the prime counts when it is full; a full
     column rank there is rank_q(d_i) + rank_q(d_(i+1)) = cols, which
-    d_i d_(i+1) = 0 certifies. Otherwise they are ranked by fraction-free
-    elimination.
+    d_i d_(i+1) = 0 certifies; a lower one `int_rank` certifies itself.
     """
     dropped = set(_pivot_rows(I, i + 1, mu)) if i < 4 else ()
     columns, n_rows = _koszul_columns(I, i, mu, dropped)
@@ -215,7 +214,7 @@ def saturation_indeg(I: SegreIdeal) -> int:
     v[t]; n is the answer when these rows have rank below (n+1)^2. v is 1 at
     its free coordinate q and -RREF[t][q] at each pivot t, so the row is the
     negated row of the RREF test (RREF[t][q] at pivots, -1 at q), with the
-    same rank and index.
+    same rank and index; each v is cleared of its denominators once.
 
     This is the index that iterating J -> J : m gives on pieces tracked on
     degrees [0, 3d - k] after k steps, stopped when degree 0 becomes nonzero,
@@ -234,14 +233,14 @@ def saturation_indeg(I: SegreIdeal) -> int:
         src = basis(n).quads
         top = n + 2 * d
         index = basis(top).index
-        kernel = int_nullspace(_koszul_columns(I, 1, top)[0], len(index), p)
+        kernel = [_cleared(v) for v in int_nullspace(_koszul_columns(I, 1, top)[0], len(index), p)]
         constraints = []
         for x in xs:
             targets = [index[m] for m, _ in _times(x, [(quad, 1) for quad in src])]
             for v in kernel:
                 row = [v[t] for t in targets]
                 if any(row):
-                    constraints.append(row if p else _cleared(row))
+                    constraints.append(row)
         if int_rank(constraints, len(src), p) < len(src):
             return n
     return d

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
 
 from bisurf import exactla
-from bisurf.exactla import SCREEN_PRIME, _kernel_line, int_det, int_nullspace, int_rank
+from bisurf.exactla import SCREEN_PRIME, _kernel, int_det, int_nullspace, int_rank
 from bisurf.fields import is_prime
 
 from helpers import (
@@ -170,7 +171,7 @@ def test_gf_rref_and_nullspace_match_sympy(p):
 
 
 def _replays(monkeypatch):
-    """A list that grows by one for each Dixon step of _kernel_line."""
+    """A list that grows by one for each Dixon step of _kernel."""
     steps = []
     replay = exactla._replay
 
@@ -187,35 +188,41 @@ def test_screen_prime_is_the_largest_below_2_30():
     assert not any(is_prime(n) for n in range(SCREEN_PRIME + 2, 2**30, 2))
 
 
-def test_kernel_line_examples(monkeypatch):
+def test_kernel_examples(monkeypatch):
     q = SCREEN_PRIME
     steps = _replays(monkeypatch)
-    assert _kernel_line(identity(3), 3) == ([0, 1, 2], [])
-    assert _kernel_line([[1, 1, 1]], 3) == ([0], None)
-    assert _kernel_line([[1, 1, 1]], 3, 7) == ([0], None)
-    assert _kernel_line([[1, 6]], 2, 7) == ([0], [[1, 1]])
-    assert not steps  # nothing is lifted over GF(p) or for full rank
+    assert _kernel(identity(3), 3) == ([0, 1, 2], [])
+    # dimension 2: read off the RREF mod q, certified over QQ
+    assert _kernel([[1, 1, 1]], 3) == ([0], fraction_nullspace([[1, 1, 1]]))
+    assert _kernel([[1, 1, 1]], 3, 7) == ([0], [[6, 1, 0], [6, 0, 1]])
+    assert _kernel([[1, 6]], 2, 7) == ([0], [[1, 1]])
+    assert not steps  # nothing is lifted over GF(p), for full rank or above dimension 1
     # one-dimensional mod q, zero over QQ: the Hadamard bound of the pivot
     # row is 1, so the failed certificate at q ends it; with large pivot
     # rows the residual of the first step is not divisible by q
-    assert _kernel_line([[1, 0], [0, q]], 2) == ([0], [])
+    assert _kernel([[1, 0], [0, q]], 2) == ([0], [])
     a, b = 2**64 + 13, 3**40
-    assert _kernel_line([[a, b], [q * 5, q * 7]], 2) == ([0], [])
+    assert _kernel([[a, b], [q * 5, q * 7]], 2) == ([0], [])
     assert len(steps) == 1
     # q divides kernel entries: the kernel mod q is (1, 0, 0), so the free
     # column is the first one, and the lift gives (1, q, q) over QQ
     rows = [[q, -1, 0], [0, 1, -1]]
-    assert _kernel_line(rows, 3) == ([1, 2], fraction_nullspace(rows))
-    assert _kernel_line(rows, 3)[1] == [[Fraction(1, q), 1, 1]]
-    assert _kernel_line([[1, -q]], 2) == ([0], [[q, 1]])
+    assert _kernel(rows, 3) == ([1, 2], fraction_nullspace(rows))
+    assert _kernel(rows, 3)[1] == [[Fraction(1, q), 1, 1]]
+    assert _kernel([[1, -q]], 2) == ([0], [[q, 1]])
     # the kernel (1, n) with n near 2^200 takes many Dixon steps
     steps.clear()
     n = 2**200 + 235
-    assert _kernel_line([[n, -1], [2 * n, -2]], 2) == ([0], [[Fraction(1, n), 1]])
+    assert _kernel([[n, -1], [2 * n, -2]], 2) == ([0], [[Fraction(1, n), 1]])
     assert len(steps) >= 10
+    # dimension 2 mod q: a free column mod q that is a pivot over QQ, or an
+    # entry q + 1 that reconstructs to 1, fails the certificate
+    assert _kernel([[q, 1, 1]], 3) == ([1], None)
+    rows = [[1, 2, -(q + 1)], [2, 4, -2 * (q + 1)], [3, 6, -3 * (q + 1)]]
+    assert _kernel(copy(rows), 3) == ([0], None)
 
 
-def test_kernel_line_matches_nullspace_on_large_entries():
+def test_kernel_matches_nullspace_on_large_entries():
     # differential: corank-one int matrices with entries up to 2^64, so the
     # kernel's numerators take several Dixon steps, against the Fraction
     # kernel over QQ
@@ -240,10 +247,16 @@ def test_kernel_line_matches_nullspace_on_large_entries():
         cols = len(rows[0])
         expected = fraction_nullspace(rows)
         before = copy(rows)
-        pivots, kernel = _kernel_line(rows, cols)
+        pivots, kernel = _kernel(rows, cols)
         dim = cols - len(pivots)
         assert dim >= len(expected)
-        assert kernel == (expected if dim <= 1 else None)
+        # above dimension 1 the kernel may be left uncertified (None), and
+        # must not be when the pivots agree with QQ's and every entry of
+        # the kernel is within the reconstruction bound
+        bound = isqrt(SCREEN_PRIME // 2)
+        fits = free_columns(expected) == [c for c in range(cols) if c not in pivots] and all(
+            abs(x.numerator) <= bound and x.denominator <= bound for v in expected for x in v)
+        assert kernel == expected or (dim >= 2 and not fits and kernel is None)
         if kernel:
             assert all(type(x) is Fraction for x in kernel[0])
         assert rows == before  # the lift reads the rows over QQ as given
@@ -255,8 +268,8 @@ def test_nullspace_matches_fraction_oracle_on_large_entries():
     # differential over QQ and GF(32003): int matrices of corank 0-3 with
     # entries up to 2^64, dependent rows added and some rows multiplied by
     # SCREEN_PRIME, so that the shape rule (at least two more columns than
-    # rows), the lift (one free column mod q) and the RREF after
-    # _kernel_line (more mod q) all run
+    # rows), the lift (one free column mod q), the certified kernel (more
+    # mod q) and the RREF after it all run
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     big = st.integers(-(2**64), 2**64)
@@ -290,7 +303,7 @@ def test_nullspace_matches_fraction_oracle_on_large_entries():
 
 @pytest.mark.parametrize("p", [0, 7])
 def test_nullspace_runs_at_most_one_forward_elimination(monkeypatch, p):
-    # over GF(p) the RREF finishes the echelon form _kernel_line left; over
+    # over GF(p) the RREF finishes the echelon form _kernel left; over
     # QQ the elimination mod SCREEN_PRIME runs only when cols - rows <= 1
     calls = []
     forward = exactla._forward_gf
@@ -308,6 +321,81 @@ def test_nullspace_runs_at_most_one_forward_elimination(monkeypatch, p):
         ns = int_nullspace(copy(rows), cols, p)
         assert ns == fraction_nullspace(rows, p)
         assert calls == ([p] if p else [SCREEN_PRIME] * (cols - len(rows) <= 1))
+
+
+def _calls(monkeypatch, name):
+    """A list that receives the column count of each call of exactla's name."""
+    calls = []
+    real = getattr(exactla, name)
+
+    def spy(rows, cols):
+        calls.append(cols)
+        return real(rows, cols)
+
+    monkeypatch.setattr(exactla, name, spy)
+    return calls
+
+
+def test_nullspace_with_an_entry_that_reconstructs_wrong(monkeypatch):
+    # rank 1, kernel (-2, 1, 0) and (q + 1, 0, 1): mod q the second vector
+    # reconstructs to (1, 0, 1), which the certificate rejects, so the RREF
+    # over QQ runs
+    q = SCREEN_PRIME
+    rows = [[k, 2 * k, -k * (q + 1)] for k in (1, 2, 3)]
+    fallbacks = _calls(monkeypatch, "_rref_int")
+    assert int_nullspace(copy(rows), 3) == fraction_nullspace(rows)
+    assert int_nullspace(copy(rows), 3)[1] == [q + 1, 0, 1]
+    assert fallbacks == [3, 3]
+    fallbacks.clear()
+    assert int_nullspace([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3) == fraction_nullspace([[1, 2, 3]])
+    assert fallbacks == []
+
+
+def test_rank_certifies_dependencies(monkeypatch):
+    # r3 - r1 - r2 vanishes mod q but not over QQ; the exact dependencies
+    # certify a lower rank without fraction-free elimination, also when the
+    # screen swaps rows (a zero first entry) and on the transpose
+    q = SCREEN_PRIME
+    fallbacks = _calls(monkeypatch, "_forward_int")
+    assert int_rank([[1, 2, 3], [4, 5, 6], [5, 7, 9 + q]], 3) == 3
+    assert fallbacks == [3]
+    fallbacks.clear()
+    for rows, rank in (([[1, 2, 3], [4, 5, 6], [5, 7, 9]], 2),
+                       ([[0, 1, 1], [1, 1, 0], [1, 2, 1], [2, 3, 1]], 2),
+                       ([[0, 0, 2], [0, 3, 1], [5, 1, 1], [0, 3, 3], [5, 4, 6]], 3),
+                       ([[0, 1], [0, 2], [0, 3]], 1)):
+        assert int_rank(copy(rows), len(rows[0])) == rank == fraction_rank(rows)
+        assert int_rank([list(col) for col in zip(*rows)], len(rows)) == rank
+    assert fallbacks == []
+
+
+def test_kernel_and_rank_match_fraction_oracle_on_small_entries():
+    # differential over QQ and GF(32003): rank-deficient matrices with small
+    # entries, combinations of at most cols - 1 random rows, so that
+    # kernels of dimension 2 or more and rank deficits are read off one
+    # elimination mod q and certified
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-3, 3)
+
+    @st.composite
+    def deficient(draw):
+        cols = draw(st.integers(1, 7))
+        rank = draw(st.integers(0, cols - 1))
+        gens = draw(st.lists(st.lists(small, min_size=cols, max_size=cols), min_size=rank, max_size=rank))
+        weights = draw(st.lists(st.lists(small, min_size=rank, max_size=rank), min_size=1, max_size=8))
+        return cols, [[sum(w * g[j] for w, g in zip(ws, gens)) for j in range(cols)] for ws in weights]
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(deficient(), st.sampled_from([0, 32003]))
+    def check(drawn, p):
+        cols, rows = drawn
+        if p:
+            rows = [[x % p for x in row] for row in rows]
+        assert int_nullspace(copy(rows), cols, p) == fraction_nullspace(rows, p)
+        assert int_rank(copy(rows), cols, p) == fraction_rank(rows, p)
+
+    check()
 
 
 def test_det_examples():
@@ -361,7 +449,7 @@ def test_rank_matches_independent_gaussian():
 def test_gf_rref_and_nullspace():
     p = 7
     rows = [[1, 2, 3], [4, 5, 6], [5, 0, 2]]
-    pivots = _kernel_line(copy(rows), 3, p)[0]
+    pivots = _kernel(copy(rows), 3, p)[0]
     ns = int_nullspace(copy(rows), 3, p)
     assert len(pivots) == int_rank(copy(rows), 3, p) and len(pivots) + len(ns) == 3
     assert annihilates(rows, ns, p)

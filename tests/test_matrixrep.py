@@ -6,7 +6,7 @@ import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
 from bisurf import _expr, exactla
-from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel_line, int_det, int_nullspace
+from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel, int_det, int_nullspace
 from bisurf.fields import QQ, PrimeField
 from bisurf import matrixrep
 from bisurf.matrixrep import (
@@ -183,7 +183,7 @@ def _fallback_calls(monkeypatch):
     return calls
 
 
-def test_membership_falls_back_only_above_corank_one(query_cases, d2_matrix_rep, monkeypatch):
+def test_membership_falls_back_only_when_not_certified(query_cases, d2_matrix_rep, monkeypatch):
     calls, seen = _fallback_calls(monkeypatch), []
     for M, on, _ in query_cases:
         for pt in on:
@@ -191,16 +191,15 @@ def test_membership_falls_back_only_above_corank_one(query_cases, d2_matrix_rep,
             seen.append((M.rows - membership(M, pt)[1], len(calls)))
     # (corank, fallbacks): dense (2,2) has corank 1 in its one block, lifted
     # mixed23 corank 1 in each of its six blocks, except at the image of
-    # t = 0, (128, -128, -128, -128), where it is 2 in each; the six blocks
-    # are one class, ranked once, so that point takes one fallback
-    assert seen == [(1, 0)] * 3 + [(6, 0), (6, 0), (12, 1)]
-    calls.clear()
+    # t = 0, (128, -128, -128, -128), where it is 2 in each, a kernel
+    # certified from its residues like the others
+    assert seen == [(1, 0)] * 3 + [(6, 0), (6, 0), (12, 0)]
     # the singular point (1,0,0,0) of d2_example: rank 6 of 9
     assert membership(d2_matrix_rep, (1, 0, 0, 0)) == (True, 6)
-    assert calls == [(12, 9)]
+    assert calls == []
     # q times a regular image point (rank 8) is zero mod q
     assert membership(d2_matrix_rep, [SCREEN_PRIME * x for x in (15, 11, 40, 12)]) == (True, 8)
-    assert calls == [(12, 9)] * 2
+    assert calls == [(12, 9)]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
@@ -503,15 +502,15 @@ def _scaled_segre(a, b, c):
 
 def _kernel_calls(monkeypatch):
     """A list that receives (prime, dimension mod prime, kernel size or None)
-    for each _kernel_line call of the oracle's int_nullspace."""
+    for each _kernel call of the oracle's int_nullspace."""
     calls = []
 
     def spy(rows, cols, p=0):
-        pivots, kernel = _kernel_line(rows, cols, p)
+        pivots, kernel = _kernel(rows, cols, p)
         calls.append((p or SCREEN_PRIME, cols - len(pivots), None if kernel is None else len(kernel)))
         return pivots, kernel
 
-    monkeypatch.setattr(exactla, "_kernel_line", spy)
+    monkeypatch.setattr(exactla, "_kernel", spy)
     return calls
 
 

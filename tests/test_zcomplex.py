@@ -140,11 +140,13 @@ def test_koszul_columns_transpose_the_rows(d2_ideal):
 
 
 def test_strand_fallbacks(monkeypatch, inputs_dir):
-    # over QQ a rank mod q that is not full falls back to fraction-free
-    # elimination, on the columns of d_i outside the pivot rows of d_(i+1):
-    # the d1 and d2 ranks of the inputs with base points at 2d-1 = 3 (whose
-    # whole pieces are 36 x 64 and 144 x 96), and those of lifted mixed23 at
-    # nu = 5, where d_(i+1) has no columns. Dense inputs take none.
+    # over QQ a rank mod q that is not full is certified by the exact
+    # dependencies the screen reads off: the d1 and d2 ranks of d2_example
+    # at 2d-1 = 3 (on 36 x 40 and 144 x 80 kept columns) and of lifted
+    # mixed23 at nu = 5 (144 x 144 and 576 x 216) take no fraction-free
+    # elimination, nor do the dense inputs. Only a rank that drops mod q
+    # alone falls back, on the columns of d_i outside the pivot rows of
+    # d_(i+1): f4 = q*uv vanishes mod q
     shapes = []
     real = exactla._forward_int
     monkeypatch.setattr(exactla, "_forward_int",
@@ -152,10 +154,11 @@ def test_strand_fallbacks(monkeypatch, inputs_dir):
     for P, nu, expected in (
         (random_dense(2, Random(1)), 3, []),
         (random_dense(3, Random(1)), 5, []),
-        (parse_parametrization((inputs_dir / "d2_example.ex").read_text(encoding="utf-8")), 3,
-         [(36, 40), (80, 144)]),
+        (parse_parametrization((inputs_dir / "d2_example.ex").read_text(encoding="utf-8")), 3, []),
         (lift_mixed(parse_parametrization((inputs_dir / "mixed23.ex").read_text(encoding="utf-8"))),
-         5, [(144, 144), (216, 576)]),
+         5, []),
+        (parse_parametrization(f"degree: 1 1\nf1: s*t\nf2: s*v\nf3: u*t\nf4: {SCREEN_PRIME}*u*v\n"), 1,
+         [(9, 10), (20, 36)]),
     ):
         del shapes[:]
         strand_report(SegreIdeal.from_parametrization(P), nu)
