@@ -386,7 +386,7 @@ def _kernel(rows, cols, p=0):
     `int_nullspace`, or None over QQ when it is not certified. Over GF(p) S
     is left in echelon form, each pivot 1; over QQ it is left as it is.
 
-    One forward elimination mod q runs, with a record over QQ; full rank
+    One elimination mod p or q runs, with a record over QQ; full rank
     returns at once. For d = cols - len(pivots) >= 2 the echelon form is
     back-eliminated and the basis read off it. Over QQ its nonzero entries
     are reconstructed (Wang) and the d vectors certified by one exact

@@ -343,9 +343,9 @@ def test_nullspace_with_an_entry_that_reconstructs_wrong(monkeypatch):
     q = SCREEN_PRIME
     rows = [[k, 2 * k, -k * (q + 1)] for k in (1, 2, 3)]
     fallbacks = _calls(monkeypatch, "_rref_int")
-    assert int_nullspace(copy(rows), 3) == fraction_nullspace(rows)
-    assert int_nullspace(copy(rows), 3)[1] == [q + 1, 0, 1]
-    assert fallbacks == [3, 3]
+    kernel = int_nullspace(copy(rows), 3)
+    assert kernel == fraction_nullspace(rows) and kernel[1] == [q + 1, 0, 1]
+    assert fallbacks == [3]
     fallbacks.clear()
     assert int_nullspace([[1, 2, 3], [2, 4, 6], [3, 6, 9]], 3) == fraction_nullspace([[1, 2, 3]])
     assert fallbacks == []
