@@ -195,7 +195,11 @@ def cmd_membership(args) -> int:
 
 def cmd_implicit(args) -> int:
     P, lifted, code = _prepared(args)
-    rep = equation_report(P, nu=args.nu, saturate=args.saturate, seed=args.seed)
+    try:
+        rep = equation_report(P, nu=args.nu, saturate=args.saturate, seed=args.seed)
+    except InterpolationError as exc:  # after the gcd warning, a hypothesis violation
+        print(f"error: {exc}", file=sys.stderr)
+        return code or ERROR
     if code:  # the base locus is not finite: a constant residual certifies nothing
         rep = replace(rep, lci=False)
     if args.json:
@@ -266,15 +270,12 @@ def main(argv=None) -> int:
         return ERROR if exc.code else OK
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, InputError, InterpolationError, ValueError) as exc:
+    except (ParseError, InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
     except (RankDeficientError, StrandError, ExactDivisionError) as exc:
         print(f"diagnostic: {exc}", file=sys.stderr)
         return DIAGNOSTIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ERROR
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ canonical kernel basis, read off the unique RREF (the pivot rule is always
 "first nonzero entry in column order", so results are deterministic), and
 `int_det` the determinant of square rows over the integers alone. All three
 consume their rows: a caller that reads them afterwards passes a copy.
+Results are ints: over QQ a kernel vector times its common denominator.
 
 Over QQ both read their answer off one elimination modulo SCREEN_PRIME,
 the largest prime below 2^30, whose residues are single-digit CPython ints,
@@ -15,15 +16,14 @@ and certify it by exact products: `_kernel` lifts a kernel of dimension 1
 there p-adically and reconstructs a larger one, and `int_rank` reconstructs
 the dependencies of the rows that its zero rows give. Only a failure, or a
 kernel of two more columns than rows, runs the fraction-free elimination,
-which strips integer content from every combined row and forms a Fraction
-only for a returned entry. Every elimination modulo a prime is
+which strips integer content from every combined row and leaves each RREF
+row times its pivot entry. Every elimination modulo a prime is
 `_forward_gf`, on packed int rows for a large dense matrix and on list rows
 otherwise; both leave the same pivots, rows and record.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, isqrt, lcm, prod
 from operator import mul
@@ -207,11 +207,10 @@ def _solve_one_free(echelon, pivots, free, rhs, t, p):
 
 
 def _rref_int(ints, cols):
-    """The nonzero rows of the RREF of int rows over QQ, as Fractions, and
-    the pivot columns: fraction-free forward elimination in place, then
-    back-substitution in integers from the last pivot up, each combination
-    divided by its content; every row is divided by its pivot only at the
-    end."""
+    """The nonzero rows of the RREF of int rows over QQ, row k times its
+    entry at pivots[k], and the pivot columns: fraction-free forward
+    elimination in place, then back-substitution in integers from the last
+    pivot up, each combination divided by its content."""
     pivots = _forward_int(ints, cols)
     r = len(pivots)
     for k in range(r - 1, 0, -1):
@@ -227,13 +226,7 @@ def _rref_int(ints, cols):
                 for j in range(pivots[a], cols):
                     ra[j] = ra[j] * s - rk[j] * t
                 _strip_content(ra, pivots[a])
-    zero = Fraction(0)
-    frows = []
-    for k in range(r):
-        rk = ints[k]
-        pv = rk[pivots[k]]
-        frows.append([Fraction(x, pv) if x else zero for x in rk])
-    return frows, pivots
+    return ints[:r], pivots
 
 
 def int_det(rows):
@@ -319,12 +312,6 @@ def _reconstruct(residues, m):
     return out
 
 
-def _canonical(ints):
-    """A nonzero int vector divided by its last nonzero entry, as Fractions."""
-    last, zero = next(a for a in reversed(ints) if a), Fraction(0)
-    return [Fraction(a, last) if a else zero for a in ints]
-
-
 def _cleared(row):
     """A row of Fractions times its common denominator, as ints; the scaling
     keeps the span and the kernel. Residues, of denominator 1, come back as
@@ -351,9 +338,12 @@ def _annihilates(rows, vectors):
 
 
 def _basis(rows, pivots, cols, p=0):
-    """The canonical kernel basis of `int_nullspace`, read off RREF rows
-    with these pivots: Fractions over QQ. Over GF(p) the rows are residues
-    in echelon form, each pivot 1, and are first back-eliminated in place."""
+    """The kernel basis of `int_nullspace`, read off RREF rows with these
+    pivots, each times its pivot entry pv, as `_rref_int` gives them. Over
+    GF(p) the rows are residues in echelon form, each pv 1, and are first
+    back-eliminated in place. The canonical vector of free column f is -x/pv
+    at the pivot of each row with x = row[f] nonzero; times den, the lcm of
+    the pv / gcd(pv, x), it is primitive, den at f (over GF(p) den is 1)."""
     if p:
         for k in range(len(pivots) - 1, -1, -1):
             c = pivots[k]
@@ -365,17 +355,13 @@ def _basis(rows, pivots, cols, p=0):
                 if v:
                     for j, y in nonzero:
                         ra[j] = (ra[j] - v * y) % p
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
-    pivset = set(pivots)
     basis = []
-    for fc in range(cols):
-        if fc in pivset:
-            continue
-        v = [zero] * cols
-        v[fc] = one
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = -row[fc] % p if p else -row[fc]
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        hits = [(pc, row[fc], row[pc]) for row, pc in zip(rows, pivots) if row[fc]]
+        v = [0] * cols
+        v[fc] = den = lcm(*(pv // gcd(pv, x) for _, x, pv in hits))
+        for pc, x, pv in hits:
+            v[pc] = -x * den // pv % p if p else -x * den // pv
         basis.append(v)
     return basis
 
@@ -385,6 +371,9 @@ def _kernel(rows, cols, p=0):
     the pivot columns mod p, over QQ mod q = SCREEN_PRIME, and the basis of
     `int_nullspace`, or None over QQ when it is not certified. Over GF(p) S
     is left in echelon form, each pivot 1; over QQ it is left as it is.
+    Over QQ each vector is the canonical one times its common denominator,
+    positive at its free column, its last nonzero entry; for d = 1 that
+    column can be a pivot mod q (rows [[q, 1]]), so that entry fixes the sign.
 
     One elimination mod p or q runs, with a record over QQ; full rank
     returns at once. For d = cols - len(pivots) >= 2 the echelon form is
@@ -420,8 +409,7 @@ def _kernel(rows, cols, p=0):
         if p:
             return pivots, kernel
         ints = [_reconstruct(v, q) for v in kernel]
-        certified = None not in ints and _annihilates(rows, ints)
-        return pivots, [_canonical(w) for w in ints] if certified else None
+        return pivots, ints if None not in ints and _annihilates(rows, ints) else None
     free = next(c for c in range(cols) if c not in pivots)
     x = _solve_one_free(echelon, pivots, free, None, 1, q)
     if p:
@@ -430,7 +418,7 @@ def _kernel(rows, cols, p=0):
     while True:
         w = _reconstruct(x, modulus)
         if w is not None and _annihilates(rows, [w]):
-            return pivots, [_canonical(w)]
+            return pivots, [w if next(a for a in reversed(w) if a) > 0 else [-a for a in w]]
         if residual is None:
             order = list(range(len(rows)))
             for r, (pr, _, _) in enumerate(record):
@@ -453,8 +441,8 @@ def int_nullspace(rows, cols, p=0):
     """Canonical kernel basis of int rows over QQ (p = 0) or of int residues
     mod p, which it consumes: one vector per free column of the RREF, in
     column order, with that column 1, the other free columns 0 and each
-    pivot column the negated RREF entry. The entries are Fractions over QQ
-    and residues in [0, p) over GF(p).
+    pivot column the negated RREF entry: residues in [0, p) over GF(p), and
+    over QQ times the lcm of its denominators, as ints, by every route below.
 
     Over QQ with cols - len(rows) >= 2 the kernel has dimension at least 2,
     and fraction-free elimination runs at once. Otherwise `_kernel` reads

@@ -2,11 +2,10 @@
 
 The matrix M has one row per degree-nu monomial of the quotient ring and one
 column per linear syzygy; its entries are linear forms in T1..T4. M is held
-as the syzygy kernel vectors themselves, one per column, and one int table
-of their coefficients with denominators cleared, which everything below
-reads. Its rank drops exactly on the surface (for isolated, locally complete
-intersection base points), and the gcd D of its maximal minors is the
-strand determinant.
+as the syzygy kernel vectors themselves, int vectors, one per column, and
+one int table of their coefficients, which everything below reads. Its rank
+drops exactly on the surface (for isolated, locally complete intersection
+base points), and the gcd D of its maximal minors is the strand determinant.
 An independent oracle, the exact kernel of F -> F(f1..f4), lifted p-adically
 from one prime below 2^30, finds the irreducible implicit equation F, which
 divides D; D is then found from its
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb, gcd, prod
 from operator import mul
 from random import Random
@@ -61,12 +61,11 @@ class RepMatrix:
     """k x m matrix of linear forms in T1..T4: k = (nu+1)^2 rows over the
     degree-nu monomial basis, one column per linear syzygy.
 
-    syzygies holds the columns as `linear_syzygies` returns them, each the
-    coefficients of a1..a4 on the row basis, so entry (i, j) has the
-    coefficients syzygies[j][i::k] of T1..T4. ints holds the same entries as
-    4-tuples of plain ints: over QQ each column times its common
-    denominator, over GF(p) the residues. Neither changes the rank at any
-    point."""
+    syzygies holds the columns as `linear_syzygies` returns them, int
+    vectors of the coefficients of a1..a4 on the row basis, so entry (i, j)
+    has the coefficients syzygies[j][i::k] of T1..T4; ints holds them as
+    4-tuples. A column's scale changes no rank at any point; `entries` and
+    `to_json_dict` divide it by its last nonzero entry (`exactla._kernel`)."""
 
     __slots__ = ("nu", "basis", "syzygies", "ints", "field", "_blocks")
 
@@ -76,8 +75,7 @@ class RepMatrix:
         self.syzygies = tuple(syzygies)
         self.field = field
         k = len(row_basis)
-        columns = [_cleared(v) for v in self.syzygies]
-        self.ints = tuple(tuple(tuple(col[i::k]) for col in columns) for i in range(k))
+        self.ints = tuple(tuple(tuple(col[i::k]) for col in self.syzygies) for i in range(k))
         self._blocks = None
 
     @property
@@ -88,21 +86,30 @@ class RepMatrix:
     def cols(self) -> int:
         return len(self.syzygies)
 
+    def _printed(self):
+        """Each column divided by its last nonzero entry; a zero column stays zero."""
+        lasts = [next((a for a in reversed(v) if a), 1) for v in self.syzygies]
+        if p := self.field.characteristic:
+            invs = [pow(last, -1, p) for last in lasts]
+            return [[a * inv % p for a in v] for v, inv in zip(self.syzygies, invs)]
+        zero = self.field.zero
+        return [[Fraction(a, last) if a else zero for a in v] for v, last in zip(self.syzygies, lasts)]
+
     @property
     def entries(self):
         """The entries as linear TPolys, built on each read."""
-        k = self.rows
-        return tuple(tuple(TPoly(dict(zip(_UNIT_EXPS, v[i::k])), self.field) for v in self.syzygies)
+        k, columns = self.rows, self._printed()
+        return tuple(tuple(TPoly(dict(zip(_UNIT_EXPS, v[i::k])), self.field) for v in columns)
                      for i in range(k))
 
     def to_json_dict(self) -> dict:
-        k = self.rows
+        k, columns = self.rows, self._printed()
         return {
             "nu": self.nu,
             "rows": k,
             "cols": self.cols,
             "row_basis": self.basis.monomial_texts(),
-            "entries": [[[str(c) for c in v[i::k]] for v in self.syzygies] for i in range(k)],
+            "entries": [[[str(c) for c in v[i::k]] for v in columns] for i in range(k)],
         }
 
 
@@ -342,7 +349,7 @@ class _Block:
             rows += [[q.get(top, 0) * x.get(key, 0) - q.get(key, 0) * x.get(top, 0) for x in forms]
                      for key in ((0, 0, r - i, i) for i in range(1, r + 1))]
         kernel = int_nullspace([[x % p for x in row] for row in rows] if p else rows, len(monos), p)
-        return TPoly(dict(zip(monos, kernel[0])), self.field) if len(kernel) == 1 else None
+        return _monic(dict(zip(monos, kernel[0])), self.field) if len(kernel) == 1 else None
 
 
 def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
@@ -498,7 +505,7 @@ def implicit_by_interpolation(P: Parametrization, max_degree: int) -> TPoly:
                 f"dimension {len(kernel)} over {P.field.name}: the image is not a surface"
             )
         if kernel:
-            return _monic({m: x for m, x in zip(monos, kernel[0]) if x}, P.field)
+            return _monic(dict(zip(monos, kernel[0])), P.field)
     raise _DegreeBoundError(f"no equation of degree at most {max_degree}")
 
 

@@ -142,8 +142,8 @@ def _ints(poly, scale=None):
 
 
 def _monic(t, field) -> TPoly:
-    """The TPoly of an int-kernel result, scaled to leading coefficient 1."""
-    lc = t[max(t, key=lead_key)]
+    """The TPoly of an int-kernel result (zeros allowed), made monic."""
+    lc = t[max(filter(t.get, t), key=lead_key)]
     if field.characteristic:
         p = field.p
         inv = pow(lc, -1, p)

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 
 from .biparam import InputError, Parametrization
-from .exactla import SCREEN_PRIME, _cleared, _forward_gf, int_nullspace, int_rank
+from .exactla import SCREEN_PRIME, _forward_gf, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import _ints, _scale_of
 
@@ -211,10 +211,10 @@ def saturation_indeg(I: SegreIdeal) -> int:
     when f*x is orthogonal to each vector v of the kernel of the spanning
     rows of I_(n+2d). Multiplication by x sends the degree-n monomials to
     distinct targets t, so for each x and v this is one row over degree n,
-    v[t]; n is the answer when these rows have rank below (n+1)^2. v is 1 at
-    its free coordinate q and -RREF[t][q] at each pivot t, so the row is the
-    negated row of the RREF test (RREF[t][q] at pivots, -1 at q), with the
-    same rank and index; each v is cleared of its denominators once.
+    v[t]; n is the answer when these rows have rank below (n+1)^2. v is, up
+    to the positive int scale `int_nullspace` gives it, 1 at its free
+    coordinate q and -RREF[t][q] at each pivot t, so the row is a multiple of
+    the negated row of the RREF test (RREF[t][q] at pivots, -1 at q).
 
     This is the index that iterating J -> J : m gives on pieces tracked on
     degrees [0, 3d - k] after k steps, stopped when degree 0 becomes nonzero,
@@ -233,7 +233,7 @@ def saturation_indeg(I: SegreIdeal) -> int:
         src = basis(n).quads
         top = n + 2 * d
         index = basis(top).index
-        kernel = [_cleared(v) for v in int_nullspace(_koszul_columns(I, 1, top)[0], len(index), p)]
+        kernel = int_nullspace(_koszul_columns(I, 1, top)[0], len(index), p)
         constraints = []
         for x in xs:
             targets = [index[m] for m, _ in _times(x, [(quad, 1) for quad in src])]

@@ -332,12 +332,31 @@ def test_implicit_small_primes(capsys, inputs_dir, segre_param, d2_equation):
 
 def test_implicit_mod_p_image_not_a_surface(capsys, inputs_dir):
     # mod 2 the coordinates of mixed23 share a factor; three independent
-    # linear forms vanish on the image
+    # linear forms vanish on the image. The shared factor is the gcd
+    # warning's hypothesis violation, so the exit code is 2
     code, out, err = run(
         capsys, "implicit", str(inputs_dir / "mixed23.ex"), "--nu", "5", "--mod", "2"
     )
-    assert code == 1 and out == ""
+    assert code == 2 and out == ""
     assert "error:" in err and "degree 1" in err and "dimension 3" in err
+
+
+def test_oracle_error_exits_2_only_after_the_gcd_warning(capsys, inputs_dir, tmp_path):
+    # implicit mixed23.ex --mod 2 used to print the warning and then exit 1
+    # from the oracle's error, with or without --saturate; both messages
+    # stay on stderr. s*t, s*t, u*v, u*v share no factor, so the same error
+    # over QQ (a curve: a kernel of dimension 2 in degree 1) still exits 1
+    mixed = str(inputs_dir / "mixed23.ex")
+    for flags in ((), ("--saturate",)):
+        code, out, err = run(capsys, "implicit", mixed, "--mod", "2", *flags)
+        assert code == 2 and out == "", flags
+        assert "warning:" in err and "not finite" in err
+        assert "error:" in err and "dimension 3 over GF(2)" in err
+    curve = tmp_path / "curve.ex"
+    curve.write_text("degree: 1 1\nf1: s*t\nf2: s*t\nf3: u*v\nf4: u*v\n", encoding="utf-8")
+    code, out, err = run(capsys, "implicit", str(curve))
+    assert code == 1 and out == ""
+    assert "warning" not in err and "error:" in err and "dimension 2 over QQ" in err
 
 
 def test_implicit_dense_22_mod_p(capsys, tmp_path):

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from random import Random
 
 import pytest
 
 from bisurf import exactla
-from bisurf.exactla import SCREEN_PRIME, _kernel, int_det, int_nullspace, int_rank
+from bisurf.exactla import SCREEN_PRIME, _cleared, _kernel, int_det, int_nullspace, int_rank
 from bisurf.fields import is_prime
 
 from helpers import (
@@ -46,6 +46,12 @@ def free_columns(ns):
     return [max(j for j, x in enumerate(v) if x) for v in ns]
 
 
+def cleared_nullspace(rows, p=0):
+    """The Fraction reference kernel basis, each vector times its common
+    denominator, as ints: the vectors `int_nullspace` returns."""
+    return [_cleared(v) for v in fraction_nullspace(rows, p)]
+
+
 def test_rref_examples():
     # the kernel read off the RREF: [1, 2] with pivot 0 gives (-2, 1), the
     # identity none, and zero rows the unit vectors
@@ -57,8 +63,9 @@ def test_rref_examples():
 
 
 def test_rref_is_reduced_and_deterministic():
-    # each kernel vector is 1 at its free column and 0 at the other free
-    # columns, so the pivot columns hold the negated entries of a reduced RREF
+    # each kernel vector is a primitive int vector, positive at its free
+    # column and 0 at the other free columns, so divided by its free entry
+    # the pivot columns hold the negated entries of a reduced RREF
     rng = Random(1)
     for shape in ((6, 4), (4, 6), (5, 6)):
         rows = random_rows(rng, *shape)
@@ -66,15 +73,16 @@ def test_rref_is_reduced_and_deterministic():
         free = free_columns(ns)
         assert free == sorted(set(free)) and len(free) == shape[1] - int_rank(copy(rows), shape[1])
         for v, fc in zip(ns, free):
-            assert v[fc] == 1 and not any(v[g] for g in free if g != fc)
+            assert v[fc] > 0 and gcd(*v) == 1 and not any(v[g] for g in free if g != fc)
+            assert all(type(x) is int for x in v)
         assert annihilates(rows, ns)
         assert int_nullspace(copy(rows), shape[1]) == ns
 
 
 def test_nullspace_examples():
     ns = int_nullspace([[1, 1]], 2)
-    assert ns == [[Fraction(-1), Fraction(1)]]
-    assert all(type(x) is Fraction for x in ns[0])
+    assert ns == [[-1, 1]]
+    assert all(type(x) is int for x in ns[0])
     assert int_nullspace(identity(4), 4) == []
     assert len(int_nullspace([[1, 2, 3], [2, 4, 6]], 3)) == 2
     assert int_nullspace([], 2) == [[1, 0], [0, 1]]
@@ -130,9 +138,9 @@ def test_rref_and_nullspace_match_fraction_oracle():
         cols = len(rows[0])
         pivots = fraction_rref(rows)[1]
         ns = int_nullspace(int_rows(rows), cols)
-        assert ns == fraction_nullspace(rows)
+        assert ns == cleared_nullspace(rows)
         assert free_columns(ns) == [c for c in range(cols) if c not in pivots]
-        assert all(type(x) is Fraction for v in ns for x in v)
+        assert all(type(x) is int for v in ns for x in v)
         assert annihilates(rows, ns)
 
     check()
@@ -193,7 +201,7 @@ def test_kernel_examples(monkeypatch):
     steps = _replays(monkeypatch)
     assert _kernel(identity(3), 3) == ([0, 1, 2], [])
     # dimension 2: read off the RREF mod q, certified over QQ
-    assert _kernel([[1, 1, 1]], 3) == ([0], fraction_nullspace([[1, 1, 1]]))
+    assert _kernel([[1, 1, 1]], 3) == ([0], cleared_nullspace([[1, 1, 1]]))
     assert _kernel([[1, 1, 1]], 3, 7) == ([0], [[6, 1, 0], [6, 0, 1]])
     assert _kernel([[1, 6]], 2, 7) == ([0], [[1, 1]])
     assert not steps  # nothing is lifted over GF(p), for full rank or above dimension 1
@@ -207,13 +215,16 @@ def test_kernel_examples(monkeypatch):
     # q divides kernel entries: the kernel mod q is (1, 0, 0), so the free
     # column is the first one, and the lift gives (1, q, q) over QQ
     rows = [[q, -1, 0], [0, 1, -1]]
-    assert _kernel(rows, 3) == ([1, 2], fraction_nullspace(rows))
-    assert _kernel(rows, 3)[1] == [[Fraction(1, q), 1, 1]]
+    assert _kernel(rows, 3) == ([1, 2], cleared_nullspace(rows))
+    assert _kernel(rows, 3)[1] == [[1, q, q]]
     assert _kernel([[1, -q]], 2) == ([0], [[q, 1]])
+    # the free column mod q is a pivot over QQ: the lift, 1 at column 0,
+    # gives (1, -q), which leaves as the primitive canonical vector (-1, q)
+    assert _kernel([[q, 1]], 2) == ([1], [[-1, q]]) and int_nullspace([[q, 1]], 2) == [[-1, q]]
     # the kernel (1, n) with n near 2^200 takes many Dixon steps
     steps.clear()
     n = 2**200 + 235
-    assert _kernel([[n, -1], [2 * n, -2]], 2) == ([0], [[Fraction(1, n), 1]])
+    assert _kernel([[n, -1], [2 * n, -2]], 2) == ([0], [[1, n]])
     assert len(steps) >= 10
     # dimension 2 mod q: a free column mod q that is a pivot over QQ, or an
     # entry q + 1 that reconstructs to 1, fails the certificate
@@ -245,7 +256,8 @@ def test_kernel_matches_nullspace_on_large_entries():
     @hypothesis.given(corank_one())
     def check(rows):
         cols = len(rows[0])
-        expected = fraction_nullspace(rows)
+        canonical = fraction_nullspace(rows)
+        expected = [_cleared(v) for v in canonical]
         before = copy(rows)
         pivots, kernel = _kernel(rows, cols)
         dim = cols - len(pivots)
@@ -255,10 +267,10 @@ def test_kernel_matches_nullspace_on_large_entries():
         # the kernel is within the reconstruction bound
         bound = isqrt(SCREEN_PRIME // 2)
         fits = free_columns(expected) == [c for c in range(cols) if c not in pivots] and all(
-            abs(x.numerator) <= bound and x.denominator <= bound for v in expected for x in v)
+            abs(x.numerator) <= bound and x.denominator <= bound for v in canonical for x in v)
         assert kernel == expected or (dim >= 2 and not fits and kernel is None)
         if kernel:
-            assert all(type(x) is Fraction for x in kernel[0])
+            assert all(type(x) is int for x in kernel[0])
         assert rows == before  # the lift reads the rows over QQ as given
 
     check()
@@ -295,7 +307,7 @@ def test_nullspace_matches_fraction_oracle_on_large_entries():
         cols, rows = drawn
         if p:
             rows = [[x % p for x in row] for row in rows]
-        expected = fraction_nullspace(rows, p) if rows else identity(cols)
+        expected = cleared_nullspace(rows, p) if rows else identity(cols)
         assert int_nullspace(copy(rows), cols, p) == expected
 
     check()
@@ -351,6 +363,36 @@ def test_nullspace_with_an_entry_that_reconstructs_wrong(monkeypatch):
     assert fallbacks == []
 
 
+def test_every_qq_route_returns_the_primitive_canonical_vectors(monkeypatch):
+    # the same kernels through each QQ route of int_nullspace: a 3 x 4 of
+    # rank 2 takes the certified reconstruction (dimension 2 mod q), a 4 x 5
+    # with entries up to 2^64 the Dixon lift (dimension 1), and either with
+    # all rows but the last times SCREEN_PRIME, an unlucky prime for it,
+    # the _rref_int fallback: its rank mod q drops, and the extra kernel
+    # vectors mod q fail the certificate, while its kernel over QQ is the same
+    q = SCREEN_PRIME
+    steps = _replays(monkeypatch)
+    fallbacks = _calls(monkeypatch, "_rref_int")
+    rng = Random(7)
+    two = random_rows(rng, 2, 4)
+    routes = {"certified": two + [[3 * x - 2 * y for x, y in zip(*two)]],
+              "lift": random_rows(rng, 4, 5, -(2**64), 2**64)}
+    for route, rows in routes.items():
+        expected = cleared_nullspace(rows)
+        assert len(expected) == (2 if route == "certified" else 1)
+        for unlucky in (False, True):
+            drawn = [[q * x for x in row] for row in rows[:-1]] + [rows[-1]] if unlucky else rows
+            steps.clear()
+            fallbacks.clear()
+            ns = int_nullspace(copy(drawn), len(rows[0]))
+            assert ns == expected, (route, unlucky)
+            assert all(type(x) is int for v in ns for x in v)
+            for v, fc in zip(ns, free_columns(ns)):
+                assert v[fc] > 0 and gcd(*v) == 1
+            assert fallbacks == ([len(rows[0])] if unlucky else [])
+            assert bool(steps) == (route == "lift" and not unlucky)
+
+
 def test_rank_certifies_dependencies(monkeypatch):
     # r3 - r1 - r2 vanishes mod q but not over QQ; the exact dependencies
     # certify a lower rank without fraction-free elimination, also when the
@@ -392,7 +434,7 @@ def test_kernel_and_rank_match_fraction_oracle_on_small_entries():
         cols, rows = drawn
         if p:
             rows = [[x % p for x in row] for row in rows]
-        assert int_nullspace(copy(rows), cols, p) == fraction_nullspace(rows, p)
+        assert int_nullspace(copy(rows), cols, p) == cleared_nullspace(rows, p)
         assert int_rank(copy(rows), cols, p) == fraction_rank(rows, p)
 
     check()

@@ -1,12 +1,11 @@
 from fractions import Fraction
-from math import lcm
 from random import Random
 
 import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
 from bisurf import _expr, exactla
-from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel, int_det, int_nullspace
+from bisurf.exactla import SCREEN_PRIME, _cleared, _forward_int, _kernel, int_det, int_nullspace
 from bisurf.fields import QQ, PrimeField
 from bisurf import matrixrep
 from bisurf.matrixrep import (
@@ -75,16 +74,16 @@ def test_lifted_matrix_shape(mixed_param):
 
 def test_reassembly_invariant(d2_matrix_rep, d2_ideal):
     # entry (i, j) holds the coefficients v[i::k] of column j's syzygy vector
-    # v, as field elements in M.entries and times v's common denominator,
-    # as ints, in M.ints
+    # v, an int vector, as they are in M.ints and divided by v's last
+    # nonzero entry, as field elements, in M.entries
     M, k = d2_matrix_rep, d2_matrix_rep.rows
     entries = M.entries
     for j, v in enumerate(M.syzygies):
         assert len(v) == 4 * k
-        den = lcm(*(x.denominator for x in v))
+        last = next(x for x in reversed(v) if x)
         for i in range(k):
-            assert [entries[i][j].terms.get(u, 0) for u in UNITS] == v[i::k]
-            assert M.ints[i][j] == tuple(x * den for x in v[i::k])
+            assert [entries[i][j].terms.get(u, 0) for u in UNITS] == [Fraction(x, last) for x in v[i::k]]
+            assert M.ints[i][j] == tuple(v[i::k])
             assert all(type(c) is int for c in M.ints[i][j])
         assert not dot_terms(syzygy_forms(v, M.nu, M.field), d2_ideal.gs)
 
@@ -698,22 +697,24 @@ def _rep_matrix(texts, field):
     """A RepMatrix whose entries are the linear forms in texts, one string
     of comma-separated entries per row; stand-in quadruples index the rows.
     Column j is the vector of the coefficients of T1 in column j's entries,
-    then of T2, T3 and T4, laid out as `linear_syzygies` lays out a1..a4."""
+    then of T2, T3 and T4, laid out as `linear_syzygies` lays out a1..a4,
+    and over QQ times its common denominator, as ints."""
     entries = [[parse_tpoly(t, field) for t in row.split(",")] for row in texts]
-    columns = [[row[j].terms.get(u, field.zero) for u in UNITS for row in entries]
+    columns = [_cleared([row[j].terms.get(u, field.zero) for u in UNITS for row in entries])
                for j in range(len(entries[0]))]
     return RepMatrix(0, [(r, 0, 0, 0) for r in range(len(entries))], columns, field)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)
 def test_entries_print_as_linear_forms(field):
+    # a column prints divided by its last nonzero entry, here 1/3
     M = _rep_matrix(["T1 - 2*T2 + 1/3*T4, 0"], field)
     first, zero = M.entries[0]
     if field is QQ:
-        assert str(first) == "T1 - 2*T2 + 1/3*T4"
+        assert str(first) == "3*T1 - 6*T2 + T4"
     else:
-        assert str(first) == "T1 + 5*T2 + 5*T4"  # 1/3 = 5 = -2 mod 7
-    assert parse_tpoly(str(first), field) == parse_tpoly("T1-2*T2+1/3*T4", field)
+        assert str(first) == "3*T1 + T2 + T4"  # 1/3 = 5 = -2 mod 7, times 3
+    assert parse_tpoly(str(first), field) == parse_tpoly("3*(T1-2*T2+1/3*T4)", field)
     assert zero.is_zero() and str(zero) == "0" and not first.is_zero()
     assert M.ints == (((3, -6, 0, 1) if field is QQ else (1, 5, 0, 5), (0, 0, 0, 0)),)
 
