@@ -262,15 +262,19 @@ def int_rank(rows, cols, p=0) -> int:
     lower bound. Zero row i of that echelon form is y·rows mod q, where y is
     e_i under the recorded operations applied transposed in reverse order.
     Each y is reconstructed (Wang) and all are certified by y·rows = 0 over
-    QQ. They are independent mod q, hence over QQ, so rows - r of them bound
-    the rank by r. Only a failure runs fraction-free elimination.
+    QQ, as products of the rows' columns, or of the caller's own rows when
+    the transpose was ranked. They are independent mod q, hence over QQ, so
+    rows - r of them bound the rank by r. Only a failure runs fraction-free
+    elimination.
     """
-    if len(rows) > cols:
-        rows, cols = [list(col) for col in zip(*rows)], len(rows)
+    tall = len(rows) > cols
     if p:
+        if tall:
+            rows, cols = [list(col) for col in zip(*rows)], len(rows)
         return len(_forward_gf(rows, cols, p))
-    q, record, n = SCREEN_PRIME, [], len(rows)
-    r = len(_forward_gf([[x % q for x in row] for row in rows], cols, q, record))
+    q, record = SCREEN_PRIME, []
+    lines, n, width = (zip(*rows), cols, len(rows)) if tall else (rows, len(rows), cols)
+    r = len(_forward_gf([[x % q for x in line] for line in lines], width, q, record))
     deps = []
     for i in range(r, n):
         y = [0] * n
@@ -280,7 +284,7 @@ def int_rank(rows, cols, p=0) -> int:
             y[k] = (y[k] - sum([v * y[j] for j, v in ops])) * inv % q
             y[k], y[pr] = y[pr], y[k]
         deps.append(_reconstruct(y, q))
-    if r == n or None not in deps and _annihilates(list(zip(*rows)), deps):
+    if r == n or None not in deps and _annihilates(rows if tall else list(zip(*rows)), deps):
         return r
     return len(_forward_int(rows, cols))
 
@@ -310,14 +314,6 @@ def _reconstruct(residues, m):
     for j, (a, b) in pairs.items():
         out[j] = a * (den // b)
     return out
-
-
-def _cleared(row):
-    """A row of Fractions times its common denominator, as ints; the scaling
-    keeps the span and the kernel. Residues, of denominator 1, come back as
-    they are."""
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def _annihilates(rows, vectors):

@@ -19,13 +19,14 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from itertools import chain
+from math import comb, gcd, lcm, prod
 from operator import mul
 from random import Random
 
 from . import _expr
 from .biparam import Parametrization, lift_mixed
-from .exactla import _cleared, _forward_int, _kernel, int_det, int_nullspace, int_rank
+from .exactla import _forward_int, _kernel, int_det, int_nullspace, int_rank
 from .segre import basis
 from .tpoly import (
     _UNIT_EXPS,
@@ -62,10 +63,11 @@ class RepMatrix:
     degree-nu monomial basis, one column per linear syzygy.
 
     syzygies holds the columns as `linear_syzygies` returns them, int
-    vectors of the coefficients of a1..a4 on the row basis, so entry (i, j)
-    has the coefficients syzygies[j][i::k] of T1..T4; ints holds them as
-    4-tuples. A column's scale changes no rank at any point; `entries` and
-    `to_json_dict` divide it by its last nonzero entry (`exactla._kernel`)."""
+    vectors (any other entry is a TypeError) of the coefficients of a1..a4
+    on the row basis, so entry (i, j) has the coefficients syzygies[j][i::k]
+    of T1..T4; ints holds them as 4-tuples. A column's scale changes no
+    rank at any point; `entries` and `to_json_dict` divide it by its last
+    nonzero entry (`exactla._kernel`)."""
 
     __slots__ = ("nu", "basis", "syzygies", "ints", "field", "_blocks")
 
@@ -73,6 +75,9 @@ class RepMatrix:
         self.nu = nu
         self.basis = row_basis
         self.syzygies = tuple(syzygies)
+        if not set(map(type, chain.from_iterable(self.syzygies))) <= {int}:
+            j = next(j for j, col in enumerate(self.syzygies) if set(map(type, col)) - {int})
+            raise TypeError(f"column {j} of M has an entry that is not an int")
         self.field = field
         k = len(row_basis)
         self.ints = tuple(tuple(tuple(col[i::k]) for col in self.syzygies) for i in range(k))
@@ -141,7 +146,8 @@ def membership(M: RepMatrix, point):
     pt = [M.field.coerce(x) for x in point]
     if not any(pt):
         raise ValueError("(0,0,0,0) is not a projective point")
-    x1, x2, x3, x4 = _cleared(pt)
+    den = lcm(*(x.denominator for x in pt))
+    x1, x2, x3, x4 = (x.numerator * (den // x.denominator) for x in pt)
     p, r = M.field.characteristic, 0
     for ((rows, cols), table, count), columns in zip(*_shapes(M)[1:]):
         if p:

@@ -1,6 +1,6 @@
 """Polynomials in the image-space variables T1..T4 over an exact field,
 where implicit equations live: TPoly, a validated container with no ring
-operators, and an int kernel with exact division and a subresultant-PRS
+operators, and an int kernel with exact division and a primitive-PRS
 multivariate gcd.
 
 TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
@@ -100,21 +100,6 @@ def _sub(a, b, p):
 
 def _mul(a, b, p):
     return _expr.modp(_expr.mul(a, b), p)
-
-
-def _neg(a, p):
-    return _expr.modp(_expr.neg(a), p)
-
-
-def _pow(a, n, p):
-    result = {_ZERO_EXP: 1}
-    while n:
-        if n & 1:
-            result = _mul(result, a, p)
-        n >>= 1
-        if n:
-            a = _mul(a, a, p)
-    return result
 
 
 def _is_unit(t, p) -> bool:
@@ -238,8 +223,8 @@ def _div(a, b, p):
 
 # ---------------------------------------------------------------------------
 # multivariate gcd: recursive content/primitive-part splitting with a
-# subresultant pseudo-remainder sequence in the innermost (last) variable,
-# exact over the integers (Brown and Traub, JACM 1971) and over GF(p)
+# primitive pseudo-remainder sequence (PRS) in the innermost (last) variable,
+# exact over the integers and over GF(p)
 
 def _deg_in(t, k: int) -> int:
     return max((e[k] for e in t), default=0)
@@ -266,75 +251,47 @@ def _lead_in(t, k: int):
 
 
 def _prem(f, g, k: int, p):
-    """Pseudo-remainder of f by g in variable k: lc(g)^(df-dg+1)*f mod g."""
+    """c·f mod g in variable k, for some nonzero c free of variable k: the
+    pseudo-remainder without its final power of lc(g)."""
     dg, lg = _lead_in(g, k)
-    e = _deg_in(f, k) - dg + 1
     r = f
     while r:
         dr, lr = _lead_in(r, k)
         if dr < dg:
             break
         r = _sub(_mul(lg, r, p), _shift(_mul(lr, g, p), k, dr - dg), p)
-        e -= 1
-    if e > 0:
-        r = _mul(_pow(lg, e, p), r, p)
     return r
 
 
-def _content_in(t, k: int, p):
+def _content_pp(t, k: int, p):
+    """(content, primitive part) of t viewed in variable k, up to a unit."""
     coeffs = _coeffs_in(t, k)
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        if _is_unit(acc, p):
+    c = coeffs[0]
+    for x in coeffs[1:]:
+        if _is_unit(c, p):
             break
-        acc = _gcd_rec(acc, c, k - 1, p)
-    return acc
+        c = _gcd_rec(c, x, k - 1, p)
+    return c, (t if _is_unit(c, p) else _div(t, c, p))
 
 
 def _gcd_rec(a, b, k: int, p):
-    """gcd of polynomials that only involve variables 0..k; result up to a unit."""
+    """gcd of polynomials that only involve variables 0..k; result up to a
+    unit: the gcd of the contents times the last nonzero remainder of the
+    primitive PRS of the primitive parts."""
     if not a:
         return b
     if not b:
         return a
-    if a.keys() == b.keys() == {_ZERO_EXP}:  # always so once k < 0
-        return {_ZERO_EXP: 1 if p else gcd(a[_ZERO_EXP], b[_ZERO_EXP])}
-    da, db = _deg_in(a, k), _deg_in(b, k)
-    if da == 0 and db == 0:
-        return _gcd_rec(a, b, k - 1, p)
-    if da == 0:
-        return _gcd_rec(a, _content_in(b, k, p), k - 1, p)
-    if db == 0:
-        return _gcd_rec(_content_in(a, k, p), b, k - 1, p)
-    ca = _content_in(a, k, p)
-    cb = _content_in(b, k, p)
-    pa = a if _is_unit(ca, p) else _div(a, ca, p)
-    pb = b if _is_unit(cb, p) else _div(b, cb, p)
-    cg = _gcd_rec(ca, cb, k - 1, p)
-    if _deg_in(pa, k) < _deg_in(pb, k):
-        pa, pb = pb, pa
-    # subresultant pseudo-remainder sequence on the primitive parts
-    f, g = pa, pb
-    delta = _deg_in(f, k) - _deg_in(g, k)
-    minus_one = {_ZERO_EXP: p - 1 if p else -1}
-    beta = _pow(minus_one, delta + 1, p)
-    psi = minus_one
-    while True:
-        r = _prem(f, g, k, p)
-        if not r:
-            break
-        r = _div(r, beta, p)
-        _, lf = _lead_in(g, k)
-        neg_lc = _neg(lf, p)
-        if delta >= 1:
-            psi = _div(_pow(neg_lc, delta, p), _pow(psi, delta - 1, p), p)
-        # delta == 0 keeps psi unchanged
-        delta = _deg_in(g, k) - _deg_in(r, k)
-        beta = _mul(neg_lc, _pow(psi, delta, p), p)
-        f, g = g, r
-    if _deg_in(g, k) == 0:
-        return cg
-    return _mul(cg, _div(g, _content_in(g, k, p), p), p)
+    if len(a) == len(b) == 1:  # monomials; always constants once k < 0
+        (ea, x), (eb, y) = *a.items(), *b.items()
+        return {tuple(map(min, ea, eb)): 1 if p else gcd(x, y)}
+    ca, f = _content_pp(a, k, p)
+    cb, g = _content_pp(b, k, p)
+    if _deg_in(f, k) < _deg_in(g, k):
+        f, g = g, f
+    while r := _prem(f, g, k, p):
+        f, g = g, _content_pp(r, k, p)[1]
+    return _mul(_gcd_rec(ca, cb, k - 1, p), g, p)
 
 
 def _monomial_part(t):

@@ -299,14 +299,17 @@ def cofactor_det(rows):
     return total
 
 
+def cleared(row):
+    """A rational row times the common denominator of its entries, as ints;
+    the scaling keeps the span and the kernel."""
+    den = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row]
+
+
 def int_rows(rows):
-    """Rational rows as int rows, each times the common denominator of its
-    entries; the scaling keeps the rank, the RREF and the kernel."""
-    out = []
-    for row in rows:
-        den = lcm(*(Fraction(x).denominator for x in row))
-        out.append([int(x * den) for x in row])
-    return out
+    """Rational rows as int rows, each cleared; the scaling keeps the rank,
+    the RREF and the kernel."""
+    return [cleared(row) for row in rows]
 
 
 def primitive(t, p=0):

@@ -5,11 +5,12 @@ from random import Random
 import pytest
 
 from bisurf import exactla
-from bisurf.exactla import SCREEN_PRIME, _cleared, _kernel, int_det, int_nullspace, int_rank
+from bisurf.exactla import SCREEN_PRIME, _kernel, int_det, int_nullspace, int_rank
 from bisurf.fields import is_prime
 
 from helpers import (
     BadPrimeError,
+    cleared,
     cofactor_det,
     det_bareiss,
     fraction_nullspace,
@@ -49,7 +50,7 @@ def free_columns(ns):
 def cleared_nullspace(rows, p=0):
     """The Fraction reference kernel basis, each vector times its common
     denominator, as ints: the vectors `int_nullspace` returns."""
-    return [_cleared(v) for v in fraction_nullspace(rows, p)]
+    return [cleared(v) for v in fraction_nullspace(rows, p)]
 
 
 def test_rref_examples():
@@ -257,7 +258,7 @@ def test_kernel_matches_nullspace_on_large_entries():
     def check(rows):
         cols = len(rows[0])
         canonical = fraction_nullspace(rows)
-        expected = [_cleared(v) for v in canonical]
+        expected = [cleared(v) for v in canonical]
         before = copy(rows)
         pivots, kernel = _kernel(rows, cols)
         dim = cols - len(pivots)

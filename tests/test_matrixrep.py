@@ -5,7 +5,7 @@ import pytest
 
 from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
 from bisurf import _expr, exactla
-from bisurf.exactla import SCREEN_PRIME, _cleared, _forward_int, _kernel, int_det, int_nullspace
+from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel, int_det, int_nullspace
 from bisurf.fields import QQ, PrimeField
 from bisurf import matrixrep
 from bisurf.matrixrep import (
@@ -31,6 +31,7 @@ from bisurf.tpoly import ExactDivisionError, TPoly, parse_tpoly
 from bisurf.zcomplex import SegreIdeal, StrandError, working_strand
 
 from helpers import (
+    cleared,
     det_bareiss,
     dot_terms,
     evaluate,
@@ -700,9 +701,18 @@ def _rep_matrix(texts, field):
     then of T2, T3 and T4, laid out as `linear_syzygies` lays out a1..a4,
     and over QQ times its common denominator, as ints."""
     entries = [[parse_tpoly(t, field) for t in row.split(",")] for row in texts]
-    columns = [_cleared([row[j].terms.get(u, field.zero) for u in UNITS for row in entries])
+    columns = [cleared([row[j].terms.get(u, field.zero) for u in UNITS for row in entries])
                for j in range(len(entries[0]))]
     return RepMatrix(0, [(r, 0, 0, 0) for r in range(len(entries))], columns, field)
+
+
+def test_rep_matrix_rejects_columns_that_are_not_ints():
+    # a one-row M whose first column holds 1/2 would keep the Fraction in
+    # M.ints, and membership's QQ block rank would fail on it
+    for columns, j in [([[1, Fraction(1, 2), 0, 0], [0, 0, 1, 0]], 0),
+                       ([[0, 0, 1, 0], [1, Fraction(1, 2), 0, 0]], 1)]:
+        with pytest.raises(TypeError, match=f"column {j} "):
+            RepMatrix(0, [(0, 0, 0, 0)], columns, QQ)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)

@@ -270,6 +270,46 @@ def test_mvgcd_with_denominators(field):
         checked += 1
 
 
+# _gcd against an independent oracle. On planted-factor pairs of binary
+# forms in T3, T4 (as minors_gcd reads them on lines), of bihomogeneous
+# forms in s,u,t,v (as gcd_of_inputs reads f1..f4) and of sparse
+# polynomials in all four variables the monic gcd is sympy's, not only a
+# multiple of the planted factor.
+
+def biform(rng, d1, d2, p):
+    """A random nonzero form of bidegree (d1, d2) with small coefficients
+    (residues mod p); d1 = 0 gives a binary form in the last two variables."""
+    while True:
+        form = {(i, d1 - i, j, d2 - j): rng.randint(-5, 5) for i in range(d1 + 1)
+                for j in range(d2 + 1)}
+        form = {e: c % p if p else c for e, c in form.items() if (c % p if p else c)}
+        if form:
+            return form
+
+
+@pytest.mark.parametrize("p", [0, 32003])
+def test_mvgcd_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.rings import ring
+
+    R = ring("x0:4", sympy.GF(p) if p else sympy.QQ)[0]
+    field = PrimeField(p) if p else QQ
+    rng = Random(37)
+    # (factor, cofactor a, cofactor b) bidegrees
+    shapes = [((0, 1), (0, 2), (0, 3)), ((0, 2), (0, 4), (0, 3)), ((0, 3), (0, 5), (0, 5)),
+              ((1, 1), (1, 2), (2, 1)), ((1, 0), (2, 3), (2, 3)), ((0, 1), (1, 1), (2, 2))]
+    triples = [[biform(rng, *d, p) for d in shape] for shape in shapes * 3]
+    triples += [[_ints(random_tpoly(rng, 2, 4, field)) for _ in range(3)] for _ in range(12)]
+    for f, a, b in triples:
+        if not (f and a and b):
+            continue
+        a, b = _mul(f, a, p), _mul(f, b, p)
+        g = R.from_dict(a).gcd(R.from_dict(b))
+        coeffs = {e: int(c) % p if p else Fraction(c.numerator, c.denominator)
+                  for e, c in g.items()}
+        assert _monic(_gcd(a, b, p), field) == monic(TPoly(coeffs, field)), (a, b)
+
+
 def test_eval_examples():
     # the evaluator the tests take as their oracle, on parsed polynomials
     assert evaluate(tp("T1*T4-T2*T3").terms, (1, 1, 1, 1)) == 0

@@ -146,7 +146,8 @@ def test_strand_fallbacks(monkeypatch, inputs_dir):
     # mixed23 at nu = 5 (144 x 144 and 576 x 216) take no fraction-free
     # elimination, nor do the dense inputs. Only a rank that drops mod q
     # alone falls back, on the columns of d_i outside the pivot rows of
-    # d_(i+1): f4 = q*uv vanishes mod q
+    # d_(i+1), as int_rank was given them (10 x 9, not transposed): f4 =
+    # q*uv vanishes mod q
     shapes = []
     real = exactla._forward_int
     monkeypatch.setattr(exactla, "_forward_int",
@@ -158,7 +159,7 @@ def test_strand_fallbacks(monkeypatch, inputs_dir):
         (lift_mixed(parse_parametrization((inputs_dir / "mixed23.ex").read_text(encoding="utf-8"))),
          5, []),
         (parse_parametrization(f"degree: 1 1\nf1: s*t\nf2: s*v\nf3: u*t\nf4: {SCREEN_PRIME}*u*v\n"), 1,
-         [(9, 10), (20, 36)]),
+         [(10, 9), (20, 36)]),
     ):
         del shapes[:]
         strand_report(SegreIdeal.from_parametrization(P), nu)
