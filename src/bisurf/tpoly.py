@@ -15,6 +15,7 @@ its divisions and gcds on binary forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm, prod
 
 from . import _expr
@@ -326,14 +327,11 @@ def _gcd(a, b, p):
     mg = {tuple(min(x, y) for x, y in zip(ma, mb)): 1}
     if ra.keys() == {_ZERO_EXP} or rb.keys() == {_ZERO_EXP}:
         return mg
-    if _is_homogeneous(ra) and _is_homogeneous(rb) and (_deg_in(ra, 3) or _deg_in(rb, 3)):
-        # homogeneous inputs: gcd commutes with dehomogenizing the last
-        # variable once no variable divides both, which drops the PRS one
-        # variable down
-        core = _rehomogenize_last(
-            _gcd_rec(_dehomogenize_last(ra, p), _dehomogenize_last(rb, p), 2, p)
-        )
-    else:
-        core = _gcd_rec(ra, rb, 3, p)
-    return _mul(mg, core, p)
+    homogeneous = _is_homogeneous(ra) and _is_homogeneous(rb) and (_deg_in(ra, 3) or _deg_in(rb, 3))
+    if homogeneous:  # no variable divides both: the gcd commutes with dehomogenizing v
+        ra, rb = _dehomogenize_last(ra, p), _dehomogenize_last(rb, p)
+    # the PRS starts at the last variable that either input involves
+    top = (2, 1, 0) if homogeneous else (3, 2, 1, 0)
+    core = _gcd_rec(ra, rb, next(k for k in top if any(e[k] for e in chain(ra, rb))), p)
+    return _mul(mg, _rehomogenize_last(core) if homogeneous else core, p)
 

@@ -8,28 +8,30 @@ representation matrix is valid (optionally lowered via the saturation index).
 Ring elements of degree n are bidegree (n,n) forms in s,u,t,v (see segre), so
 a product of monomials is a sum of exponents.
 
-One builder, _koszul_columns, writes every Koszul piece as int columns:
-over QQ from the generators scaled by their common denominator, which
-changes no rank and no kernel, over GF(p) from their residues. The syzygy
-basis is the canonical kernel of the first piece, taken of the transpose of
-its columns; each vector, the coefficients of a1..a4 on the degree-nu
-basis, is one column of matrixrep's M as it stands. The saturation index is
-read off the kernels of the pieces of I. A cycle dimension ranks only the
-columns of d_i that the pivot rows of d_(i+1) at the same degree leave,
-after one elimination of d_(i+1) modulo p, over QQ modulo
-exactla.SCREEN_PRIME, the largest prime below 2^30. Over QQ a full rank of
-those columns modulo that prime is certified by d_i d_(i+1) = 0; a lower one
-by `int_rank`'s exact dependencies.
+Every Koszul piece is block diagonal by the character (a mod k1, c mod k2)
+of s^a u^b t^c v^e, for the ideal's toric grading (k1, k2) (Botbol,
+Dickenstein and Dohm, CAGD 26, 2009); _koszul_columns writes one character
+of a piece as int columns, from the generators' ints (over QQ scaled by
+their common denominator), and ranks and kernels run per character. The
+syzygy basis is the canonical kernel of the first piece, of the transpose of
+its columns, each vector one column of matrixrep's M as it stands. The
+saturation index is read off the kernels of the pieces of I. A cycle
+dimension ranks only the columns of d_i that the pivot rows of d_(i+1)
+leave, after one elimination of d_(i+1) mod p, over QQ mod
+exactla.SCREEN_PRIME, the largest prime below 2^30, where a full rank is
+certified by d_i d_(i+1) = 0 and a lower one by `int_rank`'s dependencies.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 from .biparam import InputError, Parametrization
 from .exactla import SCREEN_PRIME, _forward_gf, int_nullspace, int_rank
-from .segre import basis
+from .segre import SegreBasis, basis
 from .tpoly import _ints, _scale_of
 
 _SUBSETS = {i: tuple(combinations(range(4), i)) for i in range(5)}
@@ -40,10 +42,11 @@ class StrandError(RuntimeError):
 
 
 class SegreIdeal:
-    """Four generators of one common degree d >= 1 in the quotient ring,
-    given as bidegree (d,d) forms; Parametrization checks the rest."""
+    """Four bidegree (d,d) generators, d >= 1, in the quotient ring;
+    Parametrization checks the rest. grading: the gcds (k1, k2) of d with
+    the s- and t-exponents; signed: the generators' int terms, then negated."""
 
-    __slots__ = ("gs", "degree", "field")
+    __slots__ = ("gs", "degree", "field", "grading", "signed")
 
     def __init__(self, gs):
         P = Parametrization(gs)
@@ -53,6 +56,10 @@ class SegreIdeal:
         if d < 1:
             raise InputError("generators must have degree at least 1")
         self.gs, self.degree, self.field = P.fs, d, P.field
+        self.grading = tuple(gcd(d, *(e[k] for g in P.fs for e in g.terms)) for k in (0, 2))
+        p, den = P.field.characteristic, _scale_of(P.fs)
+        gens = [list(_ints(g, den).items()) for g in P.fs]
+        self.signed = gens, [[(e, (-c) % p if p else -c) for e, c in terms] for terms in gens]
 
     @classmethod
     def from_parametrization(cls, P: Parametrization) -> "SegreIdeal":
@@ -69,32 +76,37 @@ def _times(exp, terms):
     return [((a0 + b0, a1 + b1, a2 + b2, a3 + b3), c) for (b0, b1, b2, b3), c in terms]
 
 
-def _koszul_columns(I: SegreIdeal, i: int, mu: int, skip=()):
-    """(int columns, row count) of the degree-mu piece of the i-th Koszul
-    differential, one list per column in order, with the columns whose index
-    is in skip left out. The generators enter as ints: over QQ scaled by
-    their common denominator, over GF(p) the residues.
+@lru_cache(maxsize=None)
+def _characters(n: int, grading) -> tuple:
+    """basis(n) split by character, one SegreBasis (maybe empty) per
+    character a*k2 + c, (a, c) = (a mod k1, c mod k2) of s^a u^b t^c v^e."""
+    k1, k2 = grading
+    return tuple(SegreBasis(n, [q for q in basis(n).quads if (q[0] % k1, q[2] % k2) == (a, c)])
+                 for a in range(k1) for c in range(k2))
+
+
+def _koszul_columns(I: SegreIdeal, i: int, mu: int, char: int, skip=()):
+    """(int columns, row count) of character char of the degree-mu piece of
+    the i-th Koszul differential, one list per column in order, with the
+    columns whose index is in skip left out. The generators enter as ints:
+    over QQ scaled by their common denominator, over GF(p) the residues.
 
     Columns are indexed by (size-i subset S, source monomial), rows by
-    (size-(i-1) subset T, target monomial). The block for T = S minus {j} is
-    sign(j, S) times multiplication by g_j, where sign(j, S) is (-1) to the
-    0-based position of j in sorted S.
+    (size-(i-1) subset T, target monomial), monomials of that character in
+    `_characters` order. The block for T = S minus {j} is sign(j, S) times
+    multiplication by g_j, where sign(j, S) is (-1) to the 0-based position
+    of j in sorted S.
     """
     if not 1 <= i <= 4:
         raise ValueError("Koszul index out of range")
-    d = I.degree
-    src_deg = mu - i * d
-    dst_deg = mu - (i - 1) * d
-    dst_dim = (dst_deg + 1) ** 2 if dst_deg >= 0 else 0
-    n_rows = dst_dim * len(_SUBSETS[i - 1])
+    src_deg, dst_deg = mu - i * I.degree, mu - (i - 1) * I.degree
+    dst = _characters(dst_deg, I.grading)[char].index if dst_deg >= 0 else {}
+    n_rows = (dst_dim := len(dst)) * len(_SUBSETS[i - 1])
     if src_deg < 0:
         return [], n_rows
-    p = I.field.characteristic
-    den = _scale_of(I.gs)
-    gens = [list(_ints(g, den).items()) for g in I.gs]
-    negated = [[(e, (-c) % p if p else -c) for e, c in terms] for terms in gens]
+    gens, negated = I.signed
     t_pos = {T: k for k, T in enumerate(_SUBSETS[i - 1])}
-    src, dst = basis(src_deg).quads, basis(dst_deg).index
+    src = _characters(src_deg, I.grading)[char].quads
     columns = []
     for s_idx, S in enumerate(_SUBSETS[i]):
         block = [(t_pos[S[:pos] + S[pos + 1:]] * dst_dim, negated[j] if pos % 2 else gens[j])
@@ -112,24 +124,36 @@ def _koszul_columns(I: SegreIdeal, i: int, mu: int, skip=()):
 def linear_syzygies(I: SegreIdeal, nu: int):
     """Canonical basis of the degree-nu syzygies, the kernel of the first
     Koszul differential in degree nu+d, as `int_nullspace` returns it: each
-    vector the coefficients of a1..a4 on basis(nu), in that order."""
+    vector the coefficients of a1..a4 on basis(nu), in that order. The RREF
+    of a block-diagonal matrix is its blocks', so the characters' vectors
+    merge in the order of their free column, their last nonzero entry."""
     if nu < 0:
         raise ValueError("negative degree")
-    columns, _ = _koszul_columns(I, 1, nu + I.degree)
-    return int_nullspace([list(row) for row in zip(*columns)], len(columns), I.field.characteristic)
+    p, pieces = I.field.characteristic, _characters(nu, I.grading)
+    kernels = [int_nullspace([list(row) for row in zip(*cols)], len(cols), p)
+               for cols, _ in (_koszul_columns(I, 1, nu + I.degree, char) for char in range(len(pieces)))]
+    if len(kernels) == 1:
+        return kernels[0]
+    index, k, merged = basis(nu).index, len(basis(nu)), []
+    for kernel, piece in zip(kernels, pieces):
+        at = [j * k + index[q] for j in range(4) for q in piece.quads]
+        for v in kernel:
+            w = [0] * (4 * k)
+            for c, x in zip(at, v):
+                w[c] = x
+            merged.append((max(c for c, x in zip(at, v) if x), w))
+    return [w for _, w in sorted(merged)]
 
 
-def _pivot_rows(I: SegreIdeal, i: int, mu: int):
-    """The pivot columns of the transpose of the degree-mu piece of d_i mod
-    p, over QQ mod SCREEN_PRIME: rows of d_i on which a square submatrix of
-    it is invertible mod that prime."""
-    columns, n_rows = _koszul_columns(I, i, mu)
+def _pivot_rows(I: SegreIdeal, i: int, mu: int, char: int):
+    """The pivot columns of the transpose of character char of the degree-mu
+    piece of d_i mod p, over QQ mod SCREEN_PRIME: rows of d_i on which a
+    square submatrix of it is invertible mod that prime."""
+    columns, n_rows = _koszul_columns(I, i, mu, char)
     if not columns:
         return []
-    q = I.field.characteristic
-    if not q:
-        q = SCREEN_PRIME
-        columns = [[x % q for x in col] for col in columns]
+    if not (q := I.field.characteristic):
+        q, columns = SCREEN_PRIME, [[x % SCREEN_PRIME for x in col] for col in columns]
     return _forward_gf(columns, n_rows, q)
 
 
@@ -147,9 +171,12 @@ def cycle_space_dim(I: SegreIdeal, i: int, mu: int) -> int:
     column rank there is rank_q(d_i) + rank_q(d_(i+1)) = cols, which
     d_i d_(i+1) = 0 certifies; a lower one `int_rank` certifies itself.
     """
-    dropped = set(_pivot_rows(I, i + 1, mu)) if i < 4 else ()
-    columns, n_rows = _koszul_columns(I, i, mu, dropped)
-    return len(columns) + len(dropped) - int_rank(columns, n_rows, I.field.characteristic)
+    dim = 0
+    for char in range(I.grading[0] * I.grading[1]):
+        dropped = set(_pivot_rows(I, i + 1, mu, char)) if i < 4 else ()
+        columns, n_rows = _koszul_columns(I, i, mu, char, dropped)
+        dim += len(columns) + len(dropped) - int_rank(columns, n_rows, I.field.characteristic)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -214,7 +241,9 @@ def saturation_indeg(I: SegreIdeal) -> int:
     v[t]; n is the answer when these rows have rank below (n+1)^2. v is, up
     to the positive int scale `int_nullspace` gives it, 1 at its free
     coordinate q and -RREF[t][q] at each pivot t, so the row is a multiple of
-    the negated row of the RREF test (RREF[t][q] at pivots, -1 at q).
+    the negated row of the RREF test (RREF[t][q] at pivots, -1 at q). The
+    rows of one character's kernel and one x lie on the monomials of one
+    character psi, and are ranked per psi.
 
     This is the index that iterating J -> J : m gives on pieces tracked on
     degrees [0, 3d - k] after k steps, stopped when degree 0 becomes nonzero,
@@ -226,22 +255,21 @@ def saturation_indeg(I: SegreIdeal) -> int:
     trustworthy for lowering the critical degree when the downstream
     validation agrees, so callers re-validate.
     """
-    d = I.degree
-    p = I.field.characteristic
+    d, p, (k1, k2) = I.degree, I.field.characteristic, I.grading
     xs = basis(2 * d).quads
     for n in range(d + 1):
-        src = basis(n).quads
-        top = n + 2 * d
-        index = basis(top).index
-        kernel = int_nullspace(_koszul_columns(I, 1, top)[0], len(index), p)
-        constraints = []
-        for x in xs:
-            targets = [index[m] for m, _ in _times(x, [(quad, 1) for quad in src])]
-            for v in kernel:
-                row = [v[t] for t in targets]
-                if any(row):
-                    constraints.append(row)
-        if int_rank(constraints, len(src), p) < len(src):
+        src, top = _characters(n, I.grading), n + 2 * d
+        constraints = [[] for _ in src]
+        for char, piece in enumerate(_characters(top, I.grading)):
+            kernel = int_nullspace(*_koszul_columns(I, 1, top, char), p)
+            for x in xs:  # x times a monomial of character psi has character char
+                psi = (char // k2 - x[0]) % k1 * k2 + (char - x[2]) % k2
+                targets = [piece.index[m] for m, _ in _times(x, [(quad, 1) for quad in src[psi].quads])]
+                for v in kernel:
+                    row = [v[t] for t in targets]
+                    if any(row):
+                        constraints[psi].append(row)
+        if any(int_rank(rows, len(piece), p) < len(piece) for rows, piece in zip(constraints, src)):
             return n
     return d
 

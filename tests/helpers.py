@@ -13,9 +13,11 @@ of rows: ints or Fractions over QQ, residues in [0, p) over GF(p).
 The package's polynomial classes are containers with no ring operators, so
 the tests build and check polynomials with the plain term arithmetic here
 (monomial, mul_terms, dot_terms, tmul, monic, evaluate, image_point,
-substitute), which shares no code with bisurf._expr. koszul_rows and
-syzygy_forms are views of the package's own Koszul pieces and syzygy
-vectors, not oracles.
+substitute), which shares no code with bisurf._expr. koszul_rows
+assembles a whole Koszul piece here, every character at once, from the
+generators' int terms as the package scales them, so it checks the
+package's per-character pieces; syzygy_forms is a view of the package's
+syzygy vectors, not an oracle.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from bisurf.biparam import BiHomPoly, Parametrization
 from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField, is_prime
 from bisurf.segre import basis
-from bisurf.tpoly import TPoly
-from bisurf.zcomplex import _koszul_columns
+from bisurf.tpoly import TPoly, _ints, _scale_of
 
 
 def fraction_rank(rows, p=0) -> int:
@@ -191,9 +192,26 @@ def syzygy_forms(v, nu, field):
 
 
 def koszul_rows(I, i, mu):
-    """(int rows, column count) of a Koszul piece: the transpose of zcomplex._koszul_columns."""
-    columns, n_rows = _koszul_columns(I, i, mu)
-    return [[col[r] for col in columns] for r in range(n_rows)], len(columns)
+    """(int rows, column count) of the whole degree-mu piece of the i-th
+    Koszul differential, with the entries zcomplex._koszul_columns gives
+    them: columns (size-i subset S, monomial of basis(mu - i*d)), rows
+    (size-(i-1) subset T, monomial of basis(mu - (i-1)*d)), the block of
+    T = S minus its entry j at position k being (-1)^k times g_j."""
+    d, p = I.degree, I.field.characteristic
+    src = basis(mu - i * d).quads if mu >= i * d else ()
+    dst = basis(mu - (i - 1) * d).index if mu >= (i - 1) * d else {}
+    subsets = list(combinations(range(4), i))
+    prev = {T: k for k, T in enumerate(combinations(range(4), i - 1))}
+    den = _scale_of(I.gs)
+    rows = [[0] * (len(subsets) * len(src)) for _ in range(len(prev) * len(dst))]
+    for si, S in enumerate(subsets):
+        for k, j in enumerate(S):
+            row0 = prev[S[:k] + S[k + 1:]] * len(dst)
+            for e, c in _ints(I.gs[j], den).items():
+                c = (-c % p if p else -c) if k % 2 else c
+                for ci, q in enumerate(src, si * len(src)):
+                    rows[row0 + dst[tuple(x + y for x, y in zip(e, q))]][ci] = c
+    return rows, len(subsets) * len(src)
 
 
 def _biform_monomials(n):

@@ -67,7 +67,8 @@ MEMBERSHIP_CASES = [
 ]
 
 # Lifted mixed23 at its default nu = 11: six 24x49 blocks, the only
-# multi-block minors gcd outside nu = 5.
+# multi-block minors gcd outside nu = 5. Its `matrix` runs pin the syzygy
+# basis merged from six characters at 24x49 blocks, not only at 6x7.
 LIFTED_DEFAULT_CASES = [("mixed23.ex",)]
 
 # The only sample inputs whose minors gcd has a residual factor: non_lci.ex
@@ -129,8 +130,9 @@ def argvs():
         for field in FIELDS
     ]
     lifted_default_runs = [
-        ["implicit", case[0], *case[1:], "--json", *field]
+        [command, case[0], *case[1:], "--json", *field]
         for case in LIFTED_DEFAULT_CASES
+        for command in ("implicit", "matrix")
         for field in FIELDS
     ]
     non_lci_runs = [

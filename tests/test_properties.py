@@ -10,8 +10,11 @@ bidegree (2,2) inputs with simple base points at corners of P1 x P1, and at
 random points. Membership and the minors gcd of lifted mixed-bidegree
 draws, whose blocks are worked once per class, against a run per block.
 The one substitution engine against products built one factor at a time.
+The strand, syzygies and saturation index of lifted inputs, worked one
+character of their grading at a time, against the whole Koszul pieces.
 """
 
+from copy import copy
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -25,7 +28,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from bisurf import _expr, matrixrep, zcomplex
 from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed, parse_parametrization
-from bisurf.exactla import int_rank
+from bisurf.exactla import int_nullspace, int_rank
 from bisurf.fields import QQ, PrimeField
 from bisurf.matrixrep import (
     InterpolationError,
@@ -288,7 +291,9 @@ def through_points(seed, k):
     on any ruling (s/u or t/v constant), four random int combinations of a
     basis of the (2,2) forms through them), the basis from the Fraction
     kernel of the forms' values at the points. Three points on a ruling
-    would put that line in the base locus of every such form."""
+    would put that line in the base locus of every such form, and a corner
+    monomial that all four forms miss its corner, so the forms are drawn
+    again until each corner monomial is in one of them."""
     rng = Random(seed)
     distinct = {}
     while len(distinct) < k:
@@ -301,10 +306,12 @@ def through_points(seed, k):
     values = [[_value(e, pt) for e in MONOMIALS_22] for pt in points] + [[0] * 9]
     span = int_rows(fraction_nullspace(values))
     fs = []
-    for _ in range(4):
-        weights = [rng.randint(-9, 9) for _ in span]
-        coeffs = [sum(w * b[i] for w, b in zip(weights, span)) for i in range(9)]
-        fs.append(BiHomPoly((2, 2), {e: Fraction(c) for e, c in zip(MONOMIALS_22, coeffs) if c}, QQ))
+    while not fs or any(all(corner not in f.terms for f in fs) for corner in CORNERS):
+        fs = []
+        for _ in range(4):
+            weights = [rng.randint(-9, 9) for _ in span]
+            coeffs = [sum(w * b[i] for w, b in zip(weights, span)) for i in range(9)]
+            fs.append(BiHomPoly((2, 2), {e: Fraction(c) for e, c in zip(MONOMIALS_22, coeffs) if c}, QQ))
     return points, Parametrization(fs)
 
 
@@ -312,6 +319,7 @@ def through_points(seed, k):
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=249684)  # drew three points on the ruling s/u = -4 before
+@example(seed=1000000)  # drew four forms without s^2*t^2 before
 def test_saturation_indeg_at_general_base_points(field, seed):
     # the saturation is the ideal of the k simple base points; its least
     # degree is 0 without points, 1 while a (1,1) form passes through them
@@ -368,3 +376,66 @@ def test_block_classes_on_lifted_draws(bidegree, field, seed):
     degree = strand.expected_det_degree
     F = implicit_by_interpolation(P, degree)
     assert minors_gcd(M, F, degree, Random(seed)) == minors_gcd(per_block, F, degree, Random(seed))
+
+
+def whole(I):
+    """I with the grading (1, 1): every Koszul piece ranked and kernelled as
+    one whole matrix."""
+    J = copy(I)
+    J.grading = (1, 1)
+    return J
+
+
+def normalized(vectors, p):
+    """Each vector divided by its last nonzero entry, over QQ as Fractions."""
+    out = []
+    for v in vectors:
+        last = next(a for a in reversed(v) if a)
+        out.append([x * pow(last, -1, p) % p if p else Fraction(x) / last for x in v])
+    return out
+
+
+def check_characters(I, nus, exact=True):
+    """strand_report, linear_syzygies and saturation_indeg of I, one character
+    at a time, against the whole matrix: plain Fraction (or GF(p)) ranks and
+    kernels of koszul_rows when exact, else exactla's of the same rows, and
+    saturation_indeg of whole(I)."""
+    p = I.field.characteristic
+
+    def whole_cycle_dim(I, i, mu):
+        rows, cols = koszul_rows(I, i, mu)
+        return cols - int_rank(rows, cols, p)
+
+    for nu in nus:
+        with mock.patch.object(zcomplex, "cycle_space_dim", fraction_cycle_dim if exact else whole_cycle_dim):
+            expected = strand_report(I, nu)
+        assert strand_report(I, nu) == expected, nu
+        rows, cols = koszul_rows(I, 1, nu + I.degree)
+        kernel = fraction_nullspace(rows, p) if exact else int_nullspace(rows, cols, p)
+        assert normalized(linear_syzygies(I, nu), p) == normalized(kernel, p), nu
+    assert saturation_indeg(I) == saturation_indeg(whole(I))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(7)], ids=str)
+def test_lifted_mixed23_characters_against_the_whole_matrix(field):
+    # six characters (3, 2); at nu = 5 the pieces are six 24x24, 96x36 and
+    # 144x24 in place of 144x144, 576x216 and 864x144; nu = 11, the default,
+    # over QQ is checked against exactla on the whole rows, since plain
+    # Fraction elimination of them takes about 20 s
+    I = sample_ideal("mixed23.ex", None if field is QQ else field)
+    assert I.grading == (3, 2)
+    check_characters(I, (5, 6, 11) if field.characteristic else (5, 6))
+    if field is QQ:
+        check_characters(I, (11,), exact=False)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003), PrimeField(7)], ids=str)
+@pytest.mark.parametrize("bidegree", [(1, 2), (2, 3)], ids=str)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lifted_draws_characters_against_the_whole_matrix(bidegree, field, seed):
+    # lifted (1,2) draws are (2,2) with grading (2,1), lifted (2,3) draws
+    # (6,6) with grading (3,2)
+    I = SegreIdeal.from_parametrization(lift_mixed(random_mixed(*bidegree, seed, field)))
+    assert I.grading == ((2, 1) if bidegree == (1, 2) else (3, 2))
+    check_characters(I, (1, 2, 3) if I.degree == 2 else (5,))

@@ -1,3 +1,6 @@
+from copy import copy
+from itertools import chain
+from math import comb
 from random import Random
 
 import pytest
@@ -12,6 +15,7 @@ from bisurf.biparam import (
 from bisurf import exactla
 from bisurf.exactla import SCREEN_PRIME
 from bisurf.fields import PrimeField
+from bisurf.segre import basis
 from bisurf.zcomplex import (
     SegreIdeal,
     _koszul_columns,
@@ -50,6 +54,30 @@ def test_ideal_validation():
     mixed = parse_parametrization("degree: 1 2\nf1: s*t^2\nf2: s*v^2\nf3: u*t*v\nf4: u*v^2\n")
     with pytest.raises(InputError, match="lift"):
         SegreIdeal.from_parametrization(mixed)
+
+
+def test_grading(inputs_dir):
+    # (k1, k2) is read off the generators: lifted mixed23 (s -> s^3,
+    # t -> t^2) is the only corpus input with a grading; one extra term with
+    # odd s- and t-exponents ends it, and one with an odd s-exponent alone
+    # leaves (1, 2), whose syzygies are the whole matrix's
+    def lifted(name):
+        text = (inputs_dir / name).read_text(encoding="utf-8")
+        return SegreIdeal.from_parametrization(lift_mixed(parse_parametrization(text)))
+
+    for path in sorted(inputs_dir.glob("*.ex")):
+        assert lifted(path.name).grading == ((3, 2) if path.name == "mixed23.ex" else (1, 1)), path
+    for d in (1, 2, 3):
+        for seed in range(3):
+            assert SegreIdeal.from_parametrization(random_dense(d, Random(seed))).grading == (1, 1)
+    mixed = lifted("mixed23.ex")
+    f1 = mixed.gs[0]
+    for extra, grading in (((1, 5, 1, 5), (1, 1)), ((1, 5, 0, 6), (1, 2))):
+        I = SegreIdeal([BiHomPoly(f1.bidegree, {**f1.terms, extra: f1.field.one}, f1.field), *mixed.gs[1:]])
+        assert I.grading == grading
+    whole = copy(I)
+    whole.grading = (1, 1)
+    assert linear_syzygies(I, 5) == linear_syzygies(whole, 5)
 
 
 def test_identity_syzygy_counts(identity_ideal):
@@ -130,24 +158,47 @@ def test_differentials_compose_to_zero(identity_ideal, d2_ideal):
                 assert not any(x % p if p else x for row in product for x in row), (mu, i)
 
 
-def test_koszul_columns_transpose_the_rows(d2_ideal):
-    for i, mu in ((1, 4), (2, 6), (3, 8), (4, 8), (2, 3)):
-        rows, cols = koszul_rows(d2_ideal, i, mu)
-        skip = set(range(0, cols, 3))
-        columns, n_rows = _koszul_columns(d2_ideal, i, mu, skip)
-        assert n_rows == len(rows)
-        assert columns == [[row[c] for row in rows] for c in range(cols) if c not in skip]
+def test_koszul_columns_transpose_the_rows(d2_ideal, mixed_param):
+    # character char of a piece is the whole piece's columns of the monomials
+    # of that character, on its rows of that character, both in the whole's
+    # order, and skip counts its own columns; together the characters hold
+    # every nonzero entry. Lifted mixed23 at mu = 24 has one source monomial,
+    # so five of its six characters have no columns
+    mixed = SegreIdeal.from_parametrization(lift_mixed(mixed_param))
+    for I, pieces in ((d2_ideal, ((1, 4), (2, 6), (3, 8), (4, 8), (2, 3))),
+                      (mixed, ((1, 11), (2, 17), (3, 23), (4, 24), (4, 26), (2, 13)))):
+        k1, k2 = I.grading
+        d = I.degree
+
+        def at(n, copies, char):
+            quads = basis(n).quads if n >= 0 else ()
+            return [c * len(quads) + k for c in range(copies) for k, q in enumerate(quads)
+                    if q[0] % k1 * k2 + q[2] % k2 == char]
+
+        for i, mu in pieces:
+            rows, cols = koszul_rows(I, i, mu)
+            nonzero = 0
+            for char in range(k1 * k2):
+                row_at, col_at = at(mu - (i - 1) * d, comb(4, i - 1), char), at(mu - i * d, comb(4, i), char)
+                columns, n_rows = _koszul_columns(I, i, mu, char)
+                assert n_rows == len(row_at)
+                assert columns == [[rows[r][c] for r in row_at] for c in col_at]
+                skip = set(range(0, len(columns), 3))
+                assert _koszul_columns(I, i, mu, char, skip)[0] == [
+                    col for c, col in enumerate(columns) if c not in skip]
+                nonzero += sum(map(bool, chain.from_iterable(columns)))
+            assert nonzero == sum(map(bool, chain.from_iterable(rows))), (i, mu)
 
 
 def test_strand_fallbacks(monkeypatch, inputs_dir):
     # over QQ a rank mod q that is not full is certified by the exact
     # dependencies the screen reads off: the d1 and d2 ranks of d2_example
     # at 2d-1 = 3 (on 36 x 40 and 144 x 80 kept columns) and of lifted
-    # mixed23 at nu = 5 (144 x 144 and 576 x 216) take no fraction-free
-    # elimination, nor do the dense inputs. Only a rank that drops mod q
-    # alone falls back, on the columns of d_i outside the pivot rows of
-    # d_(i+1), as int_rank was given them (10 x 9, not transposed): f4 =
-    # q*uv vanishes mod q
+    # mixed23 at nu = 5 (per character of its grading (3, 2), six 24 x 24
+    # and six 96 x 36 pieces) take no fraction-free elimination, nor do the
+    # dense inputs. Only a rank that drops mod q alone falls back, on the
+    # columns of d_i outside the pivot rows of d_(i+1), as int_rank was
+    # given them (10 x 9, not transposed): f4 = q*uv vanishes mod q
     shapes = []
     real = exactla._forward_int
     monkeypatch.setattr(exactla, "_forward_int",

@@ -7,8 +7,10 @@ For every workload of BENCHMARK.json it runs perfbench/run.py for seeds
 alternating which side goes first from one pair to the next. The base side
 is the committed tree of --base, extracted with `git archive` into a
 temporary directory; the change side is the working tree as it stands. It
-writes one JSON file: both revisions, a digest of the working tree's
-uncommitted changes, a machine note, the seeds, and per workload and metric
+writes one JSON file: both revisions, the non-blank line count of
+src/bisurf on each side (set-up compiles that source, so `setup_s` moves
+with it), a digest of the working tree's uncommitted changes, a machine
+note, the seeds, and per workload and metric
 the values, medians and quartiles of both sides and the number of pairs the
 change won. When a run fails, the pairs finished so far are written, with
 the failure under "incomplete", and the error is raised. Standard library
@@ -56,6 +58,12 @@ def uncommitted_sha256(root):
         h.update(b"\0" + path + b"\0")
         h.update((root / path.decode()).read_bytes())
     return h.hexdigest() if diff or untracked else None
+
+
+def source_lines(tree):
+    """Non-blank lines of the Python files under tree/src/bisurf."""
+    return sum(1 for path in sorted(Path(tree, "src", "bisurf").rglob("*.py"))
+               for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
 
 
 def machine_note(extra):
@@ -170,6 +178,8 @@ def main(argv=None):
     with tempfile.TemporaryDirectory(prefix="bench-base-") as base_tree:
         extract(root, args.base, base_tree)
         trees = {"base": base_tree, "change": str(root)}
+        for side, tree in trees.items():
+            report[side]["src_nonblank_lines"] = source_lines(tree)
         for workload in workloads:
             runs = {"base": [], "change": []}
             try:
