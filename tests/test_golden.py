@@ -71,6 +71,15 @@ MEMBERSHIP_CASES = [
 # basis merged from six characters at 24x49 blocks, not only at 6x7.
 LIFTED_DEFAULT_CASES = [("mixed23.ex",)]
 
+# Lifted mixed23 at nu = 6 and 7, where its six blocks fall into unequal
+# classes (sizes 1, 1, 2, 2 and 4, 2): these pin the order of the classes
+# and the random lines each class draws, in minors_gcd and in membership.
+UNEQUAL_CLASS_RUNS = [
+    ["implicit", "mixed23.ex", "--nu", "6", "--json"],
+    ["implicit", "mixed23.ex", "--nu", "7", "--json"],
+    ["membership", "mixed23.ex", "--nu", "6", "--point", "8,-56,-14,64", "--json"],
+]
+
 # The only sample inputs whose minors gcd has a residual factor: non_lci.ex
 # (D = F*L, L with fractional coefficients once monic) and the cone
 # (D = F^2*T4, a power above 1).
@@ -155,9 +164,10 @@ def argvs():
         for field in FIELDS
     ]
     lift_runs = [["lift", "mixed23.ex"], ["lift", "mixed23.ex", "--json"]]
+    unequal_class_runs = [[*argv, *field] for argv in UNEQUAL_CLASS_RUNS for field in FIELDS]
     return (json_runs + text_runs + warning_runs + dense_runs + dense_implicit + membership_runs
             + lifted_default_runs + non_lci_runs + saturate_runs + four_points_runs + verify_runs + lift_runs
-            + SMALL_PRIME_CASES)
+            + SMALL_PRIME_CASES + unequal_class_runs)
 
 
 def _sha256(text):
