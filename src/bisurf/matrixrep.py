@@ -10,6 +10,8 @@ An independent oracle, the exact kernel of F -> F(f1..f4), lifted p-adically
 from one prime below 2^30, finds the irreducible implicit equation F, which
 divides D; D is then found from its
 restrictions to random lines and split as a power of F times a residual.
+M is block diagonal by the characters of the ideal's grading, and each
+class of equal blocks is ranked and restricted to lines once (`_shapes`).
 One engine, `_power`, puts f1..f4 into monomials of T1..T4 for the oracle
 and `verify_substitution`; on a line, binary forms are read off int values.
 """
@@ -67,18 +69,19 @@ class RepMatrix:
     on the row basis, so entry (i, j) has the coefficients syzygies[j][i::k]
     of T1..T4; ints holds them as 4-tuples. A column's scale changes no
     rank at any point; `entries` and `to_json_dict` divide it by its last
-    nonzero entry (`exactla._kernel`)."""
+    nonzero entry (`exactla._kernel`). grading, the ideal's (k1, k2), gives
+    M's blocks (`_shapes`); (1, 1) holds M as one block."""
 
-    __slots__ = ("nu", "basis", "syzygies", "ints", "field", "_blocks")
+    __slots__ = ("nu", "basis", "syzygies", "ints", "field", "grading", "_blocks")
 
-    def __init__(self, nu, row_basis, syzygies, field):
+    def __init__(self, nu, row_basis, syzygies, field, grading):
         self.nu = nu
         self.basis = row_basis
         self.syzygies = tuple(syzygies)
         if not set(map(type, chain.from_iterable(self.syzygies))) <= {int}:
             j = next(j for j, col in enumerate(self.syzygies) if set(map(type, col)) - {int})
             raise TypeError(f"column {j} of M has an entry that is not an int")
-        self.field = field
+        self.field, self.grading = field, grading
         k = len(row_basis)
         self.ints = tuple(tuple(tuple(col[i::k]) for col in self.syzygies) for i in range(k))
         self._blocks = None
@@ -120,7 +123,7 @@ class RepMatrix:
 
 def representation_matrix(I: SegreIdeal, nu: int) -> RepMatrix:
     """Assemble M from the canonical syzygy basis in degree nu."""
-    return RepMatrix(nu, basis(nu), linear_syzygies(I, nu), I.field)
+    return RepMatrix(nu, basis(nu), linear_syzygies(I, nu), I.field, I.grading)
 
 
 def membership(M: RepMatrix, point):
@@ -128,11 +131,11 @@ def membership(M: RepMatrix, point):
     lies on the surface (under the locally-complete-intersection hypothesis).
 
     The point is scaled to ints by its common denominator, and M(pt) is
-    ranked block by block (the connected blocks of `_components`; a block
-    with fewer columns than rows is ranked too), each entry an int dot
-    product with the block's cached int coefficients. Each class of
-    `_shapes` is ranked once, and its rank counts once per block. Over GF(p)
-    the block's rows, reduced mod p as they are built, are ranked by
+    ranked block by block (the blocks of `_shapes`, one per character of the
+    grading; a block with fewer columns than rows is ranked too), each entry
+    an int dot product with the block's cached int coefficients. Each class
+    of `_shapes` is ranked once, and its rank counts once per block. Over
+    GF(p) the block's rows, reduced mod p as they are built, are ranked by
     `int_rank` in place. Over QQ the block is built from its class's
     columns, kept beside the table, and `exactla._kernel` takes the left
     kernel of a k_b-row block, the kernel of its transpose, from one
@@ -165,69 +168,36 @@ def membership(M: RepMatrix, point):
 # ---------------------------------------------------------------------------
 # gcd of maximal minors
 
-def _components(M: RepMatrix):
-    """Connected components of the nonzero-entry bipartite graph.
-
-    Any maximal minor that takes a number of columns different from the row
-    count of some component vanishes, so the gcd of maximal minors is the
-    product over components of the per-component gcds.
-    """
-    parent = list(range(M.rows + M.cols))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, row in enumerate(M.ints):
-        for j, entry in enumerate(row):
-            if any(entry):
-                parent[find(M.rows + j)] = find(i)
-    groups: dict[int, tuple[list, list]] = {}
-    for i in range(M.rows):
-        groups.setdefault(find(i), ([], []))[0].append(i)
-    for j in range(M.cols):
-        groups.setdefault(find(M.rows + j), ([], []))[1].append(j)
-    comps = [(tuple(rows), tuple(cols)) for rows, cols in groups.values()]
-    return sorted(comps, key=lambda rc: rc[0][0] if rc[0] else M.rows + rc[1][0])
-
-
-def _class_key(table):
-    """A row and column permutation of table: its lines sorted, then its
-    positions, alternately, until neither order changes (at most rows +
-    cols rounds)."""
-    key = tuple(map(tuple, table))
-    for _ in range(len(key) + len(key[0]) if key and key[0] else 0):
-        step = tuple(zip(*sorted(zip(*sorted(key)))))
-        if step == key:
-            break
-        key = step
-    return key
-
-
 def _shapes(M: RepMatrix):
-    """(blocks, classes, columns), found once per M: the blocks of M with
-    rows, and per class of blocks with one `_class_key` (so one rank at
-    every point, and maximal minors up to sign) its first block, that
-    block's int coefficient table, one list per row in both fields, which
-    `membership` evaluates over GF(p) and `_Block` restricts to lines, and
-    its number of blocks; columns holds each class table's columns, which
-    `membership` evaluates over QQ."""
+    """(blocks, classes, columns), found once per M from its grading (k1,
+    k2): a block is the rows of one character (a mod k1, c mod k2) of s^a
+    u^b t^c v^e and the columns whose first nonzero row has it, in the order
+    of first rows. A character's degree-n monomials are s^(a+k1*i)
+    t^(c+k2*j) times powers of u and v, (i, j) in [0, (n-a)//k1] x
+    [0, (n-c)//k2]; a generator shifts (i, j) alike in every character and
+    k1, k2 divide d, so characters of one key ((nu-a)//k1, (nu-c)//k2) have
+    one Koszul piece up to row and column order: one class, with one rank at
+    every point and one ideal of maximal minors. Per class: its first block,
+    that block's int table, one list per row (`membership` over GF(p),
+    `_Block`), and its number of blocks; columns holds each class table's
+    columns (`membership` over QQ)."""
     if M._blocks is None:
-        ints, classes = M.ints, {}
-        blocks = [(rows, cols) for rows, cols in _components(M) if rows]
-        for rows, cols in blocks:
-            table = [[ints[i][j] for j in cols] for i in rows]
-            classes.setdefault(_class_key(table), [(rows, cols), table, 0])[2] += 1
-        classes = list(classes.values())
-        M._blocks = blocks, classes, [list(zip(*table)) for _, table, _ in classes]
+        k1, k2 = M.grading
+        chars = [(a % k1, c % k2) for a, _, c, _ in M.basis]
+        groups = {x: ([i for i, y in enumerate(chars) if y == x], []) for x in dict.fromkeys(chars)}
+        for j, v in enumerate(M.syzygies):
+            groups[chars[next((i for i, x in enumerate(v) if x), 0) % M.rows]][1].append(j)
+        classes = {}
+        for (a, c), block in groups.items():
+            classes.setdefault(((M.nu - a) // k1, (M.nu - c) // k2), [block, 0])[1] += 1
+        classes = [((rows, cols), [[M.ints[i][j] for j in cols] for i in rows], n)
+                   for (rows, cols), n in classes.values()]
+        M._blocks = list(groups.values()), classes, [list(zip(*table)) for _, table, _ in classes]
     return M._blocks
 
 
 def _blocks(M: RepMatrix):
-    """The blocks of M with rows; RankDeficientError when one has fewer
-    columns than rows, so that every maximal minor vanishes."""
+    """The blocks of M; RankDeficientError when one has fewer columns than rows."""
     blocks = _shapes(M)[0]
     if any(len(cols) < len(rows) for rows, cols in blocks):
         raise RankDeficientError(f"M ({M.rows} x {M.cols}) has a block with fewer columns "
@@ -362,7 +332,7 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
     """(D, power, residual): the gcd D of the maximal minors of M, monic, as
     F^power * residual, with F the implicit equation.
 
-    Maximal minors factor across M's connected blocks, and F divides each
+    Maximal minors factor across M's blocks (`_shapes`), and F divides each
     block's gcd D_b (at an image point, the degree-nu monomials at a
     preimage are a left-kernel vector of M). One _Block stands for each
     class of `_shapes`, and its degree and (power, residual) count once per
@@ -380,9 +350,7 @@ def minors_gcd(M: RepMatrix, F: TPoly, degree: int, rng: Random | None = None):
         raise ValueError("the implicit equation must be a nonconstant homogeneous form")
     rng = rng or Random(0)
     _blocks(M)  # the shape check
-    classes = _shapes(M)[1]
-    counts = [n for _, _, n in classes]
-    blocks = [_Block(M, table, F, rng) for _, table, _ in classes]
+    counts, blocks = zip(*((n, _Block(M, table, F, rng)) for _, table, n in _shapes(M)[1]))
     best = [None] * len(blocks)
     queue, drawn, deg_f = list(range(len(blocks))), 0, F.total_degree()
 

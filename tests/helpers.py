@@ -289,6 +289,16 @@ def random_dense(d: int, rng: Random) -> Parametrization:
     return Parametrization(fs)
 
 
+def random_mixed(d1, d2, seed, field):
+    """Four bidegree (d1,d2) forms over field, every coefficient a nonzero
+    int in [-9, 9]."""
+    rng = Random(seed)
+    quads = [(i, d1 - i, j, d2 - j) for i in range(d1 + 1) for j in range(d2 + 1)]
+    nonzero = [c for c in range(-9, 10) if c]
+    return Parametrization(BiHomPoly((d1, d2), {q: field.coerce(rng.choice(nonzero)) for q in quads},
+                                     field) for _ in range(4))
+
+
 def random_biform(n: int, rng: Random, density: float = 0.6) -> BiHomPoly:
     terms = {}
     for i in range(n + 1):

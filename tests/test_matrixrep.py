@@ -14,7 +14,6 @@ from bisurf.matrixrep import (
     RepMatrix,
     _Block,
     _blocks,
-    _components,
     _degree_monomials,
     _form,
     _shapes,
@@ -41,6 +40,7 @@ from helpers import (
     monic,
     mul_terms,
     random_dense,
+    random_mixed,
     syzygy_forms,
     tmul,
 )
@@ -68,9 +68,9 @@ def test_lifted_matrix_shape(mixed_param):
     I = SegreIdeal.from_parametrization(lift_mixed(mixed_param))
     M = representation_matrix(I, 5)
     assert (M.rows, M.cols) == (36, 42)
-    comps = _components(M)
-    assert [(len(r), len(c)) for r, c in comps] == [(6, 7)] * 6
-    assert _blocks(M) == comps and _blocks(M) is _blocks(M)  # found once per M
+    blocks = _blocks(M)
+    assert [(len(r), len(c)) for r, c in blocks] == [(6, 7)] * 6
+    assert blocks is _blocks(M)  # found once per M
 
 
 def test_reassembly_invariant(d2_matrix_rep, d2_ideal):
@@ -204,10 +204,9 @@ def test_membership_falls_back_only_when_not_certified(query_cases, d2_matrix_re
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
 def test_membership_ranks_a_block_with_fewer_columns_than_rows(field):
-    # blocks: rows 0-1 on column 0 (2 x 1), rows 2-3 on columns 1-2, and
-    # the zero row 4 with no column
+    # rows 0-1 on column 0 (2 x 1), rows 2-3 on columns 1-2, and the zero
+    # row 4: with grading (1, 1) the whole 5 x 3 matrix is one block
     M = _rep_matrix(["T1, 0, 0", "T2, 0, 0", "0, T3, T4", "0, T1, T2", "0, 0, 0"], field)
-    assert [(len(r), len(c)) for r, c in _components(M)] == [(2, 1), (2, 2), (1, 0)]
     with pytest.raises(RankDeficientError):
         _blocks(M)
     for pt in ((1, 1, 1, 1), (1, 2, 3, 4), (0, 0, 1, 1), (0, 0, 0, 1)):
@@ -226,6 +225,14 @@ def test_equal_blocks_form_one_class(field, mixed_param, d2_param):
         assert len(_blocks(M)) == 6
         assert [(block, n) for block, _, n in _shapes(M)[1]] == [(_blocks(M)[0], 6)]
         assert tuple(map(len, _blocks(M)[0])) == shape
+    # so are the six 24x42 blocks of a lifted dense (2,3) draw at nu = 11,
+    # and the two 8x14 blocks of the (2,2) input g(s^2,u^2,t,v), grading
+    # (2,1), of a (1,2) draw g at its nu = 3
+    for P, nu, shape, n in ((lift_mixed(random_mixed(2, 3, 7, field)), 11, (24, 42), 6),
+                            (lift_mixed(random_mixed(1, 2, 7, field)), 3, (8, 14), 2)):
+        M = representation_matrix(SegreIdeal.from_parametrization(P), nu)
+        assert [(tuple(map(len, block)), count) for block, _, count in _shapes(M)[1]] == [(shape, n)]
+        assert len(_blocks(M)) == n
     # d2_example and dense (2,2) have one block, a class of its own
     for P in (d2_param, random_dense(2, Random(1))):
         I = SegreIdeal.from_parametrization(parse_parametrization(P.to_text(), field))
@@ -244,21 +251,17 @@ def _block_diagonal(*blocks):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
-def test_classes_are_blocks_equal_up_to_row_and_column_order(field):
-    # C2 is C with its rows swapped and its columns reversed: one class.
-    # Z and K are the addition tables of Z/4 and of (Z/2)^2 on T1..T4: every
-    # row and every column of each holds T1..T4 once, but no row and column
-    # order makes them equal (the tables of two groups that are not
-    # isomorphic are not isotopic), and at (2,1,1,0) only K drops rank
+def test_membership_of_a_block_diagonal_matrix(field):
+    # C2 is C with its rows swapped and its columns reversed. Z and K are
+    # the addition tables of Z/4 and of (Z/2)^2 on T1..T4: every row and
+    # every column of each holds T1..T4 once, but no row and column order
+    # makes them equal, and at (2,1,1,0) only K drops rank. With grading
+    # (1, 1) the block-diagonal matrix is ranked whole.
     C = [["T1", "T2", "T3"], ["T4", "T1 + T4", "0"]]
     C2 = [["0", "T1 + T4", "T4"], ["T3", "T2", "T1"]]
     Z = [[f"T{(i + j) % 4 + 1}" for j in range(4)] for i in range(4)]
     K = [[f"T{(i ^ j) + 1}" for j in range(4)] for i in range(4)]
     M = _rep_matrix(_block_diagonal(C, C2, Z, K), field)
-    blocks = _blocks(M)
-    assert [tuple(map(len, block)) for block in blocks] == [(2, 3)] * 2 + [(4, 4)] * 2
-    assert [(block, n) for block, _, n in _shapes(M)[1]] == [(blocks[0], 2), (blocks[2], 1),
-                                                              (blocks[3], 1)]
     p = field.characteristic
     for pt in ((2, 1, 1, 0), (1, 1, 1, 1), (1, 2, 3, 4), (0, 0, 1, 1), (1, -1, 0, 0), (3, 0, 0, 1)):
         r = fraction_rank(evaluated(M, pt), p)
@@ -703,7 +706,7 @@ def _rep_matrix(texts, field):
     entries = [[parse_tpoly(t, field) for t in row.split(",")] for row in texts]
     columns = [cleared([row[j].terms.get(u, field.zero) for u in UNITS for row in entries])
                for j in range(len(entries[0]))]
-    return RepMatrix(0, [(r, 0, 0, 0) for r in range(len(entries))], columns, field)
+    return RepMatrix(0, [(r, 0, 0, 0) for r in range(len(entries))], columns, field, (1, 1))
 
 
 def test_rep_matrix_rejects_columns_that_are_not_ints():
@@ -712,7 +715,7 @@ def test_rep_matrix_rejects_columns_that_are_not_ints():
     for columns, j in [([[1, Fraction(1, 2), 0, 0], [0, 0, 1, 0]], 0),
                        ([[0, 0, 1, 0], [1, Fraction(1, 2), 0, 0]], 1)]:
         with pytest.raises(TypeError, match=f"column {j} "):
-            RepMatrix(0, [(0, 0, 0, 0)], columns, QQ)
+            RepMatrix(0, [(0, 0, 0, 0)], columns, QQ, (1, 1))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=str)

@@ -63,6 +63,7 @@ from helpers import (
     koszul_rows,
     mul_terms,
     random_dense,
+    random_mixed,
     substitute,
     syzygy_forms,
 )
@@ -334,34 +335,14 @@ def test_saturation_indeg_at_general_base_points(field, seed):
         assert saturation_indeg(I) == (0 if k == 0 else 2 if full else 1)
 
 
-def random_mixed(d1, d2, seed, field):
-    """Four bidegree (d1,d2) forms over field, every coefficient a nonzero
-    int in [-9, 9]."""
-    rng = Random(seed)
-    quads = [(i, d1 - i, j, d2 - j) for i in range(d1 + 1) for j in range(d2 + 1)]
-    nonzero = [c for c in range(-9, 10) if c]
-    return Parametrization(BiHomPoly((d1, d2), {q: field.coerce(rng.choice(nonzero)) for q in quads},
-                                     field) for _ in range(4))
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("bidegree", [(1, 2), (1, 3)], ids=str)
-@settings(max_examples=3, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_block_classes_on_lifted_draws(bidegree, field, seed):
-    # M of a lifted (1,k) draw has k blocks, which membership and minors_gcd
-    # work once per class of blocks equal up to row and column order: the
-    # rank of M(pt) at image and random points, and the same (D, power,
-    # residual) as a run with every block a class of its own
-    P = random_mixed(*bidegree, seed, field)
-    I = SegreIdeal.from_parametrization(lift_mixed(P))
-    nu, strand = working_strand(I, None, False)
-    M = representation_matrix(I, nu)
-    per_block = RepMatrix(M.nu, M.basis, M.syzygies, M.field)
-    with mock.patch.object(matrixrep, "_class_key", lambda table: object()):
-        assert [n for _, _, n in _shapes(per_block)[1]] == [1] * bidegree[1]
-    assert sum(n for _, _, n in _shapes(M)[1]) == len(_blocks(M)) == bidegree[1]
-    rng, p, k = Random(seed), field.characteristic, M.rows
+def check_against_whole_matrix(M, P, seed, degree=None):
+    """membership of M, one block per character of its grading, against the
+    same syzygies held as one block (grading (1, 1)) and against plain ranks,
+    at image and random points; with degree, minors_gcd too."""
+    whole_M = RepMatrix(M.nu, M.basis, M.syzygies, M.field, (1, 1))
+    assert len(_blocks(whole_M)) == 1
+    rng, field, k = Random(seed), M.field, M.rows
+    p = field.characteristic
     image = []
     while len(image) < 3:
         pt = image_point(P, [field.coerce(rng.randint(-9, 9)) for _ in range(4)])
@@ -371,11 +352,44 @@ def test_block_classes_on_lifted_draws(bidegree, field, seed):
     for pt in image + [pt for pt in others if any(pt)]:
         r = fraction_rank([[sum(c * x for c, x in zip(v[i::k], pt)) for v in M.syzygies]
                            for i in range(k)], p)
-        assert membership(M, pt) == (r < k, r), pt
+        assert membership(M, pt) == membership(whole_M, pt) == (r < k, r), pt
         assert r < k or pt not in image
-    degree = strand.expected_det_degree
-    F = implicit_by_interpolation(P, degree)
-    assert minors_gcd(M, F, degree, Random(seed)) == minors_gcd(per_block, F, degree, Random(seed))
+    if degree is not None:
+        F = implicit_by_interpolation(P, degree)
+        assert minors_gcd(M, F, degree, Random(seed)) == minors_gcd(whole_M, F, degree, Random(seed))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("draw", ["lifted (1,2)", "lifted (1,3)", "(2,2) g(s^2,u^2,t,v)"])
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_block_classes_on_lifted_draws(draw, field, seed):
+    # M of a lifted (1,k) draw, and of the (2,2) input g(s^2,u^2,t,v) of a
+    # (1,2) draw g, has one block per character of its grading (k, 1), all
+    # one class, which membership and minors_gcd work once. The minors gcd
+    # of the whole 36-row matrix of a lifted (1,3) draw took 18 s over QQ
+    # (one draw under cProfile, 2-core machine, Python 3.11.7), so there it
+    # is compared mod 32003 only.
+    g = random_mixed(1, 3 if draw == "lifted (1,3)" else 2, seed, field)
+    P = lift_mixed(g) if draw.startswith("(2,2)") else g
+    I = SegreIdeal.from_parametrization(lift_mixed(P))
+    assert I.grading == (I.degree, 1)
+    nu, strand = working_strand(I, None, False)
+    M = representation_matrix(I, nu)
+    assert [n for _, _, n in _shapes(M)[1]] == [len(_blocks(M))] == [I.degree]
+    slow = draw == "lifted (1,3)" and field is QQ
+    check_against_whole_matrix(M, P, seed, None if slow else strand.expected_det_degree)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("nu", [6, 7])
+def test_lifted_mixed23_membership_against_the_whole_matrix(field, nu):
+    # six blocks in classes of 1, 1, 2, 2 at nu = 6 and of 4, 2 at nu = 7;
+    # the whole matrix's minors gcd is too slow to compare here
+    P = parse_parametrization((INPUTS / "mixed23.ex").read_text(encoding="utf-8"), field_override=field)
+    M = representation_matrix(SegreIdeal.from_parametrization(lift_mixed(P)), nu)
+    assert [n for _, _, n in _shapes(M)[1]] == ([1, 1, 2, 2] if nu == 6 else [4, 2])
+    check_against_whole_matrix(M, P, nu)
 
 
 def whole(I):
