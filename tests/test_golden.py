@@ -73,7 +73,7 @@ LIFTED_DEFAULT_CASES = [("mixed23.ex",)]
 
 # Lifted mixed23 at nu = 6 and 7, where its six blocks fall into unequal
 # classes (sizes 1, 1, 2, 2 and 4, 2): these pin the order of the classes
-# and the random lines each class draws, in minors_gcd and in membership.
+# in minors_gcd and membership, and the random lines each class draws.
 UNEQUAL_CLASS_RUNS = [
     ["implicit", "mixed23.ex", "--nu", "6", "--json"],
     ["implicit", "mixed23.ex", "--nu", "7", "--json"],
