@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from bisurf.biparam import BiHomPoly, lift_mixed, parse_parametrization
+from bisurf.biparam import BiHomPoly, Parametrization, lift_mixed, parse_parametrization
 from bisurf import _expr, exactla
 from bisurf.exactla import SCREEN_PRIME, _forward_int, _kernel, int_det, int_nullspace
 from bisurf.fields import QQ, PrimeField
@@ -238,6 +238,38 @@ def test_equal_blocks_form_one_class(field, mixed_param, d2_param):
         I = SegreIdeal.from_parametrization(parse_parametrization(P.to_text(), field))
         M = representation_matrix(I, working_strand(I, None, True)[0])
         assert [(block, n) for block, _, n in _shapes(M)[1]] == [(_blocks(M)[0], 1)]
+
+
+# Forms on these monomials are invariant under (s, t) -> (-s, -t), so M is
+# block diagonal by (a + c) mod 2, a character the grading (k1, k2) does not
+# see: the map is 2:1 onto a quartic, and D = F^2.
+DIAGONAL_Z2 = [(2, 0, 2, 0), (2, 0, 0, 2), (0, 2, 2, 0), (0, 2, 0, 2), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=str)
+def test_diagonal_z2_input_is_one_block(field):
+    rng = Random(0)
+    P = Parametrization(BiHomPoly((2, 2), {m: field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+                                           for m in DIAGONAL_Z2}, field) for _ in range(4))
+    I = SegreIdeal.from_parametrization(P)
+    assert I.grading == (1, 1)
+    nu, strand = working_strand(I, None, False)
+    M = representation_matrix(I, nu)
+    parity = [(a + c) % 2 for a, _, c, _ in M.basis]
+    for v in M.syzygies:  # each column lives on the rows of one parity
+        assert len({parity[i % M.rows] for i, x in enumerate(v) if x}) == 1
+    assert [(len(rows), len(cols)) for rows, cols in _blocks(M)] == [(M.rows, M.cols)] == [(16, 28)]
+    p, points = field.characteristic, []
+    for pt in ((1, 2, 3, 5), (2, -1, 1, 4), (-3, 1, 2, 2)):
+        points += [image_point(P, pt), [rng.randint(-40, 40) for _ in range(4)]]
+    for pt in points:
+        r = fraction_rank(evaluated(M, pt), p)
+        assert membership(M, pt) == (r < M.rows, r), pt
+    assert [membership(M, pt)[0] for pt in points] == [True, False] * 3
+    degree = strand.expected_det_degree
+    F = implicit_by_interpolation(P, degree)
+    assert (degree, F.total_degree()) == (8, 4)
+    assert minors_gcd(M, F, degree) == (monic(tmul(F, F)), 2, TPoly.constant(1, field))
 
 
 def _block_diagonal(*blocks):

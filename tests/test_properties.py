@@ -41,7 +41,7 @@ from bisurf.matrixrep import (
     representation_matrix,
     verify_substitution,
 )
-from bisurf.tpoly import TPoly
+from bisurf.tpoly import TPoly, _monic_product
 from bisurf.zcomplex import (
     SegreIdeal,
     choose_nu,
@@ -335,10 +335,10 @@ def test_saturation_indeg_at_general_base_points(field, seed):
         assert saturation_indeg(I) == (0 if k == 0 else 2 if full else 1)
 
 
-def check_against_whole_matrix(M, P, seed, degree=None):
+def check_against_whole_matrix(M, P, seed):
     """membership of M, one block per character of its grading, against the
     same syzygies held as one block (grading (1, 1)) and against plain ranks,
-    at image and random points; with degree, minors_gcd too."""
+    at image and random points; returns the whole matrix."""
     whole_M = RepMatrix(M.nu, M.basis, M.syzygies, M.field, (1, 1))
     assert len(_blocks(whole_M)) == 1
     rng, field, k = Random(seed), M.field, M.rows
@@ -354,31 +354,48 @@ def check_against_whole_matrix(M, P, seed, degree=None):
                            for i in range(k)], p)
         assert membership(M, pt) == membership(whole_M, pt) == (r < k, r), pt
         assert r < k or pt not in image
-    if degree is not None:
-        F = implicit_by_interpolation(P, degree)
-        assert minors_gcd(M, F, degree, Random(seed)) == minors_gcd(whole_M, F, degree, Random(seed))
+    return whole_M
+
+
+def block_matrices(M):
+    """Each block of M as a RepMatrix of its own, grading (1, 1): the block's
+    rows of the row basis and its columns cut to those rows."""
+    k, row_basis = M.rows, list(M.basis)
+    return [RepMatrix(M.nu, [row_basis[i] for i in rows],
+                      [[M.syzygies[j][t * k + i] for t in range(4) for i in rows] for j in cols],
+                      M.field, (1, 1))
+            for rows, cols in _blocks(M)]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("draw", ["lifted (1,2)", "lifted (1,3)", "(2,2) g(s^2,u^2,t,v)"])
+@pytest.mark.parametrize("bidegree", [(1, 2), (1, 3), (2, 1)], ids=str)
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_block_classes_on_lifted_draws(draw, field, seed):
-    # M of a lifted (1,k) draw, and of the (2,2) input g(s^2,u^2,t,v) of a
-    # (1,2) draw g, has one block per character of its grading (k, 1), all
-    # one class, which membership and minors_gcd work once. The minors gcd
-    # of the whole 36-row matrix of a lifted (1,3) draw took 18 s over QQ
-    # (one draw under cProfile, 2-core machine, Python 3.11.7), so there it
-    # is compared mod 32003 only.
-    g = random_mixed(1, 3 if draw == "lifted (1,3)" else 2, seed, field)
-    P = lift_mixed(g) if draw.startswith("(2,2)") else g
+def test_block_classes_on_lifted_draws(bidegree, field, seed):
+    # M of a lifted (d1,d2) draw has one block per character of its grading
+    # (d/d1, d/d2), all one class, which membership and minors_gcd work
+    # once. The reference for membership is the whole matrix. For the minors
+    # gcd it is the whole matrix too, but for lifted (1,3) over QQ, where
+    # that took 18 s (one draw under cProfile, 2-core machine, Python
+    # 3.11.7): there it is the product of each block's own minors gcd.
+    P = random_mixed(*bidegree, seed, field)
     I = SegreIdeal.from_parametrization(lift_mixed(P))
-    assert I.grading == (I.degree, 1)
+    d1, d2 = bidegree
+    assert I.grading == (I.degree // d1, I.degree // d2)
     nu, strand = working_strand(I, None, False)
     M = representation_matrix(I, nu)
-    assert [n for _, _, n in _shapes(M)[1]] == [len(_blocks(M))] == [I.degree]
-    slow = draw == "lifted (1,3)" and field is QQ
-    check_against_whole_matrix(M, P, seed, None if slow else strand.expected_det_degree)
+    n = I.grading[0] * I.grading[1]
+    assert [count for _, _, count in _shapes(M)[1]] == [len(_blocks(M))] == [n]
+    whole_M = check_against_whole_matrix(M, P, seed)
+    degree = strand.expected_det_degree
+    F = implicit_by_interpolation(P, degree)
+    if bidegree == (1, 3) and field is QQ:
+        parts = [minors_gcd(B, F, degree // n, Random(seed)) for B in block_matrices(M)]
+        expected = (_monic_product([D for D, _, _ in parts], field), sum(k for _, k, _ in parts),
+                    _monic_product([Q for _, _, Q in parts], field))
+    else:
+        expected = minors_gcd(whole_M, F, degree, Random(seed))
+    assert minors_gcd(M, F, degree, Random(seed)) == expected
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
