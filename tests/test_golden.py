@@ -73,10 +73,13 @@ LIFTED_DEFAULT_CASES = [("mixed23.ex",)]
 
 # Lifted mixed23 at nu = 6 and 7, where its six blocks fall into unequal
 # classes (sizes 1, 1, 2, 2 and 4, 2): these pin the order of the classes
-# in minors_gcd and membership, and the random lines each class draws.
+# in minors_gcd and membership, and the random lines each class draws; the
+# info runs pin z1, z2 and z3, each a sum over the classes of its characters.
 UNEQUAL_CLASS_RUNS = [
     ["implicit", "mixed23.ex", "--nu", "6", "--json"],
     ["implicit", "mixed23.ex", "--nu", "7", "--json"],
+    ["info", "mixed23.ex", "--nu", "6", "--json"],
+    ["info", "mixed23.ex", "--nu", "7", "--json"],
     ["membership", "mixed23.ex", "--nu", "6", "--point", "8,-56,-14,64", "--json"],
 ]
 
