@@ -43,7 +43,7 @@ from .tpoly import (
     _monic_product,
     _scale_of,
 )
-from .zcomplex import SegreIdeal, StrandError, linear_syzygies, working_strand
+from .zcomplex import SegreIdeal, StrandError, _class_of, linear_syzygies, working_strand
 
 
 class RankDeficientError(RuntimeError):
@@ -172,24 +172,20 @@ def _shapes(M: RepMatrix):
     """(blocks, classes, columns), found once per M from its grading (k1,
     k2): a block is the rows of one character (a mod k1, c mod k2) of s^a
     u^b t^c v^e and the columns whose first nonzero row has it, in the order
-    of first rows. A character's degree-n monomials are s^(a+k1*i)
-    t^(c+k2*j) times powers of u and v, (i, j) in [0, (n-a)//k1] x
-    [0, (n-c)//k2]; a generator shifts (i, j) alike in every character and
-    k1, k2 divide d, so characters of one key ((nu-a)//k1, (nu-c)//k2) have
-    one Koszul piece up to row and column order: one class, with one rank at
-    every point and one ideal of maximal minors. Per class: its first block,
-    that block's int table, one list per row (`membership` over GF(p),
-    `_Block`), and its number of blocks; columns holds each class table's
-    columns (`membership` over QQ)."""
+    of first rows. The blocks of one class (`zcomplex._class_of`) are equal
+    up to row and column order, with one rank at every point and one ideal
+    of maximal minors. Per class: its first block, that block's int table,
+    one list per row (`membership` over GF(p), `_Block`), and its number of
+    blocks; columns holds each class table's columns (`membership` over QQ)."""
     if M._blocks is None:
         k1, k2 = M.grading
-        chars = [(a % k1, c % k2) for a, _, c, _ in M.basis]
+        chars = [a % k1 * k2 + c % k2 for a, _, c, _ in M.basis]
         groups = {x: ([i for i, y in enumerate(chars) if y == x], []) for x in dict.fromkeys(chars)}
         for j, v in enumerate(M.syzygies):
             groups[chars[next((i for i, x in enumerate(v) if x), 0) % M.rows]][1].append(j)
-        classes = {}
-        for (a, c), block in groups.items():
-            classes.setdefault(((M.nu - a) // k1, (M.nu - c) // k2), [block, 0])[1] += 1
+        classes, first = {}, _class_of(M.nu, M.grading)
+        for char, block in groups.items():
+            classes.setdefault(first[char], [block, 0])[1] += 1
         classes = [((rows, cols), [[M.ints[i][j] for j in cols] for i in rows], n)
                    for (rows, cols), n in classes.values()]
         M._blocks = list(groups.values()), classes, [list(zip(*table)) for _, table, _ in classes]

@@ -12,18 +12,17 @@ Every Koszul piece is block diagonal by the character (a mod k1, c mod k2)
 of s^a u^b t^c v^e, for the ideal's toric grading (k1, k2) (Botbol,
 Dickenstein and Dohm, CAGD 26, 2009); _koszul_columns writes one character
 of a piece as int columns, from the generators' ints (over QQ scaled by
-their common denominator), and ranks and kernels run per character. The
-syzygy basis is the canonical kernel of the first piece, of the transpose of
-its columns, each vector one column of matrixrep's M as it stands. The
-saturation index is read off the kernels of the pieces of I. A cycle
-dimension ranks only the columns of d_i that the pivot rows of d_(i+1)
-leave, after one elimination of d_(i+1) mod p, over QQ mod
-exactla.SCREEN_PRIME, the largest prime below 2^30, where a full rank is
-certified by d_i d_(i+1) = 0 and a lower one by `int_rank`'s dependencies.
+their common denominator). Kernels run per character. The syzygy basis is
+the canonical kernel of the first piece, of the transpose of its columns,
+each vector one column of matrixrep's M as it stands. The saturation index
+is read off the kernels of the pieces of I. A cycle dimension is ranked once
+per class of characters, on the columns of d_i that the pivot rows of
+d_(i+1) leave (`cycle_space_dim`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from itertools import combinations
@@ -83,6 +82,15 @@ def _characters(n: int, grading) -> tuple:
     k1, k2 = grading
     return tuple(SegreBasis(n, [q for q in basis(n).quads if (q[0] % k1, q[2] % k2) == (a, c)])
                  for a in range(k1) for c in range(k2))
+
+
+@lru_cache(maxsize=None)
+def _class_of(n: int, grading) -> tuple:
+    """For each character a*k2 + c, the first character of its class in
+    degree n, the characters of one key ((n - a) // k1, (n - c) // k2)."""
+    k1, k2 = grading
+    keys = [((n - a) // k1, (n - c) // k2) for a in range(k1) for c in range(k2)]
+    return tuple(keys.index(key) for key in keys)
 
 
 def _koszul_columns(I: SegreIdeal, i: int, mu: int, char: int, skip=()):
@@ -170,12 +178,21 @@ def cycle_space_dim(I: SegreIdeal, i: int, mu: int) -> int:
     ranked. Over QQ their rank mod the prime counts when it is full; a full
     column rank there is rank_q(d_i) + rank_q(d_(i+1)) = cols, which
     d_i d_(i+1) = 0 certifies; a lower one `int_rank` certifies itself.
+
+    A class of characters (`_class_of`) is ranked once, on its first
+    character, and counts once per character. In degree n the monomials of
+    character (a, c) are s^(a+k1*I) t^(c+k2*J) times powers of u and v, (I, J)
+    in [0, (n-a)//k1] x [0, (n-c)//k2]. k1 and k2 divide d and each generator
+    monomial is s^(k1*x) u^(d-k1*x) t^(k2*y) v^(d-k2*y), so multiplying by it
+    shifts (I, J) alike in every character, and one key in degree mu is one
+    (I, J) range in every degree mu - m*d: a class's pieces of every d_i match
+    entry for entry under that relabelling and share the first's dimension.
     """
     dim = 0
-    for char in range(I.grading[0] * I.grading[1]):
+    for char, count in Counter(_class_of(mu, I.grading)).items():
         dropped = set(_pivot_rows(I, i + 1, mu, char)) if i < 4 else ()
         columns, n_rows = _koszul_columns(I, i, mu, char, dropped)
-        dim += len(columns) + len(dropped) - int_rank(columns, n_rows, I.field.characteristic)
+        dim += count * (len(columns) + len(dropped) - int_rank(columns, n_rows, I.field.characteristic))
     return dim
 
 

@@ -17,7 +17,9 @@ substitute), which shares no code with bisurf._expr. koszul_rows
 assembles a whole Koszul piece here, every character at once, from the
 generators' int terms as the package scales them, so it checks the
 package's per-character pieces; syzygy_forms is a view of the package's
-syzygy vectors, not an oracle.
+syzygy vectors, not an oracle. strand_dims_by_character is the package's
+own strand loop with every character of the grading ranked on its own, the
+reference for ranking one character per class.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from bisurf.exactla import int_rank
 from bisurf.fields import QQ, PrimeField, is_prime
 from bisurf.segre import basis
 from bisurf.tpoly import TPoly, _ints, _scale_of
+from bisurf.zcomplex import _koszul_columns, _pivot_rows
 
 
 def fraction_rank(rows, p=0) -> int:
@@ -212,6 +215,22 @@ def koszul_rows(I, i, mu):
                 for ci, q in enumerate(src, si * len(src)):
                     rows[row0 + dst[tuple(x + y for x, y in zip(e, q))]][ci] = c
     return rows, len(subsets) * len(src)
+
+
+def strand_dims_by_character(I, nu):
+    """(z1, z2, z3) of the degree-nu strand, each the sum over every
+    character of I's grading of that character's cycle dimension, found as
+    zcomplex.cycle_space_dim finds it: the columns of d_i that the pivot rows
+    of d_(i+1) leave, ranked."""
+    dims = []
+    for i in (1, 2, 3):
+        mu, dim = nu + i * I.degree, 0
+        for char in range(I.grading[0] * I.grading[1]):
+            dropped = set(_pivot_rows(I, i + 1, mu, char))
+            columns, n_rows = _koszul_columns(I, i, mu, char, dropped)
+            dim += len(columns) + len(dropped) - int_rank(columns, n_rows, I.field.characteristic)
+        dims.append(dim)
+    return tuple(dims)
 
 
 def _biform_monomials(n):

@@ -11,9 +11,12 @@ random points. Membership and the minors gcd of lifted mixed-bidegree
 draws, whose blocks are worked once per class, against a run per block.
 The one substitution engine against products built one factor at a time.
 The strand, syzygies and saturation index of lifted inputs, worked one
-character of their grading at a time, against the whole Koszul pieces.
+character of their grading at a time, against the whole Koszul pieces, and
+their strand, ranked once per class of characters, against every character
+ranked on its own.
 """
 
+from collections import Counter
 from copy import copy
 from fractions import Fraction
 from itertools import product
@@ -64,6 +67,7 @@ from helpers import (
     mul_terms,
     random_dense,
     random_mixed,
+    strand_dims_by_character,
     substitute,
     syzygy_forms,
 )
@@ -470,3 +474,32 @@ def test_lifted_draws_characters_against_the_whole_matrix(bidegree, field, seed)
     I = SegreIdeal.from_parametrization(lift_mixed(random_mixed(*bidegree, seed, field)))
     assert I.grading == ((2, 1) if bidegree == (1, 2) else (3, 2))
     check_characters(I, (1, 2, 3) if I.degree == 2 else (5,))
+
+
+def check_classes(I, nus):
+    """z1, z2 and z3 of strand_report, which ranks one character per class,
+    against strand_dims_by_character, which ranks every character."""
+    for nu in nus:
+        rep = strand_report(I, nu)
+        assert (rep.dim_syzygies, rep.dim_cycles2, rep.dim_cycles3) == strand_dims_by_character(I, nu), nu
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_lifted_mixed23_strand_against_each_character(field):
+    # the six characters are one class at nu = 5, classes of 1, 1, 2, 2 at
+    # nu = 6 and of 4, 2 at nu = 7
+    I = sample_ideal("mixed23.ex", None if field is QQ else field)
+    check_classes(I, range(5, 12))
+    sizes = {nu: sorted(Counter(zcomplex._class_of(nu + I.degree, I.grading)).values()) for nu in (5, 6, 7)}
+    assert sizes == {5: [6], 6: [1, 1, 2, 2], 7: [2, 4]}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("bidegree", [(2, 1), (1, 3)], ids=str)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_lifted_draws_strand_against_each_character(bidegree, field, seed):
+    # lifted (2,1) draws have grading (1, 2), lifted (1,3) draws (3, 1);
+    # nu runs over 0..2d-1, every residue of nu mod k1 and k2
+    I = SegreIdeal.from_parametrization(lift_mixed(random_mixed(*bidegree, seed, field)))
+    check_classes(I, range(2 * I.degree))

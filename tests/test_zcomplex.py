@@ -1,5 +1,6 @@
+from collections import Counter
 from copy import copy
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 from random import Random
 
@@ -14,10 +15,12 @@ from bisurf.biparam import (
 )
 from bisurf import exactla
 from bisurf.exactla import SCREEN_PRIME
-from bisurf.fields import PrimeField
+from bisurf.fields import QQ, PrimeField
 from bisurf.segre import basis
 from bisurf.zcomplex import (
     SegreIdeal,
+    _characters,
+    _class_of,
     _koszul_columns,
     choose_nu,
     cycle_space_dim,
@@ -35,6 +38,7 @@ from helpers import (
     modular_rank_agrees,
     monomial,
     random_dense,
+    random_mixed,
     syzygy_forms,
 )
 
@@ -188,6 +192,32 @@ def test_koszul_columns_transpose_the_rows(d2_ideal, mixed_param):
                     col for c, col in enumerate(columns) if c not in skip]
                 nonzero += sum(map(bool, chain.from_iterable(columns)))
             assert nonzero == sum(map(bool, chain.from_iterable(rows))), (i, mu)
+
+    # characters of one class have one piece of every d_i at mu = nu + i*d,
+    # entry for entry, once rows and columns are labelled by (subset, I, J),
+    # a monomial of character (a, c) being s^(a+k1*I) t^(c+k2*J) times
+    # powers of u and v (cycle_space_dim); the classes' sizes show that
+    # pairs are compared. Lifted (1,3) draws have grading (3, 1)
+    draw = SegreIdeal.from_parametrization(lift_mixed(random_mixed(1, 3, 0, QQ)))
+    for I, sizes in ((mixed, {5: [6], 6: [1, 1, 2, 2]}), (draw, {0: [1, 2], 1: [1, 2], 2: [3]})):
+        k1, k2 = I.grading
+
+        def relabelled(i, mu, char):
+            columns, n_rows = _koszul_columns(I, i, mu, char)
+            rows, cols = ([(S, q[0] // k1, q[2] // k2) for S in range(comb(4, j))
+                           for q in (_characters(n, I.grading)[char].quads if n >= 0 else ())]
+                          for j, n in ((i - 1, mu - (i - 1) * I.degree), (i, mu - i * I.degree)))
+            assert (len(rows), len(cols)) == (n_rows, len(columns))
+            return (sorted(rows), sorted(cols),
+                    {(rows[r], cols[c]): x for c, col in enumerate(columns) for r, x in enumerate(col) if x})
+
+        for nu, expected in sizes.items():
+            for i in range(1, 5):
+                first = _class_of(nu + i * I.degree, I.grading)
+                assert sorted(Counter(first).values()) == expected, (nu, i)
+                for x, y in combinations(range(k1 * k2), 2):
+                    if first[x] == first[y]:
+                        assert relabelled(i, nu + i * I.degree, x) == relabelled(i, nu + i * I.degree, y)
 
 
 def test_strand_fallbacks(monkeypatch, inputs_dir):
