@@ -103,6 +103,13 @@ def _mul(a, b, p):
     return _expr.modp(_expr.mul(a, b), p)
 
 
+def _power(t, n: int, p):
+    r = {_ZERO_EXP: 1}
+    for _ in range(n):
+        r = _mul(r, t, p)
+    return r
+
+
 def _is_unit(t, p) -> bool:
     """Over GF(p) every nonzero constant is a unit, over the integers only +-1."""
     return t.keys() == {_ZERO_EXP} and (bool(p) or abs(t[_ZERO_EXP]) == 1)
@@ -224,8 +231,8 @@ def _div(a, b, p):
 
 # ---------------------------------------------------------------------------
 # multivariate gcd: recursive content/primitive-part splitting with a
-# primitive pseudo-remainder sequence (PRS) in the innermost (last) variable,
-# exact over the integers and over GF(p)
+# subresultant pseudo-remainder sequence (PRS) in the innermost (last)
+# variable, exact over the integers and over GF(p)
 
 def _deg_in(t, k: int) -> int:
     return max((e[k] for e in t), default=0)
@@ -252,16 +259,16 @@ def _lead_in(t, k: int):
 
 
 def _prem(f, g, k: int, p):
-    """c·f mod g in variable k, for some nonzero c free of variable k: the
-    pseudo-remainder without its final power of lc(g)."""
+    """lc(g)^(deg f - deg g + 1)·f mod g in variable k: the pseudo-remainder."""
     dg, lg = _lead_in(g, k)
-    r = f
+    r, n = f, _deg_in(f, k) - dg + 1
     while r:
         dr, lr = _lead_in(r, k)
         if dr < dg:
             break
         r = _sub(_mul(lg, r, p), _shift(_mul(lr, g, p), k, dr - dg), p)
-    return r
+        n -= 1
+    return _mul(_power(lg, n, p), r, p)
 
 
 def _content_pp(t, k: int, p):
@@ -277,8 +284,11 @@ def _content_pp(t, k: int, p):
 
 def _gcd_rec(a, b, k: int, p):
     """gcd of polynomials that only involve variables 0..k; result up to a
-    unit: the gcd of the contents times the last nonzero remainder of the
-    primitive PRS of the primitive parts."""
+    unit: the gcd of the contents times the primitive part of the last
+    nonzero remainder of the subresultant PRS (Knuth, TAOCP 4.6.1, Algorithm
+    C) of the primitive parts. Its exact divisions by lc·h^delta stand in for
+    the content of every remainder, a recursive gcd per coefficient that ran
+    for minutes on integer inputs of a few terms and degree 4."""
     if not a:
         return b
     if not b:
@@ -290,9 +300,13 @@ def _gcd_rec(a, b, k: int, p):
     cb, g = _content_pp(b, k, p)
     if _deg_in(f, k) < _deg_in(g, k):
         f, g = g, f
-    while r := _prem(f, g, k, p):
-        f, g = g, _content_pp(r, k, p)[1]
-    return _mul(_gcd_rec(ca, cb, k - 1, p), g, p)
+    lc, h = {_ZERO_EXP: 1}, {_ZERO_EXP: 1}
+    while _deg_in(g, k) and (r := _prem(f, g, k, p)):
+        delta = _deg_in(f, k) - _deg_in(g, k)
+        f, g = g, _div(r, _mul(lc, _power(h, delta, p), p), p)
+        lc = _lead_in(f, k)[1]
+        h = _div(_power(lc, delta, p), _power(h, delta - 1, p), p) if delta else h
+    return _mul(_gcd_rec(ca, cb, k - 1, p), _content_pp(g, k, p)[1], p)
 
 
 def _monomial_part(t):
