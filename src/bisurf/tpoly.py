@@ -1,6 +1,6 @@
 """Polynomials in the image-space variables T1..T4 over an exact field,
 where implicit equations live: TPoly, a validated container with no ring
-operators, and an int kernel with exact division and a primitive-PRS
+operators, and an int kernel with exact division and a subresultant-PRS
 multivariate gcd.
 
 TPoly stores Fraction coefficients over QQ and int residues in [0, p) over
@@ -330,6 +330,10 @@ def _rehomogenize_last(t):
     return {(e[0], e[1], e[2], n - sum(e)): c for e, c in t.items()}
 
 
+def _permuted(t, order):
+    return {tuple(e[k] for k in order): c for e, c in t.items()}
+
+
 def _gcd(a, b, p):
     """A gcd of int-kernel polynomials, not both zero; up to a unit."""
     if not a:
@@ -344,8 +348,14 @@ def _gcd(a, b, p):
     homogeneous = _is_homogeneous(ra) and _is_homogeneous(rb) and (_deg_in(ra, 3) or _deg_in(rb, 3))
     if homogeneous:  # no variable divides both: the gcd commutes with dehomogenizing v
         ra, rb = _dehomogenize_last(ra, p), _dehomogenize_last(rb, p)
+    # the PRS runs in the variable of least degree (the lower of its degrees
+    # in a and b, then the higher), the contents in the others
+    n = 3 if homogeneous else 4
+    order = sorted(range(n), key=lambda k: sorted((_deg_in(ra, k), _deg_in(rb, k))), reverse=True)
+    order += [3] * (4 - n)
+    ra, rb = _permuted(ra, order), _permuted(rb, order)
     # the PRS starts at the last variable that either input involves
-    top = (2, 1, 0) if homogeneous else (3, 2, 1, 0)
-    core = _gcd_rec(ra, rb, next(k for k in top if any(e[k] for e in chain(ra, rb))), p)
+    top = next(k for k in reversed(range(n)) if any(e[k] for e in chain(ra, rb)))
+    core = _permuted(_gcd_rec(ra, rb, top, p), [order.index(k) for k in range(4)])
     return _mul(mg, _rehomogenize_last(core) if homogeneous else core, p)
 

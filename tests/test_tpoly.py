@@ -100,6 +100,15 @@ def test_mvgcd_common_factor_property():
         _div(_gcd(_mul(a, c, 0), _mul(b, c, 0), 0), c, 0)
 
 
+def test_mvgcd_of_a_draw_with_growing_contents():
+    # a draw of test_kernel's gcd property; a PRS that takes the content of
+    # every remainder spends seconds on it in recursive gcds
+    a = ip("-16*T3*T4^2 - 16*T2^2 + 3*T1^2*T3^2")
+    b = ip("10*T4^2 + 53*T4 - 24")
+    c = ip("T2*T3^2*T4 + 4*T1*T4^2 - 29*T3^2")
+    assert _monic(_gcd(_mul(a, c, 0), _mul(b, c, 0), 0), QQ) == _monic(c, QQ)
+
+
 def test_mvgcd_over_prime_field():
     gf = PrimeField(101)
     g = _gcd(ip("T1^2-T2^2", gf), ip("T1^2+2*T1*T2+T2^2", gf), 101)
