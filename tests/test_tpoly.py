@@ -100,15 +100,6 @@ def test_mvgcd_common_factor_property():
         _div(_gcd(_mul(a, c, 0), _mul(b, c, 0), 0), c, 0)
 
 
-def test_mvgcd_of_a_draw_with_growing_contents():
-    # a draw of test_kernel's gcd property; a PRS that takes the content of
-    # every remainder spends seconds on it in recursive gcds
-    a = ip("-16*T3*T4^2 - 16*T2^2 + 3*T1^2*T3^2")
-    b = ip("10*T4^2 + 53*T4 - 24")
-    c = ip("T2*T3^2*T4 + 4*T1*T4^2 - 29*T3^2")
-    assert _monic(_gcd(_mul(a, c, 0), _mul(b, c, 0), 0), QQ) == _monic(c, QQ)
-
-
 def test_mvgcd_over_prime_field():
     gf = PrimeField(101)
     g = _gcd(ip("T1^2-T2^2", gf), ip("T1^2+2*T1*T2+T2^2", gf), 101)
@@ -151,6 +142,18 @@ def test_int_kernel_regressions():
     assert _div(ip("T1^2", gf7), ip("2*T1", gf7), 7) == ip("4*T1", gf7)
     assert _monic(_gcd(ip("6*T1*T3 + 4*T2*T3"), ip("9*T1*T4 + 6*T2*T4"), 0), QQ) == tp("T1 + 2/3*T2")
     assert _monic(_gcd(ip("1/3*T1^2 - 1/3*T2^2"), ip("2*T1 + 2*T2"), 0), QQ) == tp("T1 + T2")
+    # draws of test_kernel's gcd property that took seconds: the first in a
+    # PRS that takes the content of every remainder, the second in a PRS in T4
+    draws = [("-16*T3*T4^2 - 16*T2^2 + 3*T1^2*T3^2", "10*T4^2 + 53*T4 - 24",
+              "T2*T3^2*T4 + 4*T1*T4^2 - 29*T3^2"),
+             ("-204*T1*T3^2*T4 + 60*T2*T3^2 - 276*T1^2*T2^2 - 81*T2^2*T3^2*T4^2",
+              "-220*T1*T2*T3 + 111*T1^2*T4^2 + 6*T2*T3*T4^2 + 84*T1*T2^2*T3*T4^2",
+              "-285*T2^2*T3 - 580*T2^2*T4^2 - 180*T1 + 252*T1^2*T3*T4^2")]
+    for field in (QQ, PrimeField(32003)):
+        p = field.characteristic
+        for a, b, c in draws:
+            a, b, c = (ip(x, field) for x in (a, b, c))
+            assert _monic(_gcd(_mul(a, c, p), _mul(b, c, p), p), field) == _monic(c, field)
 
 
 def binary_form(rng, deg, p):
